@@ -11,8 +11,9 @@ yields of the virtual states, whose squared overlaps come from
 all of them uniformly, the single-photon phase error rate is independent of
 distance whenever dark counts are negligible.
 
-The helpers taking an explicit ``alpha`` argument are NumPy-vectorized over
-it so the intensity optimizer can evaluate dense grids cheaply.
+The helpers are NumPy-vectorized over the intensity ``alpha`` and the
+transmittance ``t``, so the intensity optimizer evaluates all distances of a
+sweep at once.
 """
 
 from __future__ import annotations
@@ -92,25 +93,34 @@ class ZStats:
             raise ValidationError("single-photon gain exceeds the overall gain")
 
 
-def total_loss(params: ChannelParams) -> float:
-    """Total loss ``L = 1 - det_eff * 10^(-atten*distance/10)``, in [0, 1]."""
-    transmittance = params.det_eff * 10.0 ** (
-        -params.atten_db_per_km * params.distance_km / 10.0
-    )
-    return 1.0 - transmittance
+def total_loss(params: ChannelParams, distance_km: ArrayLike | None = None) -> ArrayLike:
+    """Total loss ``L = 1 - det_eff * 10^(-atten*distance/10)``, in [0, 1].
+
+    Vectorized over ``distance_km`` (default ``params.distance_km``).  The
+    power is taken per element with Python's ``**``: NumPy's SIMD power can
+    differ from it in the last place.
+    """
+    if distance_km is None:
+        distance_km = params.distance_km
+    exponents = -params.atten_db_per_km * np.asarray(distance_km, dtype=float) / 10.0
+    powers = [10.0 ** x for x in exponents.ravel().tolist()]
+    return 1.0 - params.det_eff * np.reshape(powers, exponents.shape)
 
 
-def conditional_virtual_yields(params: ChannelParams) -> np.ndarray:
-    """Conditional X-basis yields ``Y[s, j]`` of the two virtual states.
+def conditional_virtual_yields(params: ChannelParams, t: ArrayLike | None = None) -> np.ndarray:
+    """Conditional X-basis yields ``Y[..., s, j]`` of the two virtual states.
 
     A transmitted photon clicks detector ``s`` with probability
     ``C[s, j](3*delta/2)**2``; a dark count fires the empty detector with
     probability ``e_d``; double clicks are split evenly between the bits.
+    Vectorized over the transmittance ``t`` (default that of ``params``):
+    the result has shape ``t.shape + (2, 2)``.
     """
-    loss = total_loss(params)
+    if t is None:
+        t = 1.0 - total_loss(params)
     e_d = params.dark_count
-    arrived = (1.0 - loss) * virtual_amplitudes(1.5 * params.delta) ** 2
-    return arrived * (1.0 - e_d / 2.0) + e_d * (1.0 - e_d / 2.0) + arrived[::-1, :] * e_d
+    arrived = np.asarray(t)[..., None, None] * virtual_amplitudes(1.5 * params.delta) ** 2
+    return arrived * (1.0 - e_d / 2.0) + e_d * (1.0 - e_d / 2.0) + arrived[..., ::-1, :] * e_d
 
 
 def virtual_priors(delta: float) -> np.ndarray:
@@ -119,58 +129,58 @@ def virtual_priors(delta: float) -> np.ndarray:
     return np.array([(1.0 + s) / 2.0, (1.0 - s) / 2.0])
 
 
-def single_photon_gain(params: ChannelParams, alpha: ArrayLike | None = None) -> ArrayLike:
-    """Single-photon Z-basis gain; vectorized over ``alpha``."""
-    if alpha is None:
-        alpha = params.alpha
-    yields = conditional_virtual_yields(params)
-    weighted = float((yields * virtual_priors(params.delta)[np.newaxis, :]).sum())
+def single_photon_terms(params: ChannelParams, t: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+    """Prior-weighted conditional yield and single-photon phase error ``e_x1``.
+
+    Neither depends on the intensity (``e_x1`` is NaN where nothing clicks);
+    vectorized over ``t`` as :func:`conditional_virtual_yields` is.
+    """
+    yields = conditional_virtual_yields(params, t)
+    weighted = (yields * virtual_priors(params.delta)).sum(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        e_x1 = (yields[..., 1, 0] + yields[..., 0, 1]) / yields.sum(axis=(-2, -1))
+    return weighted, e_x1
+
+
+def single_photon_gain(alpha: ArrayLike, weighted: ArrayLike) -> ArrayLike:
+    """Single-photon Z-basis gain from the prior-weighted yield; vectorized."""
     return 0.5 * np.exp(-2.0 * alpha) * alpha * weighted
 
 
-def single_photon_stats(params: ChannelParams) -> tuple[float, float]:
-    """Return ``(Q_z1, e_x1)`` for the single-photon signal components."""
-    yields = conditional_virtual_yields(params)
-    denominator = float(yields.sum())
-    if denominator <= 0.0:
+def single_photon_stats(
+    params: ChannelParams, alpha: ArrayLike | None = None, t: ArrayLike | None = None
+) -> tuple[ArrayLike, ArrayLike]:
+    """Return ``(Q_z1, e_x1)``; vectorized over ``alpha`` and the transmittance ``t``."""
+    weighted, e_x1 = single_photon_terms(params, 1.0 - total_loss(params) if t is None else t)
+    if np.any(np.isnan(e_x1)):
         raise UndefinedRateError("no single-photon detections (total loss, no darks)")
-    e_x1 = float(yields[1, 0] + yields[0, 1]) / denominator
-    return float(single_photon_gain(params)), e_x1
+    return single_photon_gain(params.alpha if alpha is None else alpha, weighted), e_x1
 
 
-def zbasis_click_probs(
-    params: ChannelParams, alpha: ArrayLike | None = None
-) -> tuple[ArrayLike, ArrayLike, ArrayLike, ArrayLike]:
+def zbasis_click_probs(params: ChannelParams, alpha: ArrayLike, t: ArrayLike) -> tuple:
     """Per-detector click probabilities ``(P00, P10, P01, P11)``.
 
     ``P[s|j]`` is the probability detector ``s`` fires when bit ``j`` was
-    sent with intensity ``alpha``; vectorized over ``alpha``.
+    sent with intensity ``alpha`` over transmittance ``t``; vectorized over
+    both.
     """
-    if alpha is None:
-        alpha = params.alpha
-    loss = total_loss(params)
     e_d = params.dark_count
-    signal = alpha * (1.0 - loss)
+    signal = alpha * t
     half = params.delta / 2.0
     p00 = e_d + (1.0 - e_d) * (1.0 - np.exp(-signal))
-    p10 = e_d + np.zeros_like(np.asarray(alpha, dtype=float))
     p01 = e_d + (1.0 - e_d) * (1.0 - np.exp(-signal * math.sin(half) ** 2))
     p11 = e_d + (1.0 - e_d) * (1.0 - np.exp(-signal * math.cos(half) ** 2))
-    if np.isscalar(alpha):
-        return float(p00), float(p10), float(p01), float(p11)
-    return p00, p10, p01, p11
+    return p00, e_d, p01, p11
 
 
-def zbasis_gain_error_weight(
-    params: ChannelParams, alpha: ArrayLike | None = None
-) -> tuple[ArrayLike, ArrayLike]:
-    """Overall gain ``Q_z`` and error weight ``w_z``; vectorized over ``alpha``.
+def zbasis_gain_error_weight(params: ChannelParams, alpha: ArrayLike, t: ArrayLike) -> tuple:
+    """Overall gain ``Q_z`` and error weight ``w_z``; vectorized over ``alpha`` and ``t``.
 
     Per sent bit, the detection probability is the inclusive-or of the two
     detectors and the error weight counts wrong-detector-only clicks plus
     half of the double clicks (random assignment).
     """
-    p00, p10, p01, p11 = zbasis_click_probs(params, alpha)
+    p00, p10, p01, p11 = zbasis_click_probs(params, alpha, t)
     gain = 0.5 * (p00 + p10 - p00 * p10) + 0.5 * (p01 + p11 - p01 * p11)
     weight = 0.5 * ((1.0 - p00) * p10 + 0.5 * p00 * p10) + 0.5 * (
         p01 * (1.0 - p11) + 0.5 * p01 * p11
@@ -178,17 +188,20 @@ def zbasis_gain_error_weight(
     return gain, weight
 
 
-def zbasis_stats(params: ChannelParams) -> tuple[float, float]:
-    """Return ``(Q_z, e_z)`` for the key basis."""
-    gain, weight = zbasis_gain_error_weight(params)
-    gain = float(gain)
-    if gain <= 0.0:
+def zbasis_stats(
+    params: ChannelParams, alpha: ArrayLike | None = None, t: ArrayLike | None = None
+) -> tuple[ArrayLike, ArrayLike]:
+    """Return ``(Q_z, e_z)`` for the key basis; vectorized over ``alpha`` and ``t``."""
+    gain, weight = zbasis_gain_error_weight(
+        params, params.alpha if alpha is None else alpha, 1.0 - total_loss(params) if t is None else t
+    )
+    if np.any(gain <= 0.0):
         raise UndefinedRateError("Z-basis gain is zero; bit error rate undefined")
-    return gain, float(weight) / gain
+    return gain, weight / gain
 
 
 def channel_stats(params: ChannelParams) -> ZStats:
     """Assemble the full :class:`ZStats` record for one parameter point."""
     q_z, e_z = zbasis_stats(params)
     q_z1, e_x1 = single_photon_stats(params)
-    return ZStats(q_z=q_z, e_z=e_z, q_z1=q_z1, e_x1=e_x1)
+    return ZStats(q_z=float(q_z), e_z=float(e_z), q_z1=float(q_z1), e_x1=float(e_x1))

@@ -20,12 +20,8 @@ import numpy as np
 from scipy.special import xlogy
 
 from .channel import (
-    ChannelParams,
-    ZStats,
-    channel_stats,
-    conditional_virtual_yields,
-    single_photon_gain,
-    zbasis_gain_error_weight,
+    ArrayLike, ChannelParams, ZStats, single_photon_gain, single_photon_stats,
+    single_photon_terms, total_loss, zbasis_gain_error_weight, zbasis_stats,
 )
 from .errors import ValidationError
 
@@ -63,21 +59,22 @@ def secret_key_rate(stats: ZStats, f_ec: float = DEFAULT_F_EC) -> float:
     return max(rate, 0.0)
 
 
-def _rates_for_alphas(
-    params: ChannelParams, alphas: np.ndarray, f_ec: float
-) -> np.ndarray:
-    """Vectorized key rate over intensities at fixed channel parameters."""
-    yields = conditional_virtual_yields(params)
-    denominator = float(yields.sum())
-    if denominator <= 0.0:
-        return np.zeros_like(alphas)
-    e_x1 = float(yields[1, 0] + yields[0, 1]) / denominator
-    pa_factor = 1.0 - binary_entropy(e_x1)
-    q_z1 = single_photon_gain(params, alphas)
-    gain, weight = zbasis_gain_error_weight(params, alphas)
-    e_z = np.where(gain > 0.0, weight / np.where(gain > 0.0, gain, 1.0), 0.0)
-    rate = 0.5 * (q_z1 * pa_factor - f_ec * gain * binary_entropy(e_z))
-    return np.maximum(rate, 0.0)
+def _rate_function(params: ChannelParams, t: np.ndarray, f_ec: float):
+    """Key rate as a function of the intensity, over the transmittance column ``t``.
+
+    The pieces that do not depend on the intensity are computed here, once.
+    """
+    weighted, e_x1 = single_photon_terms(params, t)
+    # where nothing clicks the weighted yield and Q_z vanish, so R = 0 for any e_x1
+    pa_factor = 1.0 - binary_entropy(np.nan_to_num(e_x1))
+
+    def rates(alpha: ArrayLike) -> np.ndarray:
+        gain, weight = zbasis_gain_error_weight(params, alpha, t)
+        e_z = np.where(gain > 0.0, weight / np.where(gain > 0.0, gain, 1.0), 0.0)
+        q_z1 = single_photon_gain(alpha, weighted)
+        return np.maximum(0.5 * (q_z1 * pa_factor - f_ec * gain * binary_entropy(e_z)), 0.0)
+
+    return rates
 
 
 @dataclass(frozen=True)
@@ -87,6 +84,47 @@ class OptimizeResult:
     alpha: float
     rate: float
     zero_rate: bool
+
+
+def _optimize(rates, bounds: tuple[float, float], tol: float) -> tuple[np.ndarray, ...]:
+    """Best intensity, rate and zero-rate flag per point of the function ``rates``.
+
+    Every point runs the search of :func:`optimize_alpha`; all points run it
+    together as array operations, and each stops under its own width test.
+    """
+    lo, hi = bounds
+    if not (0.0 < lo < hi):
+        raise ValidationError(f"bounds must satisfy 0 < lo < hi, got {bounds!r}")
+    if tol <= 0.0:
+        raise ValidationError("tol must be > 0")
+    grid = np.geomspace(lo, hi, COARSE_GRID_POINTS)
+    grid_rates = rates(grid)
+    best_idx = grid_rates.argmax(axis=1)[:, None]
+    best_alpha, best_rate = grid[best_idx], np.take_along_axis(grid_rates, best_idx, axis=1)
+    zero_rate = best_rate <= 0.0
+    a = grid[np.maximum(best_idx - 1, 0)]
+    b = grid[np.minimum(best_idx + 1, COARSE_GRID_POINTS - 1)]
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = rates(c), rates(d)
+    active = ~zero_rate & ((b - a) > tol * np.maximum(a, lo))
+    while True:
+        # checking a point's c and d again once it has stopped changes nothing
+        for x, fx in ((c, fc), (d, fd)):
+            better = ~zero_rate & (fx > best_rate)
+            best_alpha, best_rate = np.where(better, x, best_alpha), np.where(better, fx, best_rate)
+        if not active.any():
+            return best_alpha.ravel(), np.where(zero_rate, 0.0, best_rate).ravel(), zero_rate.ravel()
+        left = active & (fc >= fd)  # keep [a, d]; the old c becomes d
+        right = active & ~left  # keep [c, b]; the old d becomes c
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, fc, d, fd = (np.where(right, d, c), np.where(right, fd, fc),
+                        np.where(left, c, d), np.where(left, fc, fd))
+        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f_probe = rates(probe)
+        c, fc = np.where(left, probe, c), np.where(left, f_probe, fc)
+        d, fd = np.where(right, probe, d), np.where(right, f_probe, fd)
+        active &= (b - a) > tol * np.maximum(a, lo)
 
 
 def optimize_alpha(
@@ -100,50 +138,16 @@ def optimize_alpha(
     Scans a 64-point logarithmic grid over ``bounds``, then refines the
     bracketing interval around the grid argmax by golden-section search to a
     relative width of ``tol``.  The returned rate is never below any coarse
-    grid value.  ``params.alpha`` is ignored.
+    grid value.  ``params.alpha`` is ignored.  This is the one-point case of
+    the search :func:`sweep` runs over all of its distances at once.
 
     Returns:
         zero_rate is True when the rate is non-positive on the whole grid;
         the grid argmax is still reported as ``alpha``.
     """
-    lo, hi = bounds
-    if not (0.0 < lo < hi):
-        raise ValidationError(f"bounds must satisfy 0 < lo < hi, got {bounds!r}")
-    if tol <= 0.0:
-        raise ValidationError("tol must be > 0")
-    grid = np.geomspace(lo, hi, COARSE_GRID_POINTS)
-    rates = _rates_for_alphas(params, grid, f_ec)
-    best_idx = int(np.argmax(rates))
-    if rates[best_idx] <= 0.0:
-        return OptimizeResult(alpha=float(grid[best_idx]), rate=0.0, zero_rate=True)
-
-    def rate_at(alpha: float) -> float:
-        return float(_rates_for_alphas(params, np.array([alpha]), f_ec)[0])
-
-    best_alpha = float(grid[best_idx])
-    best_rate = float(rates[best_idx])
-    a = float(grid[max(best_idx - 1, 0)])
-    b = float(grid[min(best_idx + 1, COARSE_GRID_POINTS - 1)])
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = rate_at(c), rate_at(d)
-    while (b - a) > tol * max(a, lo):
-        if fc > best_rate:
-            best_alpha, best_rate = c, fc
-        if fd > best_rate:
-            best_alpha, best_rate = d, fd
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = rate_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = rate_at(d)
-    for alpha, rate in ((c, fc), (d, fd)):
-        if rate > best_rate:
-            best_alpha, best_rate = float(alpha), float(rate)
-    return OptimizeResult(alpha=best_alpha, rate=best_rate, zero_rate=False)
+    rates = _rate_function(params, np.reshape(1.0 - total_loss(params), (1, 1)), f_ec)
+    alpha, rate, zero_rate = _optimize(rates, bounds, tol)
+    return OptimizeResult(alpha=float(alpha[0]), rate=float(rate[0]), zero_rate=bool(zero_rate[0]))
 
 
 @dataclass(frozen=True)
@@ -163,10 +167,8 @@ class RatePoint:
             raise ValidationError("rate must be clamped at zero")
         if not self.alpha_opt > 0.0:
             raise ValidationError("alpha_opt must be positive")
-        for name in ("q_z", "e_z", "q_z1", "e_x1"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValidationError(f"{name} = {value!r} is not a probability")
+        # the probability and single-photon-gain checks of the stats record
+        ZStats(q_z=self.q_z, e_z=self.e_z, q_z1=self.q_z1, e_x1=self.e_x1)
 
 
 def sweep(
@@ -180,31 +182,22 @@ def sweep(
 ) -> list[RatePoint]:
     """Evaluate the (optimized) key rate at each distance.
 
-    Pointwise and deterministic: the output is independent of the ordering
-    of ``distances``.  Passing ``alpha`` skips optimization and evaluates at
-    that fixed intensity.
+    All distances are evaluated together as array operations; each point's
+    result depends on that point alone, so the output is independent of the
+    ordering of ``distances``.  Passing ``alpha`` skips optimization and
+    evaluates at that fixed intensity.
     """
-    points = []
-    for distance in distances:
-        if distance < 0.0:
-            raise ValidationError("distances must be non-negative")
-        at_distance = params.at(distance_km=float(distance), delta=float(delta))
-        if alpha is None:
-            result = optimize_alpha(at_distance, bounds=bounds, tol=tol, f_ec=f_ec)
-            alpha_opt, rate = result.alpha, result.rate
-        else:
-            alpha_opt = float(alpha)
-            rate = float(_rates_for_alphas(at_distance, np.array([alpha_opt]), f_ec)[0])
-        stats = channel_stats(at_distance.at(alpha=alpha_opt))
-        points.append(
-            RatePoint(
-                distance_km=float(distance),
-                alpha_opt=alpha_opt,
-                q_z=stats.q_z,
-                e_z=stats.e_z,
-                q_z1=stats.q_z1,
-                e_x1=stats.e_x1,
-                rate=rate,
-            )
-        )
-    return points
+    distances = np.asarray(distances, dtype=float)
+    if np.any(distances < 0.0):
+        raise ValidationError("distances must be non-negative")
+    params = params.at(delta=float(delta), alpha=params.alpha if alpha is None else float(alpha))
+    t = 1.0 - total_loss(params, distances)[:, None]
+    rates = _rate_function(params, t, f_ec)
+    if alpha is None:
+        alpha_opt, rate, _ = _optimize(rates, bounds, tol)
+    else:
+        alpha_opt, rate = np.full(len(distances), params.alpha), rates(params.alpha)
+    q_z, e_z = zbasis_stats(params, alpha_opt[:, None], t)
+    q_z1, e_x1 = single_photon_stats(params, alpha_opt[:, None], t)
+    columns = (distances, alpha_opt, q_z, e_z, q_z1, e_x1, rate)
+    return [RatePoint(*row) for row in zip(*(np.ravel(c).tolist() for c in columns))]

@@ -1,18 +1,74 @@
+import math
+
 import numpy as np
 import pytest
 from mpmath import mp
 
-from qkdkit.channel import ChannelParams, ZStats
-from qkdkit.errors import ValidationError
+from qkdkit.channel import (
+    ChannelParams,
+    ZStats,
+    single_photon_stats,
+    zbasis_stats,
+)
+from qkdkit.errors import UndefinedRateError, ValidationError
 from qkdkit.keyrate import (
+    COARSE_GRID_POINTS,
     binary_entropy,
     optimize_alpha,
     secret_key_rate,
     sweep,
-    _rates_for_alphas,
 )
 
 DEFAULTS = ChannelParams()
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def reference_rates(params, alphas, f_ec):
+    """Key rate over an array of intensities, from the public channel functions."""
+    try:
+        q_z, e_z = zbasis_stats(params, alphas)
+        q_z1, e_x1 = single_photon_stats(params, alphas)
+    except UndefinedRateError:  # nothing clicks
+        return np.zeros_like(alphas)
+    rate = 0.5 * (q_z1 * (1.0 - binary_entropy(e_x1)) - f_ec * q_z * binary_entropy(e_z))
+    return np.maximum(rate, 0.0)
+
+
+def reference_optimize(params, bounds=(1e-4, 1.0), tol=1e-4, f_ec=1.22):
+    """Scalar grid scan plus golden-section search: the optimizer's specification.
+
+    Returns ``(alpha, rate, zero_rate)``.
+    """
+    lo, hi = bounds
+    grid = np.geomspace(lo, hi, COARSE_GRID_POINTS)
+    rates = reference_rates(params, grid, f_ec)
+    i = int(np.argmax(rates))
+    if rates[i] <= 0.0:
+        return float(grid[i]), 0.0, True
+
+    def rate_at(alpha):
+        return float(reference_rates(params, np.array([alpha]), f_ec)[0])
+
+    best_alpha, best_rate = float(grid[i]), float(rates[i])
+    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, COARSE_GRID_POINTS - 1)])
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    fc, fd = rate_at(c), rate_at(d)
+    while (b - a) > tol * max(a, lo):
+        for x, fx in ((c, fc), (d, fd)):
+            if fx > best_rate:
+                best_alpha, best_rate = x, fx
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = rate_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = rate_at(d)
+    for x, fx in ((c, fc), (d, fd)):
+        if fx > best_rate:
+            best_alpha, best_rate = x, fx
+    return best_alpha, best_rate, False
 
 
 class TestBinaryEntropy:
@@ -87,13 +143,13 @@ class TestOptimizeAlpha:
     def test_matches_dense_grid(self, distance, delta):
         params = DEFAULTS.at(distance_km=distance, delta=delta)
         result = optimize_alpha(params)
-        dense = _rates_for_alphas(params, np.geomspace(1e-4, 1.0, 100_000), 1.22).max()
+        dense = reference_rates(params, np.geomspace(1e-4, 1.0, 100_000), 1.22).max()
         assert result.rate >= dense * (1.0 - 1e-6)
 
     def test_beats_every_coarse_grid_point(self):
         params = DEFAULTS.at(distance_km=75.0, delta=0.063)
         result = optimize_alpha(params)
-        coarse = _rates_for_alphas(params, np.geomspace(1e-4, 1.0, 64), 1.22)
+        coarse = reference_rates(params, np.geomspace(1e-4, 1.0, 64), 1.22)
         assert result.rate >= coarse.max()
 
     def test_zero_rate_flag_beyond_cutoff(self):
@@ -111,6 +167,41 @@ class TestOptimizeAlpha:
     def test_bounds_validation(self):
         with pytest.raises(ValidationError):
             optimize_alpha(DEFAULTS, bounds=(0.5, 0.1))
+
+
+# (distances, bounds, tol, f_ec): defaults; a tighter interval, tolerance and
+# f_ec; optima on the upper bound (alpha_max 0.05) and on the lower bound
+# (alpha_min 0.6); a tolerance the first bracket already meets; 500 km has no key
+SEARCH_CASES = [
+    ([0.0, 1e-9, 37.5, 100.0, 149.5, 500.0], (1e-4, 1.0), 1e-4, 1.22),
+    ([0.0, 60.0, 130.0, 250.0], (1e-3, 0.3), 1e-7, 1.0),
+    ([0.0, 80.0, 140.0], (1e-5, 0.05), 1e-3, 1.5),
+    ([0.0, 80.0, 140.0], (0.6, 2.0), 1e-4, 1.22),
+    ([10.0, 90.0], (1e-4, 1.0), 0.5, 1.1),
+]
+
+
+class TestBatchedOptimizer:
+    """The batched search equals the scalar specification bit for bit."""
+
+    @pytest.mark.parametrize("delta", [0.0, 0.063, 0.126, 0.5])
+    @pytest.mark.parametrize("distances,bounds,tol,f_ec", SEARCH_CASES)
+    def test_sweep_and_optimize_alpha_match_reference(self, delta, distances, bounds, tol, f_ec):
+        points = sweep(distances, delta, DEFAULTS, f_ec=f_ec, bounds=bounds, tol=tol)
+        for distance, point in zip(distances, points):
+            params = DEFAULTS.at(distance_km=distance, delta=delta)
+            alpha, rate, zero_rate = reference_optimize(params, bounds, tol, f_ec)
+            result = optimize_alpha(params, bounds=bounds, tol=tol, f_ec=f_ec)
+            assert (result.alpha, result.rate, result.zero_rate) == (alpha, rate, zero_rate)
+            assert (point.alpha_opt, point.rate) == (alpha, rate)
+
+    def test_cases_reach_bounds_and_zero_rate(self):
+        # guards SEARCH_CASES: they must keep covering the edge cases they name
+        far = reference_optimize(DEFAULTS.at(distance_km=500.0))
+        assert far[2] and far[0] == 1e-4
+        upper = reference_optimize(DEFAULTS.at(distance_km=80.0), (1e-5, 0.05), 1e-3, 1.5)
+        lower = reference_optimize(DEFAULTS.at(distance_km=80.0), (0.6, 2.0))
+        assert upper[0] > 0.05 * (1.0 - 1e-3) and lower[0] < 0.6 * (1.0 + 1e-4)
 
 
 class TestSweep:
