@@ -93,8 +93,8 @@ class ZStats:
             raise ValidationError("single-photon gain exceeds the overall gain")
 
 
-def total_loss(params: ChannelParams, distance_km: ArrayLike | None = None) -> ArrayLike:
-    """Total loss ``L = 1 - det_eff * 10^(-atten*distance/10)``, in [0, 1].
+def transmittance(params: ChannelParams, distance_km: ArrayLike | None = None) -> ArrayLike:
+    """Transmittance ``T = det_eff * 10^(-atten*distance/10)`` of fiber and detector.
 
     Vectorized over ``distance_km`` (default ``params.distance_km``).  The
     power is taken per element with Python's ``**``: NumPy's SIMD power can
@@ -104,7 +104,12 @@ def total_loss(params: ChannelParams, distance_km: ArrayLike | None = None) -> A
         distance_km = params.distance_km
     exponents = -params.atten_db_per_km * np.asarray(distance_km, dtype=float) / 10.0
     powers = [10.0 ** x for x in exponents.ravel().tolist()]
-    return 1.0 - params.det_eff * np.reshape(powers, exponents.shape)
+    return params.det_eff * np.reshape(powers, exponents.shape)
+
+
+def total_loss(params: ChannelParams) -> float:
+    """Total loss ``L = 1 - T``, in [0, 1]."""
+    return 1.0 - transmittance(params)
 
 
 def conditional_virtual_yields(params: ChannelParams, t: ArrayLike | None = None) -> np.ndarray:
@@ -117,7 +122,7 @@ def conditional_virtual_yields(params: ChannelParams, t: ArrayLike | None = None
     the result has shape ``t.shape + (2, 2)``.
     """
     if t is None:
-        t = 1.0 - total_loss(params)
+        t = transmittance(params)
     e_d = params.dark_count
     arrived = np.asarray(t)[..., None, None] * virtual_amplitudes(1.5 * params.delta) ** 2
     return arrived * (1.0 - e_d / 2.0) + e_d * (1.0 - e_d / 2.0) + arrived[..., ::-1, :] * e_d
@@ -151,7 +156,7 @@ def single_photon_stats(
     params: ChannelParams, alpha: ArrayLike | None = None, t: ArrayLike | None = None
 ) -> tuple[ArrayLike, ArrayLike]:
     """Return ``(Q_z1, e_x1)``; vectorized over ``alpha`` and the transmittance ``t``."""
-    weighted, e_x1 = single_photon_terms(params, 1.0 - total_loss(params) if t is None else t)
+    weighted, e_x1 = single_photon_terms(params, transmittance(params) if t is None else t)
     if np.any(np.isnan(e_x1)):
         raise UndefinedRateError("no single-photon detections (total loss, no darks)")
     return single_photon_gain(params.alpha if alpha is None else alpha, weighted), e_x1
@@ -162,14 +167,14 @@ def zbasis_click_probs(params: ChannelParams, alpha: ArrayLike, t: ArrayLike) ->
 
     ``P[s|j]`` is the probability detector ``s`` fires when bit ``j`` was
     sent with intensity ``alpha`` over transmittance ``t``; vectorized over
-    both.
+    both.  ``-expm1(-m)`` keeps full precision at small mean photon number ``m``.
     """
     e_d = params.dark_count
     signal = alpha * t
     half = params.delta / 2.0
-    p00 = e_d + (1.0 - e_d) * (1.0 - np.exp(-signal))
-    p01 = e_d + (1.0 - e_d) * (1.0 - np.exp(-signal * math.sin(half) ** 2))
-    p11 = e_d + (1.0 - e_d) * (1.0 - np.exp(-signal * math.cos(half) ** 2))
+    p00 = e_d + (1.0 - e_d) * -np.expm1(-signal)
+    p01 = e_d + (1.0 - e_d) * -np.expm1(-signal * math.sin(half) ** 2)
+    p11 = e_d + (1.0 - e_d) * -np.expm1(-signal * math.cos(half) ** 2)
     return p00, e_d, p01, p11
 
 
@@ -193,7 +198,7 @@ def zbasis_stats(
 ) -> tuple[ArrayLike, ArrayLike]:
     """Return ``(Q_z, e_z)`` for the key basis; vectorized over ``alpha`` and ``t``."""
     gain, weight = zbasis_gain_error_weight(
-        params, params.alpha if alpha is None else alpha, 1.0 - total_loss(params) if t is None else t
+        params, params.alpha if alpha is None else alpha, transmittance(params) if t is None else t
     )
     if np.any(gain <= 0.0):
         raise UndefinedRateError("Z-basis gain is zero; bit error rate undefined")

@@ -21,7 +21,7 @@ from scipy.special import xlogy
 
 from .channel import (
     ArrayLike, ChannelParams, ZStats, single_photon_gain, single_photon_stats,
-    single_photon_terms, total_loss, zbasis_gain_error_weight, zbasis_stats,
+    single_photon_terms, transmittance, zbasis_gain_error_weight, zbasis_stats,
 )
 from .errors import ValidationError
 
@@ -145,7 +145,7 @@ def optimize_alpha(
         zero_rate is True when the rate is non-positive on the whole grid;
         the grid argmax is still reported as ``alpha``.
     """
-    rates = _rate_function(params, np.reshape(1.0 - total_loss(params), (1, 1)), f_ec)
+    rates = _rate_function(params, np.reshape(transmittance(params), (1, 1)), f_ec)
     alpha, rate, zero_rate = _optimize(rates, bounds, tol)
     return OptimizeResult(alpha=float(alpha[0]), rate=float(rate[0]), zero_rate=bool(zero_rate[0]))
 
@@ -191,7 +191,7 @@ def sweep(
     if np.any(distances < 0.0):
         raise ValidationError("distances must be non-negative")
     params = params.at(delta=float(delta), alpha=params.alpha if alpha is None else float(alpha))
-    t = 1.0 - total_loss(params, distances)[:, None]
+    t = transmittance(params, distances)[:, None]
     rates = _rate_function(params, t, f_ec)
     if alpha is None:
         alpha_opt, rate, _ = _optimize(rates, bounds, tol)

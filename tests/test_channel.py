@@ -154,6 +154,35 @@ class TestZBasis:
             assert abs(q_z - float(gain)) <= 1e-15
             assert abs(e_z - float(weight / gain)) <= 1e-12
 
+    @pytest.mark.parametrize("distance", [50, 150, 300])
+    @pytest.mark.parametrize("delta,alpha", [("0.126", "0.5"), ("0.063", "0.05")])
+    def test_full_precision_at_long_distance(self, distance, delta, alpha):
+        # Q_z, e_z and Q_z1 against a 40-digit evaluation of the same model;
+        # small transmittance and small mean photon number must not cost digits
+        stats = channel_stats(
+            DEFAULTS.at(distance_km=float(distance), delta=float(delta), alpha=float(alpha))
+        )
+        with mp.workdps(40):
+            ed, a, half = mp.mpf("0.5e-7"), mp.mpf(alpha), mp.mpf(delta) / 2
+            t = mp.mpf("0.15") * mp.power(10, -mp.mpf("0.21") * distance / 10)
+            p00 = ed + (1 - ed) * -mp.expm1(-a * t)
+            p01 = ed + (1 - ed) * -mp.expm1(-a * t * mp.sin(half) ** 2)
+            p11 = ed + (1 - ed) * -mp.expm1(-a * t * mp.cos(half) ** 2)
+            gain = (p00 + ed - p00 * ed) / 2 + (p01 + p11 - p01 * p11) / 2
+            weight = ((1 - p00) * ed + p00 * ed / 2) / 2 + (p01 * (1 - p11) + p01 * p11 / 2) / 2
+            s, c = mp.sin(3 * half / 2), mp.cos(3 * half / 2)
+            c_sq = [[(1 + s + c) ** 2 / (4 * (1 + s)), (1 - s - c) ** 2 / (4 * (1 - s))],
+                    [(1 + s - c) ** 2 / (4 * (1 + s)), (1 - s + c) ** 2 / (4 * (1 - s))]]
+            prior = [(1 + mp.sin(half)) / 2, (1 - mp.sin(half)) / 2]
+            weighted = sum(
+                (t * c_sq[k][j] * (1 - ed / 2) + ed * (1 - ed / 2) + t * c_sq[1 - k][j] * ed)
+                * prior[j]
+                for k in (0, 1) for j in (0, 1)
+            )
+            expected = (gain, weight / gain, a * mp.exp(-2 * a) * weighted / 2)
+            for value, oracle in zip((stats.q_z, stats.e_z, stats.q_z1), expected):
+                assert abs(value / oracle - 1) <= 1e-13
+
     def test_gain_monotone_error_growing_with_distance(self):
         distances = np.arange(0.0, 201.0, 10.0)
         stats = [zbasis_stats(DEFAULTS.at(alpha=0.4, delta=0.063, distance_km=d)) for d in distances]

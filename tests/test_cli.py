@@ -92,8 +92,8 @@ class TestSweepCommand:
         assert code == 0
         assert out.read_text() == (
             "delta,distance_km,alpha_opt,Q_z,e_z,Q_z1,e_x1,R\n"
-            "0.126,50,0.5,0.0066621905825560417,0.0019893335773738066,"
-            "0.0012295325917145035,0.0022346746719816403,0.00051649084168115954\n"
+            "0.126,50,0.5,0.0066621905825560547,0.0019893335773742324,"
+            "0.0012295325917145061,0.0022346746719816395,0.00051649084168114566\n"
         )
 
     def test_default_deltas_give_three_blocks(self, tmp_path):
