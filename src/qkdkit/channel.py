@@ -51,6 +51,10 @@ class ChannelParams:
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("dark_count", "det_eff", "atten_db_per_km", "distance_km", "delta", "alpha"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if not (0.0 <= self.dark_count < 1.0):
             raise ValidationError(f"dark_count must be in [0, 1), got {self.dark_count!r}")
         if not (0.0 < self.det_eff <= 1.0):

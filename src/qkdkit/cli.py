@@ -82,6 +82,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.protocol not in ("three-state", "four-state", "mdi"):
             raise ValidationError(f"invalid field protocol: {self.protocol!r}")
+        for name in ("distance_start", "distance_stop", "distance_step"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"invalid field {name}: must be finite, got {value!r}")
         if self.distance_step <= 0.0:
             raise ValidationError("invalid field distance_step: must be > 0")
         if self.pulses < 0:

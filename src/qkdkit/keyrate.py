@@ -190,6 +190,8 @@ def sweep(
     distances = np.asarray(distances, dtype=float)
     if np.any(distances < 0.0):
         raise ValidationError("distances must be non-negative")
+    if not np.all(np.isfinite(distances)):
+        raise ValidationError("distances must be finite")
     params = params.at(delta=float(delta), alpha=params.alpha if alpha is None else float(alpha))
     t = transmittance(params, distances)[:, None]
     rates = _rate_function(params, t, f_ec)

@@ -52,6 +52,12 @@ class TestTotalLoss:
         with pytest.raises(ValidationError):
             ChannelParams(distance_km=-1.0)
 
+    @pytest.mark.parametrize("name", ["distance_km", "atten_db_per_km", "alpha", "dark_count"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            ChannelParams(**{name: value})
+
 
 class TestConditionalVirtualYields:
     def test_everything_lost(self):

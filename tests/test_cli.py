@@ -113,6 +113,37 @@ class TestSweepCommand:
         assert code == 0
         assert out.read_text() == "delta,distance_km,alpha_opt,Q_z,e_z,Q_z1,e_x1,R\n"
 
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    @pytest.mark.parametrize(
+        "distance,field",
+        [("0:nan:5", "distance_stop"), ("0:inf:5", "distance_stop"),
+         ("nan:10:5", "distance_start"), ("-inf:10:5", "distance_start"),
+         ("0:10:inf", "distance_step"), ("0:10:nan", "distance_step")],
+    )
+    def test_non_finite_distance_range_rejected(self, tmp_path, capsys, command, distance, field):
+        # a NaN or infinite stop used to make the distance loop run forever
+        argv = [command, f"--distance={distance}", "--pulses", "10", "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize(
+        "extra,field",
+        [(["--alpha", "inf"], "alpha"), (["--config", "atten_db_per_km = nan"], "atten_db_per_km"),
+         (["--config", "atten_db_per_km = inf"], "atten_db_per_km"),
+         (["--config", "dark_count = nan"], "dark_count")],
+    )
+    def test_non_finite_channel_field_rejected(self, tmp_path, capsys, extra, field):
+        if extra[0] == "--config":
+            path = tmp_path / "run.cfg"
+            path.write_text(extra[1] + "\n")
+            extra = ["--config", str(path)]
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", "--distance", "0:10:5", *extra, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
     def test_requires_out(self, capsys):
         assert cli.main(["sweep", "--delta", "0.0", "--alpha", "0.5"]) == 1
         assert "out" in capsys.readouterr().err

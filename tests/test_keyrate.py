@@ -223,6 +223,11 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep([-1.0], 0.0, DEFAULTS)
 
+    @pytest.mark.parametrize("distance", [math.nan, math.inf])
+    def test_non_finite_distance_rejected(self, distance):
+        with pytest.raises(ValidationError, match="finite"):
+            sweep([10.0, distance], 0.0, DEFAULTS)
+
     def test_fixed_alpha_skips_optimization(self):
         points = sweep([0.0, 50.0], 0.0, DEFAULTS, alpha=0.3)
         assert all(p.alpha_opt == 0.3 for p in points)
