@@ -1,11 +1,14 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qkdkit import cli
 from qkdkit.qstate import basis_state
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_yield_csv(path, rows, extra_cols=()):
@@ -95,6 +98,13 @@ class TestSweepCommand:
             "0.126,50,0.5,0.0066621905825560547,0.0019893335773742324,"
             "0.0012295325917145061,0.0022346746719816395,0.00051649084168114566\n"
         )
+
+    def test_golden_default_optimized_sweep(self, tmp_path):
+        # the bytes of the default optimized sweep (3 deltas x 31 distances)
+        # guard the intensity optimizer as well as the channel model
+        out = tmp_path / "default.csv"
+        assert cli.main(["sweep", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "sweep_default.csv").read_bytes()
 
     def test_default_deltas_give_three_blocks(self, tmp_path):
         out = tmp_path / "blocks.csv"
