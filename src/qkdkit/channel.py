@@ -11,9 +11,8 @@ yields of the virtual states, whose squared overlaps come from
 all of them uniformly, the single-photon phase error rate is independent of
 distance whenever dark counts are negligible.
 
-The helpers are NumPy-vectorized over the intensity ``alpha`` and the
-transmittance ``t``, so the intensity optimizer evaluates all distances of a
-sweep at once.
+The helpers are vectorized over the intensity ``alpha`` and the transmittance
+``t``, so the intensity optimizer evaluates all distances of a sweep at once.
 """
 
 from __future__ import annotations
@@ -100,9 +99,8 @@ class ZStats:
 def transmittance(params: ChannelParams, distance_km: ArrayLike | None = None) -> ArrayLike:
     """Transmittance ``T = det_eff * 10^(-atten*distance/10)`` of fiber and detector.
 
-    Vectorized over ``distance_km`` (default ``params.distance_km``).  The
-    power is taken per element with Python's ``**``: NumPy's SIMD power can
-    differ from it in the last place.
+    Vectorized over ``distance_km`` (default ``params.distance_km``), with
+    Python's ``**`` per element: NumPy's SIMD power can differ in the last place.
     """
     if distance_km is None:
         distance_km = params.distance_km
@@ -125,10 +123,9 @@ def conditional_virtual_yields(params: ChannelParams, t: ArrayLike | None = None
     Vectorized over the transmittance ``t`` (default that of ``params``):
     the result has shape ``t.shape + (2, 2)``.
     """
-    if t is None:
-        t = transmittance(params)
     e_d = params.dark_count
-    arrived = np.asarray(t)[..., None, None] * virtual_amplitudes(1.5 * params.delta) ** 2
+    t = np.asarray(transmittance(params) if t is None else t)
+    arrived = t[..., None, None] * virtual_amplitudes(1.5 * params.delta) ** 2
     return arrived * (1.0 - e_d / 2.0) + e_d * (1.0 - e_d / 2.0) + arrived[..., ::-1, :] * e_d
 
 
@@ -138,11 +135,10 @@ def virtual_priors(delta: float) -> np.ndarray:
     return np.array([(1.0 + s) / 2.0, (1.0 - s) / 2.0])
 
 
-def single_photon_terms(params: ChannelParams, t: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+def single_photon_terms(params: ChannelParams, t: ArrayLike | None) -> tuple[ArrayLike, ArrayLike]:
     """Prior-weighted conditional yield and single-photon phase error ``e_x1``.
 
-    Neither depends on the intensity (``e_x1`` is NaN where nothing clicks);
-    vectorized over ``t`` as :func:`conditional_virtual_yields` is.
+    Neither depends on the intensity; ``e_x1`` is NaN where nothing clicks.
     """
     yields = conditional_virtual_yields(params, t)
     weighted = (yields * virtual_priors(params.delta)).sum(axis=(-2, -1))
@@ -160,7 +156,7 @@ def single_photon_stats(
     params: ChannelParams, alpha: ArrayLike | None = None, t: ArrayLike | None = None
 ) -> tuple[ArrayLike, ArrayLike]:
     """Return ``(Q_z1, e_x1)``; vectorized over ``alpha`` and the transmittance ``t``."""
-    weighted, e_x1 = single_photon_terms(params, transmittance(params) if t is None else t)
+    weighted, e_x1 = single_photon_terms(params, t)
     if np.any(np.isnan(e_x1)):
         raise UndefinedRateError("no single-photon detections (total loss, no darks)")
     return single_photon_gain(params.alpha if alpha is None else alpha, weighted), e_x1
@@ -169,9 +165,9 @@ def single_photon_stats(
 def zbasis_click_probs(params: ChannelParams, alpha: ArrayLike, t: ArrayLike) -> tuple:
     """Per-detector click probabilities ``(P00, P10, P01, P11)``.
 
-    ``P[s|j]`` is the probability detector ``s`` fires when bit ``j`` was
-    sent with intensity ``alpha`` over transmittance ``t``; vectorized over
-    both.  ``-expm1(-m)`` keeps full precision at small mean photon number ``m``.
+    ``P[s|j]`` is the probability detector ``s`` fires when bit ``j`` was sent
+    with intensity ``alpha`` over transmittance ``t``.  ``-expm1(-m)`` keeps
+    full precision at a small mean photon number ``m``.
     """
     e_d = params.dark_count
     signal = alpha * t
@@ -192,8 +188,7 @@ def zbasis_gain_error_weight(params: ChannelParams, alpha: ArrayLike, t: ArrayLi
     p00, p10, p01, p11 = zbasis_click_probs(params, alpha, t)
     gain = 0.5 * (p00 + p10 - p00 * p10) + 0.5 * (p01 + p11 - p01 * p11)
     weight = 0.5 * ((1.0 - p00) * p10 + 0.5 * p00 * p10) + 0.5 * (
-        p01 * (1.0 - p11) + 0.5 * p01 * p11
-    )
+        p01 * (1.0 - p11) + 0.5 * p01 * p11)
     return gain, weight
 
 
@@ -201,12 +196,11 @@ def zbasis_stats(
     params: ChannelParams, alpha: ArrayLike | None = None, t: ArrayLike | None = None
 ) -> tuple[ArrayLike, ArrayLike]:
     """Return ``(Q_z, e_z)`` for the key basis; vectorized over ``alpha`` and ``t``."""
-    gain, weight = zbasis_gain_error_weight(
-        params, params.alpha if alpha is None else alpha, transmittance(params) if t is None else t
-    )
-    if np.any(gain <= 0.0):
+    alpha = params.alpha if alpha is None else alpha
+    q_z, w_z = zbasis_gain_error_weight(params, alpha, transmittance(params) if t is None else t)
+    if np.any(q_z <= 0.0):
         raise UndefinedRateError("Z-basis gain is zero; bit error rate undefined")
-    return gain, weight / gain
+    return q_z, w_z / q_z
 
 
 def channel_stats(params: ChannelParams) -> ZStats:

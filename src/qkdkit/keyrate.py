@@ -7,7 +7,9 @@ The rate per pulse is
 where ``f_ec >= 1`` multiplies the error-correction term (``f_ec = 1``
 recovers the bare formula).  The signal intensity is optimized per distance
 with a deterministic coarse log-grid scan followed by golden-section
-refinement, so repeated sweeps are bit-identical.
+refinement, so repeated sweeps are bit-identical.  A sweep runs that search
+over all of its distances at once, as array operations, with the same grid and
+golden-section rule at every distance.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import xlogy
 
-from .channel import (
-    ArrayLike, ChannelParams, ZStats, single_photon_gain, single_photon_stats,
-    single_photon_terms, transmittance, zbasis_gain_error_weight, zbasis_stats,
-)
+from .channel import (ArrayLike, ChannelParams, ZStats, single_photon_gain, single_photon_stats,
+                      single_photon_terms, transmittance, zbasis_gain_error_weight, zbasis_stats)
 from .errors import ValidationError
 
 _LN2 = math.log(2.0)
@@ -60,10 +60,8 @@ def secret_key_rate(stats: ZStats, f_ec: float = DEFAULT_F_EC) -> float:
 
 
 def _rate_function(params: ChannelParams, t: np.ndarray, f_ec: float):
-    """Key rate as a function of the intensity, over the transmittance column ``t``.
-
-    The pieces that do not depend on the intensity are computed here, once.
-    """
+    """Key rate as a function of the intensity over the transmittance column ``t``;
+    the pieces that do not depend on the intensity are computed here, once."""
     weighted, e_x1 = single_photon_terms(params, t)
     # where nothing clicks the weighted yield and Q_z vanish, so R = 0 for any e_x1
     pa_factor = 1.0 - binary_entropy(np.nan_to_num(e_x1))
@@ -87,11 +85,9 @@ class OptimizeResult:
 
 
 def _optimize(rates, bounds: tuple[float, float], tol: float) -> tuple[np.ndarray, ...]:
-    """Best intensity, rate and zero-rate flag per point of the function ``rates``.
-
-    Every point runs the search of :func:`optimize_alpha`; all points run it
-    together as array operations, and each stops under its own width test.
-    """
+    """Best intensity, rate and zero-rate flag per point of the function ``rates``:
+    the search of :func:`optimize_alpha`, run for all points at once as array
+    operations, each point stopping under its own width test."""
     lo, hi = bounds
     if not (0.0 < lo < hi):
         raise ValidationError(f"bounds must satisfy 0 < lo < hi, got {bounds!r}")
@@ -101,11 +97,10 @@ def _optimize(rates, bounds: tuple[float, float], tol: float) -> tuple[np.ndarra
     grid_rates = rates(grid)
     best_idx = grid_rates.argmax(axis=1)[:, None]
     best_alpha, best_rate = grid[best_idx], np.take_along_axis(grid_rates, best_idx, axis=1)
-    zero_rate = best_rate <= 0.0
+    zero_rate = best_rate <= 0.0  # rates are clamped, so these keep rate 0.0
     a = grid[np.maximum(best_idx - 1, 0)]
     b = grid[np.minimum(best_idx + 1, COARSE_GRID_POINTS - 1)]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = rates(c), rates(d)
     active = ~zero_rate & ((b - a) > tol * np.maximum(a, lo))
     while True:
@@ -114,7 +109,7 @@ def _optimize(rates, bounds: tuple[float, float], tol: float) -> tuple[np.ndarra
             better = ~zero_rate & (fx > best_rate)
             best_alpha, best_rate = np.where(better, x, best_alpha), np.where(better, fx, best_rate)
         if not active.any():
-            return best_alpha.ravel(), np.where(zero_rate, 0.0, best_rate).ravel(), zero_rate.ravel()
+            return best_alpha.ravel(), best_rate.ravel(), zero_rate.ravel()
         left = active & (fc >= fd)  # keep [a, d]; the old c becomes d
         right = active & ~left  # keep [c, b]; the old d becomes c
         a, b = np.where(right, c, a), np.where(left, d, b)
@@ -167,7 +162,7 @@ class RatePoint:
             raise ValidationError("rate must be clamped at zero")
         if not self.alpha_opt > 0.0:
             raise ValidationError("alpha_opt must be positive")
-        # the probability and single-photon-gain checks of the stats record
+        # the probability checks and Q_z1 <= Q_z, as for the stats record
         ZStats(q_z=self.q_z, e_z=self.e_z, q_z1=self.q_z1, e_x1=self.e_x1)
 
 
