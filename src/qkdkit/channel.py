@@ -188,7 +188,8 @@ def zbasis_gain_error_weight(params: ChannelParams, alpha: ArrayLike, t: ArrayLi
     p00, p10, p01, p11 = zbasis_click_probs(params, alpha, t)
     gain = 0.5 * (p00 + p10 - p00 * p10) + 0.5 * (p01 + p11 - p01 * p11)
     weight = 0.5 * ((1.0 - p00) * p10 + 0.5 * p00 * p10) + 0.5 * (
-        p01 * (1.0 - p11) + 0.5 * p01 * p11)
+        p01 * (1.0 - p11) + 0.5 * p01 * p11
+    )
     return gain, weight
 
 

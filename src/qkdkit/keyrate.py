@@ -98,8 +98,7 @@ def _optimize(rates, bounds: tuple[float, float], tol: float) -> tuple[np.ndarra
     best_idx = grid_rates.argmax(axis=1)[:, None]
     best_alpha, best_rate = grid[best_idx], np.take_along_axis(grid_rates, best_idx, axis=1)
     zero_rate = best_rate <= 0.0  # rates are clamped, so these keep rate 0.0
-    a = grid[np.maximum(best_idx - 1, 0)]
-    b = grid[np.minimum(best_idx + 1, COARSE_GRID_POINTS - 1)]
+    a, b = grid[np.maximum(best_idx - 1, 0)], grid[np.minimum(best_idx + 1, COARSE_GRID_POINTS - 1)]
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = rates(c), rates(d)
     active = ~zero_rate & ((b - a) > tol * np.maximum(a, lo))

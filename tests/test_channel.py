@@ -52,7 +52,7 @@ class TestTotalLoss:
         with pytest.raises(ValidationError):
             ChannelParams(distance_km=-1.0)
 
-    @pytest.mark.parametrize("name", ["distance_km", "atten_db_per_km", "alpha", "dark_count"])
+    @pytest.mark.parametrize("name", ["distance_km", "atten_db_per_km", "alpha"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValidationError, match=name):

@@ -138,18 +138,15 @@ class TestSweepCommand:
         assert err.startswith("error:") and field in err
 
     @pytest.mark.parametrize(
-        "extra,field",
-        [(["--alpha", "inf"], "alpha"), (["--config", "atten_db_per_km = nan"], "atten_db_per_km"),
-         (["--config", "atten_db_per_km = inf"], "atten_db_per_km"),
-         (["--config", "dark_count = nan"], "dark_count")],
+        "line,field",
+        [("alpha = inf", "alpha"), ("atten_db_per_km = nan", "atten_db_per_km"),
+         ("atten_db_per_km = inf", "atten_db_per_km")],
     )
-    def test_non_finite_channel_field_rejected(self, tmp_path, capsys, extra, field):
-        if extra[0] == "--config":
-            path = tmp_path / "run.cfg"
-            path.write_text(extra[1] + "\n")
-            extra = ["--config", str(path)]
-        out = tmp_path / "x.csv"
-        assert cli.main(["sweep", "--distance", "0:10:5", *extra, "--out", str(out)]) == 1
+    def test_non_finite_channel_field_rejected(self, tmp_path, capsys, line, field):
+        config, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+        config.write_text(line + "\n")
+        argv = ["sweep", "--config", str(config), "--distance", "0:10:5", "--out", str(out)]
+        assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert not out.exists()
