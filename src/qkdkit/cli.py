@@ -56,6 +56,9 @@ EXIT_ERROR = 1
 EXIT_ILL_POSED = 2
 EXIT_UNDEFINED = 3
 
+# a multinomial draw counts pulses in a signed 64-bit integer
+_MAX_PULSES = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -88,8 +91,8 @@ class RunConfig:
                 raise ValidationError(f"invalid field {name}: must be finite, got {value!r}")
         if self.distance_step <= 0.0:
             raise ValidationError("invalid field distance_step: must be > 0")
-        if self.pulses < 0:
-            raise ValidationError("invalid field pulses: must be >= 0")
+        if not 0 <= self.pulses <= _MAX_PULSES:
+            raise ValidationError(f"invalid field pulses: must be in [0, 2**63 - 1], got {self.pulses}")
 
     def distances(self) -> list[float]:
         out = []

@@ -2,9 +2,10 @@
 
 The exact per-pulse outcome probabilities are plain traces, so
 :func:`exact_yields` doubles as the brute-force oracle for every estimator
-test.  :func:`run_protocol` samples those probabilities pulse by pulse with
-a seeded PCG64 generator; sampling is chunked but the per-pulse draws are
-independent, so counts are deterministic per seed.
+test.  The cell counts of n i.i.d. pulses follow a multinomial law over
+those same probabilities, so :func:`run_protocol` draws them in one
+multinomial draw from a seeded PCG64 generator: its cost does not grow with
+the number of pulses, and the counts are deterministic per seed.
 
 Dark counts and double-click randomization are represented as an affine
 mixing of the per-cell outcome probabilities (an :class:`OutcomeMixer`)
@@ -34,7 +35,6 @@ from .qstate import (
 )
 
 DEFAULT_BASIS_PROBS = {"x": 0.5, "z": 0.5}
-_CHUNK = 1 << 20
 _OUTCOMES = (0, 1, "f")
 
 
@@ -222,24 +222,27 @@ def random_povm(seed: int, max_inconclusive: float = 0.8) -> BobPovm:
     return BobPovm(x=elements["x"], z=elements["z"], m_f=m_f)
 
 
-def _cell_probs(
+def _joint_probs(
     sources: SourceSet,
     channel: KrausChannel,
     povm: BobPovm,
+    basis_probs: Mapping[str, float],
     mixer: OutcomeMixer | None,
-) -> dict[tuple[str, str], np.ndarray]:
-    """Conditional outcome probabilities ``(p0, p1, pf)`` per (label, basis)."""
+) -> dict[tuple[str, str, object], float]:
+    """``P(label) P(basis) P(outcome | label, basis)`` for every cell, with
+    outcomes 0, 1 and ``"f"``; a mixer post-composes the outcome probabilities."""
     probs = {}
-    for label, state, _ in sources.entries:
+    for label, state, prior in sources.entries:
         evolved = channel.apply(state)
-        for basis in ("x", "z"):
+        for basis, bp in basis_probs.items():
             m0, m1 = povm.elements(basis)
             p0 = float(np.trace(evolved @ m0).real)
             p1 = float(np.trace(evolved @ m1).real)
             cell = np.array([p0, p1, 1.0 - p0 - p1])
             if mixer is not None:
                 cell = mixer.apply(cell)
-            probs[label, basis] = cell
+            for outcome, p in zip(_OUTCOMES, cell.tolist()):
+                probs[label, basis, outcome] = prior * bp * p
     return probs
 
 
@@ -256,13 +259,12 @@ def exact_yields(
     An optional mixer post-composes the conclusive-outcome probabilities.
     """
     basis_probs = dict(DEFAULT_BASIS_PROBS if basis_probs is None else basis_probs)
-    cells = _cell_probs(sources, channel, povm, mixer)
-    yields = {}
-    for label, _, prior in sources.entries:
-        for basis, bp in basis_probs.items():
-            cell = cells[label, basis]
-            for outcome in (0, 1):
-                yields[basis, outcome, label] = prior * bp * float(cell[outcome])
+    cells = _joint_probs(sources, channel, povm, basis_probs, mixer)
+    yields = {
+        (basis, outcome, label): p
+        for (label, basis, outcome), p in cells.items()
+        if outcome != "f"
+    }
     priors = {label: prior for label, _, prior in sources.entries}
     return YieldTable(yields, priors, basis_probs)
 
@@ -276,46 +278,23 @@ def run_protocol(
     basis_probs: Mapping[str, float] | None = None,
     mixer: OutcomeMixer | None = None,
 ) -> TrialRecord:
-    """Sample ``n_pulses`` i.i.d. protocol rounds.
+    """Sample the cell counts of ``n_pulses`` i.i.d. protocol rounds.
 
-    Each pulse draws Alice's label from the priors, Bob's basis, then the
-    outcome from the exact per-cell probabilities.  Deterministic per seed.
+    The counts of n i.i.d. rounds are Multinomial(n, p) over the joint cell
+    probabilities ``p`` that :func:`exact_yields` reads, so they are drawn in
+    one multinomial draw, at a cost that does not grow with ``n``.  Slightly
+    negative (mixer) cell probabilities are clipped at zero.  Deterministic
+    per seed.
     """
     if n_pulses < 1:
         raise ValidationError(f"n_pulses must be >= 1, got {n_pulses!r}")
     basis_probs = dict(DEFAULT_BASIS_PROBS if basis_probs is None else basis_probs)
-    bases = sorted(basis_probs)
-    labels = list(sources.labels)
-    prior_cdf = np.cumsum([sources.prior(label) for label in labels])
-    basis_cdf = np.cumsum([basis_probs[b] for b in bases])
-    if abs(basis_cdf[-1] - 1.0) > 1e-12:
+    if abs(sum(basis_probs.values()) - 1.0) > 1e-12:
         raise ValidationError("basis probabilities must sum to 1")
-
-    cells = _cell_probs(sources, channel, povm, mixer)
-    outcome_cdf = np.empty((len(labels) * len(bases), 3))
-    for i, label in enumerate(labels):
-        for k, basis in enumerate(bases):
-            cell = np.clip(cells[label, basis], 0.0, None)
-            outcome_cdf[i * len(bases) + k] = np.cumsum(cell / cell.sum())
-
-    rng = np.random.default_rng(seed)
-    totals = np.zeros(len(labels) * len(bases) * 3, dtype=np.int64)
-    remaining = n_pulses
-    while remaining > 0:
-        m = min(remaining, _CHUNK)
-        remaining -= m
-        label_idx = np.searchsorted(prior_cdf, rng.random(m), side="right")
-        basis_idx = np.searchsorted(basis_cdf, rng.random(m), side="right")
-        cell_idx = label_idx * len(bases) + basis_idx
-        draws = rng.random(m)
-        outcome_idx = (draws[:, None] > outcome_cdf[cell_idx, :2]).sum(axis=1)
-        totals += np.bincount(cell_idx * 3 + outcome_idx, minlength=totals.size)
-
-    counts = {}
-    for i, label in enumerate(labels):
-        for k, basis in enumerate(bases):
-            for o, outcome in enumerate(_OUTCOMES):
-                counts[label, basis, outcome] = int(totals[(i * len(bases) + k) * 3 + o])
+    cells = _joint_probs(sources, channel, povm, basis_probs, mixer)
+    p = np.clip(list(cells.values()), 0.0, None)
+    totals = np.random.default_rng(seed).multinomial(n_pulses, p / p.sum())
+    counts = dict(zip(cells, totals.tolist()))
     return TrialRecord(counts=counts, n_pulses=n_pulses, rng_seed=seed)
 
 

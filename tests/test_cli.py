@@ -258,6 +258,12 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--pulses", "0"]) == 1
         assert "pulses" in capsys.readouterr().err
 
+    def test_pulses_beyond_int64_rejected(self, capsys):
+        # the multinomial draw would raise a raw OverflowError at 2**63
+        assert cli.main(["simulate", "--pulses", str(2**63)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "pulses" in err
+
     def test_mdi_protocol_not_simulatable(self, capsys):
         assert cli.main(["simulate", "--pulses", "100", "--protocol", "mdi"]) == 1
         assert "protocol" in capsys.readouterr().err
