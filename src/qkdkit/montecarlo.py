@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from . import estimator
-from .channel import ChannelParams, total_loss
+from .channel import ChannelParams, transmittance
 from .errors import UndefinedRateError, ValidationError
 from .estimator import YieldTable
 from .qstate import (
@@ -380,8 +380,7 @@ def fiber_experiment(params: ChannelParams) -> FiberExperiment:
     applied to the observed counts converges to the analytic single-photon
     phase error rate.
     """
-    loss = total_loss(params)
-    channel = KrausChannel((math.sqrt(1.0 - loss) * ID2,))
+    channel = KrausChannel((math.sqrt(transmittance(params)) * ID2,))
     angle = 3.0 * params.delta / 8.0
     m0 = math.cos(angle) * _KETS["0x"] + math.sin(angle) * _KETS["1x"]
     m1 = -math.sin(angle) * _KETS["0x"] + math.cos(angle) * _KETS["1x"]

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qkdkit.channel import ChannelParams, conditional_virtual_yields, single_photon_stats
+from qkdkit.channel import (
+    ChannelParams,
+    conditional_virtual_yields,
+    single_photon_stats,
+    transmittance,
+)
 from qkdkit.errors import ValidationError
 from qkdkit.montecarlo import (
     BobPovm,
@@ -111,6 +116,13 @@ class TestExactYields:
             for s in (0, 1):
                 got = table.get("x", s, "0x") / table.weight("x", "0x")
                 assert abs(got - analytic[s, 0]) <= 1e-12
+
+    def test_kraus_amplitude_is_transmittance(self):
+        # 1 - total_loss rebuilds T with a cancellation of ~1e-16/T relative
+        params = ChannelParams(distance_km=300.0)
+        amplitude = fiber_experiment(params).channel.operators[0][0, 0].real
+        t = transmittance(params)
+        assert abs(amplitude**2 - t) <= 1e-15 * t
 
 
 class TestMixer:
