@@ -91,8 +91,10 @@ class RunConfig:
                 raise ValidationError(f"invalid field {name}: must be finite, got {value!r}")
         if self.distance_step <= 0.0:
             raise ValidationError("invalid field distance_step: must be > 0")
+        if self.seed < 0:
+            raise ValidationError(f"invalid field seed: must be >= 0, got {self.seed}")
         if not 0 <= self.pulses <= _MAX_PULSES:
-            raise ValidationError(f"invalid field pulses: must be in [0, 2**63 - 1], got {self.pulses}")
+            raise ValidationError("invalid field pulses: must be in [0, 2**63 - 1]")
 
     def distances(self) -> list[float]:
         out = []

@@ -48,10 +48,14 @@ def binary_entropy(x):
     return h
 
 
+def _check_f_ec(f_ec: float) -> None:
+    if not (math.isfinite(f_ec) and f_ec >= 1.0):
+        raise ValidationError(f"f_ec must be finite and >= 1, got {f_ec!r}")
+
+
 def secret_key_rate(stats: ZStats, f_ec: float = DEFAULT_F_EC) -> float:
     """Asymptotic secret key rate per pulse, clamped at zero."""
-    if f_ec < 1.0:
-        raise ValidationError(f"error-correction efficiency must be >= 1, got {f_ec!r}")
+    _check_f_ec(f_ec)
     rate = 0.5 * (
         stats.q_z1 * (1.0 - binary_entropy(stats.e_x1))
         - f_ec * stats.q_z * binary_entropy(stats.e_z)
@@ -62,6 +66,7 @@ def secret_key_rate(stats: ZStats, f_ec: float = DEFAULT_F_EC) -> float:
 def _rate_function(params: ChannelParams, t: np.ndarray, f_ec: float):
     """Key rate as a function of the intensity over the transmittance column ``t``;
     the pieces that do not depend on the intensity are computed here, once."""
+    _check_f_ec(f_ec)
     weighted, e_x1 = single_photon_terms(params, t)
     # where nothing clicks the weighted yield and Q_z vanish, so R = 0 for any e_x1
     pa_factor = 1.0 - binary_entropy(np.nan_to_num(e_x1))
@@ -89,10 +94,12 @@ def _optimize(rates, bounds: tuple[float, float], tol: float) -> tuple[np.ndarra
     the search of :func:`optimize_alpha`, run for all points at once as array
     operations, each point stopping under its own width test."""
     lo, hi = bounds
-    if not (0.0 < lo < hi):
-        raise ValidationError(f"bounds must satisfy 0 < lo < hi, got {bounds!r}")
-    if tol <= 0.0:
-        raise ValidationError("tol must be > 0")
+    if not (0.0 < lo < hi < math.inf):
+        raise ValidationError(
+            f"alpha bounds must satisfy 0 < alpha_min < alpha_max < inf, got {bounds!r}"
+        )
+    if not (0.0 < tol < math.inf):
+        raise ValidationError(f"alpha_tol must be finite and > 0, got {tol!r}")
     grid = np.geomspace(lo, hi, COARSE_GRID_POINTS)
     grid_rates = rates(grid)
     best_idx = grid_rates.argmax(axis=1)[:, None]
@@ -157,8 +164,8 @@ class RatePoint:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate < 0.0:
-            raise ValidationError("rate must be clamped at zero")
+        if not self.rate >= 0.0:
+            raise ValidationError(f"rate must be a number clamped at zero, got {self.rate!r}")
         if not self.alpha_opt > 0.0:
             raise ValidationError("alpha_opt must be positive")
         # the probability checks and Q_z1 <= Q_z, as for the stats record

@@ -151,6 +151,31 @@ class TestSweepCommand:
         assert err.startswith("error:") and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line,field",
+        [("f_ec = nan", "f_ec"), ("f_ec = inf", "f_ec"), ("f_ec = 0.5", "f_ec"),
+         ("alpha_tol = nan", "alpha_tol"), ("alpha_tol = 0", "alpha_tol"),
+         ("alpha_min = nan", "alpha_min"), ("alpha_max = inf", "alpha_max"),
+         ("alpha_min = 2", "alpha_min")],
+    )
+    def test_invalid_rate_field_rejected(self, tmp_path, capsys, line, field):
+        # NaN used to pass the range checks: R = nan, or an unrefined alpha_opt
+        config, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+        config.write_text(line + "\n")
+        argv = ["sweep", "--config", str(config), "--distance", "0:10:5", "--delta", "0",
+                "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
+    def test_nan_f_ec_flag_rejected(self, tmp_path, capsys):
+        argv = ["sweep", "--distance", "0:10:5", "--delta", "0", "--f-ec", "nan",
+                "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "f_ec" in err
+
     def test_requires_out(self, capsys):
         assert cli.main(["sweep", "--delta", "0.0", "--alpha", "0.5"]) == 1
         assert "out" in capsys.readouterr().err
@@ -257,6 +282,11 @@ class TestSimulateCommand:
     def test_zero_pulses_rejected(self, capsys):
         assert cli.main(["simulate", "--pulses", "0"]) == 1
         assert "pulses" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, capsys):
+        assert cli.main(["simulate", "--seed", "-1", "--pulses", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
 
     def test_pulses_beyond_int64_rejected(self, capsys):
         # the multinomial draw would raise a raw OverflowError at 2**63
