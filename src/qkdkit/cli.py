@@ -64,7 +64,6 @@ _MAX_PULSES = 2**63 - 1
 class RunConfig:
     """Flattened run configuration; defaults reproduce the reference curves."""
 
-    protocol: str = "three-state"
     dark_count: float = 0.5e-7
     det_eff: float = 0.15
     atten_db_per_km: float = 0.21
@@ -79,12 +78,9 @@ class RunConfig:
     alpha_tol: float = 1e-4
     seed: int = 1
     pulses: int = 1_000_000
-    gamma: float = 0.5
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.protocol not in ("three-state", "four-state", "mdi"):
-            raise ValidationError(f"invalid field protocol: {self.protocol!r}")
         for name in ("distance_start", "distance_stop", "distance_step"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -119,7 +115,7 @@ class RunConfig:
 
 _FLOAT_FIELDS = {
     "dark_count", "det_eff", "atten_db_per_km", "f_ec",
-    "alpha", "alpha_min", "alpha_max", "alpha_tol", "gamma",
+    "alpha", "alpha_min", "alpha_max", "alpha_tol",
 }
 _INT_FIELDS = {"seed", "pulses"}
 
@@ -380,10 +376,6 @@ def cmd_estimate(config: RunConfig, yields_path: str) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    if config.protocol != "three-state":
-        raise ValidationError(
-            "invalid field protocol: event-level simulation supports three-state only"
-        )
     if config.pulses < 1:
         raise ValidationError("invalid field pulses: simulate needs pulses >= 1")
     delta = config.delta[0] if config.delta else 0.0
@@ -508,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, metavar="U64")
         cmd.add_argument("--pulses", type=int, metavar="U64")
         cmd.add_argument("--f-ec", type=float, dest="f_ec", metavar="F")
-        cmd.add_argument("--protocol", metavar="NAME")
     return parser
 
 
@@ -535,8 +526,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         kwargs["pulses"] = args.pulses
     if args.f_ec is not None:
         kwargs["f_ec"] = args.f_ec
-    if args.protocol is not None:
-        kwargs["protocol"] = args.protocol
     return RunConfig(**kwargs)
 
 

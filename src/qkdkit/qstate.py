@@ -108,10 +108,6 @@ class QubitState:
         """Build a (possibly mixed) state from a density matrix."""
         return cls(density=rho)
 
-    @property
-    def is_pure(self) -> bool:
-        return float(np.trace(self.density @ self.density).real) > 1.0 - 1e-9
-
     def bloch(self) -> "BlochVector":
         return pauli_decompose(self)
 

@@ -59,10 +59,12 @@ class TestConfig:
         assert config.f_ec == 1.5
 
     def test_unknown_field_named(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("not_a_field = 3\n")
-        with pytest.raises(cli.ValidationError, match="not_a_field"):
-            cli.load_config_file(str(path))
+        # protocol and gamma were config fields that nothing read
+        for name in ("not_a_field", "protocol", "gamma"):
+            path = tmp_path / "bad.cfg"
+            path.write_text(f"{name} = 3\n")
+            with pytest.raises(cli.ValidationError, match=f"unknown config field '{name}'"):
+                cli.load_config_file(str(path))
 
     def test_bad_distance_range(self):
         with pytest.raises(cli.ValidationError, match="distance"):
@@ -293,10 +295,6 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--pulses", str(2**63)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "pulses" in err
-
-    def test_mdi_protocol_not_simulatable(self, capsys):
-        assert cli.main(["simulate", "--pulses", "100", "--protocol", "mdi"]) == 1
-        assert "protocol" in capsys.readouterr().err
 
     def test_million_pulse_z_score_within_five(self, capsys):
         argv = ["simulate", "--pulses", "1000000", "--seed", "42",
