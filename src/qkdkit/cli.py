@@ -467,10 +467,9 @@ def cmd_mdi_estimate(config: RunConfig, yields_path: str) -> int:
         for j, t in enumerate(axes):
             print(f"q[{s},{t}]: {_format(functional.q[i, j])}")
     ensemble = virtual_states_planar(0.0)
-    for j, (wa, sa) in enumerate(ensemble.entries):
-        for k, (wb, sb) in enumerate(ensemble.entries):
-            value = wa * wb * functional.evaluate(sa.bloch(), sb.bloch()) / 9.0
-            print(f"virtual_pair_yield[{j}x,{k}x]: {_format(value)}")
+    table = estimator.mdi_virtual_yields(functional, ensemble, ensemble)
+    for (j, k), value in np.ndenumerate(table / 9.0):
+        print(f"virtual_pair_yield[{j}x,{k}x]: {_format(value)}")
     e_x = estimator.mdi_phase_error(functional, ensemble, ensemble)
     print(f"e_x: {_format(e_x)}")
     return EXIT_OK

@@ -453,19 +453,20 @@ def mdi_solve(
         raise ValidationError(f"test fraction gamma must be in (0, 1), got {gamma!r}")
     if len(sources_a) != 3 or len(sources_b) != 3:
         raise ValidationError("each party needs exactly 3 source states")
+    blochs_a, blochs_b = sources_a.blochs(), sources_b.blochs()
     rows = []
     rhs = []
-    for party, sources in (("A", sources_a), ("B", sources_b)):
-        for label, bloch in zip(sources.labels, sources.blochs()):
+    for party, sources, blochs in (("A", sources_a, blochs_a), ("B", sources_b, blochs_b)):
+        for label, bloch in zip(sources.labels, blochs):
             if not bloch.is_planar:
                 raise PlanarityError(f"party {party} source {label!r} is off-plane")
-        report = check_well_posed(sources.blochs())
+        report = check_well_posed(blochs)
         if not report.well_posed:
             raise WellPosednessError(
                 f"party {party} sources are ill-posed ({report.reason})"
             )
-    for label_a, bloch_a in zip(sources_a.labels, sources_a.blochs()):
-        for label_b, bloch_b in zip(sources_b.labels, sources_b.blochs()):
+    for label_a, bloch_a in zip(sources_a.labels, blochs_a):
+        for label_b, bloch_b in zip(sources_b.labels, blochs_b):
             key = (label_a, label_b)
             if key not in pair_yields:
                 raise ValidationError(f"missing pair yield for {key!r}")
@@ -475,25 +476,41 @@ def mdi_solve(
             rhs.append(pair_yields[key] / weight)
     coeffs = _svd_solve(np.array(rows), np.array(rhs))
     functional = TwoQubitFunctional(q=coeffs.reshape(3, 3))
-    _check_mdi_physical(functional, sources_a, sources_b)
+    _check_mdi_physical(functional, blochs_a, blochs_b)
     return functional
 
 
 def _check_mdi_physical(
-    functional: TwoQubitFunctional, sources_a: SourceSet, sources_b: SourceSet
+    functional: TwoQubitFunctional, blochs_a: list[BlochVector], blochs_b: list[BlochVector]
 ) -> None:
     from .qstate import basis_state
 
     x_states = [basis_state("0x").bloch(), basis_state("1x").bloch()]
-    blochs_a = sources_a.blochs() + x_states
-    blochs_b = sources_b.blochs() + x_states
-    for bloch_a in blochs_a:
-        for bloch_b in blochs_b:
+    for bloch_a in blochs_a + x_states:
+        for bloch_b in blochs_b + x_states:
             predicted = functional.evaluate(bloch_a, bloch_b)
             if predicted < -NEGATIVITY_TOL or predicted > 1.0 + NEGATIVITY_TOL:
                 raise InconsistentYieldsError(
                     "two-qubit functional predicts unphysical product yields"
                 )
+
+
+def mdi_virtual_yields(
+    functional: TwoQubitFunctional,
+    ensemble_a: VirtualEnsemble,
+    ensemble_b: VirtualEnsemble,
+) -> np.ndarray:
+    """``w_j w_k Y(j, k)`` for each pair of X-basis virtual states of both
+    parties: the functional evaluated bilinearly on their products."""
+    if ensemble_a.basis != "x" or ensemble_b.basis != "x":
+        raise ValidationError("relay phase error uses X-basis virtual ensembles")
+    blochs_b = [(wb, sb.bloch()) for wb, sb in ensemble_b.entries]
+    table = np.empty((2, 2))
+    for j, (wa, sa) in enumerate(ensemble_a.entries):
+        bloch_a = sa.bloch()
+        for k, (wb, bloch_b) in enumerate(blochs_b):
+            table[j, k] = wa * wb * functional.evaluate(bloch_a, bloch_b)
+    return table
 
 
 def mdi_phase_error(
@@ -503,17 +520,9 @@ def mdi_phase_error(
     *,
     negativity_tol: float = NEGATIVITY_TOL,
 ) -> float:
-    """Phase error rate of the relay scheme from the solved two-party rates.
-
-    Evaluates the functional bilinearly on the virtual X products of both
-    parties; errors are the anti-correlated announcements.
-    """
-    if ensemble_a.basis != "x" or ensemble_b.basis != "x":
-        raise ValidationError("relay phase error uses X-basis virtual ensembles")
-    table = np.empty((2, 2))
-    for j, (wa, sa) in enumerate(ensemble_a.entries):
-        for k, (wb, sb) in enumerate(ensemble_b.entries):
-            table[j, k] = wa * wb * functional.evaluate(sa.bloch(), sb.bloch())
+    """Phase error rate of the relay scheme from the solved two-party rates:
+    the anti-correlated share of :func:`mdi_virtual_yields`."""
+    table = mdi_virtual_yields(functional, ensemble_a, ensemble_b)
     denominator = float(table.sum())
     if denominator <= 0.0:
         raise UndefinedRateError("relay announces the target outcome with probability 0")
