@@ -1,4 +1,4 @@
-"""Event-level i.i.d. protocol simulation against Kraus channels and POVMs.
+"""Monte Carlo simulation of the i.i.d. protocol against Kraus channels and POVMs.
 
 The exact per-pulse outcome probabilities are plain traces, so
 :func:`exact_yields` doubles as the brute-force oracle for every estimator
