@@ -360,3 +360,39 @@ class TestMdiEstimateCommand:
             writer.writerows(rows)
         assert cli.main(["mdi-estimate", str(path)]) == 1
         assert "prior" in capsys.readouterr().err
+
+
+# (command, input, pinned stdout); inputs and outputs live in tests/data
+PINNED_STDOUT = [
+    ("estimate", "estimate_canonical.csv", "estimate_canonical.out"),
+    ("estimate", "estimate_planar.csv", "estimate_planar.out"),
+    ("estimate", "estimate_four_state.csv", "estimate_four_state.out"),
+    ("mdi-estimate", "mdi_relay.csv", "mdi_relay.out"),
+    ("estimate", "simulate_counts.csv", "simulate_counts.estimate.out"),
+]
+PINNED_SIMULATE = ["simulate", "--pulses", "1000000", "--seed", "7",
+                   "--delta", "0.5", "--distance", "5:5:1"]
+
+
+class TestPinnedStdout:
+    """Estimator and simulator output pinned byte for byte.
+
+    The single-party tables are ``exact_yields`` of the canonical three-state
+    sources, of partly mixed modulated sources (``px,pz`` columns) and of
+    perturbed mixed four-state sources (``px,py,pz`` columns) through
+    ``random_channel(k)`` and ``random_povm(k)``, k = 3, 4, 5.  The relay
+    table projects on Phi+ after ``random_channel(6)`` and
+    ``random_channel(7)`` with gamma 0.4.  The counts CSV is the output of
+    ``PINNED_SIMULATE``.
+    """
+
+    @pytest.mark.parametrize("command, name, expected", PINNED_STDOUT)
+    def test_stdout(self, command, name, expected, capsys):
+        assert cli.main([command, str(DATA / name)]) == 0
+        assert capsys.readouterr().out == (DATA / expected).read_text()
+
+    def test_simulate_counts_and_stdout(self, tmp_path, capsys):
+        out = tmp_path / "counts.csv"
+        assert cli.main(PINNED_SIMULATE + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == (DATA / "simulate_counts.out").read_text()
+        assert out.read_bytes() == (DATA / "simulate_counts.csv").read_bytes()
