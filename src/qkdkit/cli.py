@@ -343,7 +343,6 @@ def cmd_estimate(config: RunConfig, yields_path: str) -> int:
     print(f"condition_number: {_format(report.condition_number)}")
     if not report.well_posed:
         raise WellPosednessError(f"sources are ill-posed ({report.reason})")
-    planar = len(sources) == 3
     functionals = {
         s: estimator.solve_functional(table, sources, outcome=s, basis="x")
         for s in (0, 1)
@@ -360,17 +359,17 @@ def cmd_estimate(config: RunConfig, yields_path: str) -> int:
     # joint prefactor of virtual state j: P(Z pair) * P(X basis) * w_j
     z_pair_weight = (sources.prior("0z") + sources.prior("1z")) * 0.5 \
         if "0z" in sources.labels and "1z" in sources.labels else 1.0 / len(sources)
-    for j, (w_j, state) in enumerate(ensemble.entries):
-        for s, functional in functionals.items():
-            value = estimator.predict_yield(functional, state, prior=w_j * z_pair_weight)
-            print(f"virtual_yield[outcome={s},{j}x]: {_format(value)}")
-    if planar and set(sources.labels) == {"0z", "1z", "0x"} and all(
+    virtual = estimator.virtual_yields(functionals[0], functionals[1], ensemble, z_pair_weight)
+    for (j, s), value in np.ndenumerate(virtual):
+        print(f"virtual_yield[outcome={s},{j}x]: {_format(value)}")
+    if set(sources.labels) == {"0z", "1z", "0x"} and all(
         np.allclose(sources.state(lab).density, basis_state(lab).density, atol=1e-12)
         for lab in sources.labels
     ):
+        # exact canonical sources: the closed form keeps an ideal table's 0 exact
         e_x = estimator.phase_error_three_state(table)
     else:
-        e_x = estimator.phase_error_virtual(functionals[0], functionals[1], ensemble)
+        e_x = estimator.error_rate(virtual)
     print(f"e_x: {_format(e_x)}")
     return EXIT_OK
 
@@ -470,7 +469,7 @@ def cmd_mdi_estimate(config: RunConfig, yields_path: str) -> int:
     table = estimator.mdi_virtual_yields(functional, ensemble, ensemble)
     for (j, k), value in np.ndenumerate(table / 9.0):
         print(f"virtual_pair_yield[{j}x,{k}x]: {_format(value)}")
-    e_x = estimator.mdi_phase_error(functional, ensemble, ensemble)
+    e_x = estimator.error_rate(table)
     print(f"e_x: {_format(e_x)}")
     return EXIT_OK
 

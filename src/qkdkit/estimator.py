@@ -5,9 +5,14 @@ the Bloch vector of that state, with coefficients given by the transmission
 rates of the identity and Pauli operators.  Solving the resulting small
 linear system (3x3 planar, 4x4 full, 9x9 for the two-party scheme) recovers
 those rates exactly and with them the detection statistics of *any* state,
-in particular the virtual states that define the phase error rate.  Because
-the recovered quantities are ratios of homogeneous linear forms, uniform
-channel loss cancels: the estimate is loss-tolerant.
+in particular the virtual states that define the phase error rate.
+
+Every path ends in one ratio, :func:`error_rate`: the off-diagonal share of
+a 2x2 table of virtual yields.  Each cell of that table is a linear form in
+the observed yields (for the perfect three-state protocol the constant map
+:data:`THREE_STATE_MAP`; otherwise the solved functionals evaluated on the
+virtual states), so uniform channel loss scales the table and cancels: the
+estimate is loss-tolerant.
 
 All solvers use an SVD factorization: it supplies the conditioning check
 (smallest/largest singular value) and a numerically robust solve in one go.
@@ -40,17 +45,15 @@ RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class YieldTable:
-    """Detection probabilities keyed by ``(bob_basis, outcome, alice_label)``.
+    """Joint detection probabilities keyed by ``(bob_basis, outcome, alice_label)``.
 
     Attributes:
-        yields: map ``(basis, outcome, label) -> probability``; outcomes are
+        yields: map ``(basis, outcome, label) -> probability``, each the joint
+            ``P(label) * P(basis) * P(outcome | label, basis)``; outcomes are
             the conclusive bits 0 and 1 (the remainder of each cell is the
             inconclusive event).
         priors: ``label -> P(label)`` for Alice's choice.
         basis_probs: ``basis -> probability`` for Bob's choice.
-        joint: True when entries are joint probabilities
-            ``P(label) * P(basis) * P(outcome | label, basis)``; False when
-            they are conditional on (label, basis).
         consistency_tol: slack allowed in the prior-consistency checks.
             Exact tables use the default; finite-sample tables pass a
             statistical slack.
@@ -59,7 +62,6 @@ class YieldTable:
     yields: Mapping[tuple[str, int, str], float]
     priors: Mapping[str, float]
     basis_probs: Mapping[str, float]
-    joint: bool = True
     consistency_tol: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -81,21 +83,20 @@ class YieldTable:
         for basis, prob in self.basis_probs.items():
             if not (0.0 < prob <= 1.0):
                 raise ValidationError(f"basis probability for {basis!r} must be in (0, 1]")
-        if self.joint:
-            totals: dict[tuple[str, str], float] = {}
-            for (basis, _, label), value in self.yields.items():
-                cap = self.priors.get(label, 1.0) * self.basis_probs.get(basis, 1.0)
-                if value > cap + tol:
-                    raise ValidationError(
-                        f"joint yield for ({basis}, {label}) exceeds its prior weight"
-                    )
-                totals[basis, label] = totals.get((basis, label), 0.0) + value
-            for (basis, label), total in totals.items():
-                cap = self.priors.get(label, 1.0) * self.basis_probs.get(basis, 1.0)
-                if total > cap + tol:
-                    raise ValidationError(
-                        f"conclusive yields for ({basis}, {label}) exceed the prior weight"
-                    )
+        totals: dict[tuple[str, str], float] = {}
+        for (basis, _, label), value in self.yields.items():
+            cap = self.priors.get(label, 1.0) * self.basis_probs.get(basis, 1.0)
+            if value > cap + tol:
+                raise ValidationError(
+                    f"joint yield for ({basis}, {label}) exceeds its prior weight"
+                )
+            totals[basis, label] = totals.get((basis, label), 0.0) + value
+        for (basis, label), total in totals.items():
+            cap = self.priors.get(label, 1.0) * self.basis_probs.get(basis, 1.0)
+            if total > cap + tol:
+                raise ValidationError(
+                    f"conclusive yields for ({basis}, {label}) exceed the prior weight"
+                )
 
     def get(self, basis: str, outcome: int, label: str) -> float:
         try:
@@ -113,30 +114,12 @@ class YieldTable:
             raise ValidationError(f"no probability recorded for basis {basis!r}")
         return self.priors[label] * self.basis_probs[basis]
 
-    def to_conditional(self) -> "YieldTable":
-        if not self.joint:
-            return self
-        converted = {
-            key: value / self.weight(key[0], key[2]) for key, value in self.yields.items()
-        }
-        return YieldTable(converted, self.priors, self.basis_probs, joint=False,
-                          consistency_tol=self.consistency_tol)
-
-    def to_joint(self) -> "YieldTable":
-        if self.joint:
-            return self
-        converted = {
-            key: value * self.weight(key[0], key[2]) for key, value in self.yields.items()
-        }
-        return YieldTable(converted, self.priors, self.basis_probs, joint=True,
-                          consistency_tol=self.consistency_tol)
-
     def scaled(self, factor: float) -> "YieldTable":
         """Uniformly rescale all yields (extra loss leaves estimates unchanged)."""
         if not (0.0 < factor <= 1.0):
             raise ValidationError("scale factor must be in (0, 1]")
         scaled = {key: value * factor for key, value in self.yields.items()}
-        return YieldTable(scaled, self.priors, self.basis_probs, joint=self.joint,
+        return YieldTable(scaled, self.priors, self.basis_probs,
                           consistency_tol=self.consistency_tol)
 
 
@@ -239,17 +222,16 @@ def check_well_posed(blochs: Sequence[BlochVector]) -> ConditioningReport:
     if n not in (3, 4):
         raise ValidationError(f"need 3 or 4 source states, got {n}")
     full = np.array([b.as_array() for b in blochs])
+    singular = np.linalg.svd(_design_matrix(blochs), compute_uv=False)
     for i in range(n):
         for j in range(i + 1, n):
             if np.abs(full[i] - full[j]).max() <= 1e-12:
-                singular = np.linalg.svd(_design_matrix(blochs), compute_uv=False)
                 return ConditioningReport(
                     well_posed=False,
                     condition_number=math.inf,
                     singular_values=tuple(singular),
                     reason="duplicate-states",
                 )
-    singular = np.linalg.svd(_design_matrix(blochs), compute_uv=False)
     smax, smin = float(singular[0]), float(singular[-1])
     if smin <= SINGULARITY_THRESHOLD * smax:
         cond = math.inf if smin == 0.0 else smax / smin
@@ -302,7 +284,6 @@ def solve_functional(
         InconsistentYieldsError: the solved rates would predict negative
             yields beyond ``1e-9`` (the data fit no physical map).
     """
-    table = yields.to_joint()
     blochs = sources.blochs()
     n = len(blochs)
     if n not in (3, 4):
@@ -318,14 +299,14 @@ def solve_functional(
     if not report.well_posed:
         raise WellPosednessError(f"ill-posed sources ({report.reason})")
     for label in sources.labels:
-        table_prior = table.priors.get(label)
+        table_prior = yields.priors.get(label)
         if table_prior is not None and abs(table_prior - sources.prior(label)) > 1e-9:
             raise ValidationError(
                 f"prior mismatch for {label!r} between yield table and sources"
             )
     rhs = np.array(
         [
-            table.get(basis, outcome, label) / table.weight(basis, label)
+            yields.get(basis, outcome, label) / yields.weight(basis, label)
             for label in sources.labels
         ]
     )
@@ -352,12 +333,49 @@ def predict_yield(
     return prior * functional.evaluate(bloch)
 
 
-def _finalize_rate(value: float, negativity_tol: float) -> float:
-    if value < -negativity_tol or value > 1.0 + negativity_tol:
-        raise InconsistentYieldsError(
-            f"error rate {value!r} violates physicality beyond tolerance"
-        )
-    return min(max(value, 0.0), 1.0)
+def error_rate(table: np.ndarray, *, negativity_tol: float = NEGATIVITY_TOL) -> float:
+    """Phase error rate: the off-diagonal share of a 2x2 virtual-yield table.
+
+    ``table`` is indexed by virtual bit and outcome (either way round), or by
+    the relay's two virtual bits, so the errors are the off-diagonal cells.
+    A cell below ``-negativity_tol`` raises :class:`InconsistentYieldsError`;
+    smaller negative error cells are clamped to zero.  Statistical callers
+    pass ``math.inf`` to always clamp.
+
+    Raises:
+        UndefinedRateError: the cells sum to zero or less.
+        InconsistentYieldsError: a negative cell, or a rate above 1, beyond
+            ``negativity_tol``.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.shape != (2, 2):
+        raise ValidationError(f"virtual-yield table must be 2x2, got shape {table.shape}")
+    lowest = float(table.min())
+    if lowest < -negativity_tol:
+        raise InconsistentYieldsError(f"predicted virtual yield {lowest!r} is negative")
+    denominator = float(table.sum())
+    if denominator <= 0.0:
+        raise UndefinedRateError("virtual yields sum to zero; phase error rate undefined")
+    value = (max(float(table[0, 1]), 0.0) + max(float(table[1, 0]), 0.0)) / denominator
+    if value > 1.0 + negativity_tol:
+        raise InconsistentYieldsError(f"error rate {value!r} exceeds 1 beyond tolerance")
+    return min(value, 1.0)
+
+
+#: The three-state virtual-yield table ``[s, j] = Y(s, jx)`` as a linear map
+#: of the X-basis yields ``Y(s, label)``, ordered as :func:`three_state_yields`
+#: returns them.  The sent ``0x`` yields are read directly; the unsent ``1x``
+#: yields are ``Y(s, 1x) = Y(s, 0z) + Y(s, 1z) - Y(s, 0x)``.
+THREE_STATE_MAP = np.array([
+    [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0], [1.0, 1.0, -1.0, 0.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0, -1.0]],
+])
+THREE_STATE_MAP.setflags(write=False)
+
+
+def three_state_yields(yields: YieldTable) -> np.ndarray:
+    """The X-basis yields of labels ``0z, 1z, 0x``, outcome 0 then outcome 1."""
+    return np.array([yields.get("x", s, label) for s in (0, 1) for label in ("0z", "1z", "0x")])
 
 
 def phase_error_three_state(
@@ -366,31 +384,33 @@ def phase_error_three_state(
     """Closed-form phase error rate of the perfect three-state protocol.
 
     Requires joint X-outcome yields for labels ``0z, 1z, 0x`` sent with
-    uniform (state, basis) priors.  The unsent state's yields follow from
-    ``Y(s, 1x) = Y(s, 0z) + Y(s, 1z) - Y(s, 0x)``.
-
-    Args:
-        yields: table containing all six X-basis entries.
-        negativity_tol: predicted yields below ``-negativity_tol`` raise
-            :class:`InconsistentYieldsError`; small negatives are clamped to
-            zero.  Statistical callers pass ``math.inf`` to always clamp.
+    uniform (state, basis) priors: :func:`error_rate` of their image under
+    :data:`THREE_STATE_MAP`.
     """
-    table = yields.to_joint()
-    y = {(s, label): table.get("x", s, label)
-         for s in (0, 1) for label in ("0z", "1z", "0x")}
-    virtual = {
-        s: y[s, "0z"] + y[s, "1z"] - y[s, "0x"] for s in (0, 1)
-    }
-    for s, value in virtual.items():
-        if value < -negativity_tol:
-            raise InconsistentYieldsError(
-                f"predicted yield Y({s}x, 1x) = {value!r} is negative"
-            )
-    numerator = max(virtual[0], 0.0) + y[1, "0x"]
-    denominator = y[0, "0z"] + y[0, "1z"] + y[1, "0z"] + y[1, "1z"]
-    if denominator <= 0.0:
-        raise UndefinedRateError("no X-basis detections; phase error undefined")
-    return _finalize_rate(numerator / denominator, negativity_tol)
+    # summed left to right, so each cell rounds as its formula reads
+    table = (THREE_STATE_MAP * three_state_yields(yields)).sum(axis=-1)
+    return error_rate(table, negativity_tol=negativity_tol)
+
+
+def virtual_yields(
+    f0: TransmissionFunctional,
+    f1: TransmissionFunctional,
+    ensemble: VirtualEnsemble,
+    prior: float = 1.0,
+) -> np.ndarray:
+    """Table ``[j, s] = prior * w_j * Y(s | virtual state j)`` of an ensemble.
+
+    ``f0``/``f1`` are the solved functionals for Bob's outcomes 0 and 1 in
+    the ensemble's basis; ``prior`` is the joint prefactor of the ensemble.
+    """
+    if f0.outcome != 0 or f1.outcome != 1:
+        raise ValidationError("functionals must be for outcomes 0 and 1, in order")
+    table = np.empty((2, 2))
+    for j, (w_j, state) in enumerate(ensemble.entries):
+        bloch = state.bloch()
+        for s, functional in enumerate((f0, f1)):
+            table[j, s] = predict_yield(functional, bloch, prior=w_j * prior)
+    return table
 
 
 def phase_error_virtual(
@@ -400,24 +420,9 @@ def phase_error_virtual(
     *,
     negativity_tol: float = NEGATIVITY_TOL,
 ) -> float:
-    """Phase error rate of an arbitrary virtual ensemble.
-
-    ``f0``/``f1`` are the solved functionals for Bob's outcomes 0 and 1 in
-    the ensemble's basis; errors are the cross terms (outcome != virtual
-    bit).
-    """
-    if f0.outcome != 0 or f1.outcome != 1:
-        raise ValidationError("functionals must be for outcomes 0 and 1, in order")
-    (w0, s0), (w1, s1) = ensemble.entries
-    b0, b1 = s0.bloch(), s1.bloch()
-    numerator = w0 * f1.evaluate(b0) + w1 * f0.evaluate(b1)
-    denominator = (
-        w0 * (f0.evaluate(b0) + f1.evaluate(b0))
-        + w1 * (f0.evaluate(b1) + f1.evaluate(b1))
-    )
-    if denominator <= 0.0:
-        raise UndefinedRateError("virtual ensemble has zero detection probability")
-    return _finalize_rate(numerator / denominator, negativity_tol)
+    """Phase error rate of an arbitrary virtual ensemble: :func:`error_rate`
+    of its :func:`virtual_yields` (errors are outcome != virtual bit)."""
+    return error_rate(virtual_yields(f0, f1, ensemble), negativity_tol=negativity_tol)
 
 
 def _pair_weight(label_a: str, label_b: str, gamma: float) -> float:
@@ -454,8 +459,6 @@ def mdi_solve(
     if len(sources_a) != 3 or len(sources_b) != 3:
         raise ValidationError("each party needs exactly 3 source states")
     blochs_a, blochs_b = sources_a.blochs(), sources_b.blochs()
-    rows = []
-    rhs = []
     for party, sources, blochs in (("A", sources_a, blochs_a), ("B", sources_b, blochs_b)):
         for label, bloch in zip(sources.labels, blochs):
             if not bloch.is_planar:
@@ -465,16 +468,15 @@ def mdi_solve(
             raise WellPosednessError(
                 f"party {party} sources are ill-posed ({report.reason})"
             )
-    for label_a, bloch_a in zip(sources_a.labels, blochs_a):
-        for label_b, bloch_b in zip(sources_b.labels, blochs_b):
+    rhs = []
+    for label_a in sources_a.labels:
+        for label_b in sources_b.labels:
             key = (label_a, label_b)
             if key not in pair_yields:
                 raise ValidationError(f"missing pair yield for {key!r}")
-            weight = _pair_weight(label_a, label_b, gamma)
-            rows.append(np.kron(bloch_a.as_array(planar=True),
-                                bloch_b.as_array(planar=True)))
-            rhs.append(pair_yields[key] / weight)
-    coeffs = _svd_solve(np.array(rows), np.array(rhs))
+            rhs.append(pair_yields[key] / _pair_weight(label_a, label_b, gamma))
+    design = np.kron(_design_matrix(blochs_a), _design_matrix(blochs_b))
+    coeffs = _svd_solve(design, np.array(rhs))
     functional = TwoQubitFunctional(q=coeffs.reshape(3, 3))
     _check_mdi_physical(functional, blochs_a, blochs_b)
     return functional
@@ -521,9 +523,8 @@ def mdi_phase_error(
     negativity_tol: float = NEGATIVITY_TOL,
 ) -> float:
     """Phase error rate of the relay scheme from the solved two-party rates:
-    the anti-correlated share of :func:`mdi_virtual_yields`."""
-    table = mdi_virtual_yields(functional, ensemble_a, ensemble_b)
-    denominator = float(table.sum())
-    if denominator <= 0.0:
-        raise UndefinedRateError("relay announces the target outcome with probability 0")
-    return _finalize_rate(float(table[0, 1] + table[1, 0]) / denominator, negativity_tol)
+    :func:`error_rate` of :func:`mdi_virtual_yields` (errors are the
+    anti-correlated bit pairs)."""
+    return error_rate(
+        mdi_virtual_yields(functional, ensemble_a, ensemble_b), negativity_tol=negativity_tol
+    )

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import estimator
 from .channel import ChannelParams, transmittance
-from .errors import UndefinedRateError, ValidationError
+from .errors import ValidationError
 from .estimator import YieldTable
 from .qstate import (
     ID2,
@@ -35,6 +35,9 @@ from .qstate import (
 )
 
 DEFAULT_BASIS_PROBS = {"x": 0.5, "z": 0.5}
+#: largest pulse count of a run: the multinomial draw counts in a signed
+#: 64-bit integer
+MAX_PULSES = 2**63 - 1
 _OUTCOMES = (0, 1, "f")
 
 
@@ -286,8 +289,8 @@ def run_protocol(
     negative (mixer) cell probabilities are clipped at zero.  Deterministic
     per seed.
     """
-    if n_pulses < 1:
-        raise ValidationError(f"n_pulses must be >= 1, got {n_pulses!r}")
+    if not 1 <= n_pulses <= MAX_PULSES:
+        raise ValidationError(f"n_pulses must be in [1, 2**63 - 1], got {n_pulses!r}")
     basis_probs = dict(DEFAULT_BASIS_PROBS if basis_probs is None else basis_probs)
     if abs(sum(basis_probs.values()) - 1.0) > 1e-12:
         raise ValidationError("basis probabilities must sum to 1")
@@ -319,18 +322,6 @@ def empirical_yields(
     return YieldTable(yields, priors, basis_probs, consistency_tol=slack)
 
 
-# Yield-table cells entering the closed-form three-state estimate, with their
-# coefficients in the numerator and denominator of the error ratio.
-_EX_CELLS = (
-    (("x", 0, "0z"), 1.0, 1.0),
-    (("x", 0, "1z"), 1.0, 1.0),
-    (("x", 0, "0x"), -1.0, 0.0),
-    (("x", 1, "0z"), 0.0, 1.0),
-    (("x", 1, "1z"), 0.0, 1.0),
-    (("x", 1, "0x"), 1.0, 0.0),
-)
-
-
 def estimate_from_trial(
     trial: TrialRecord,
     sources: SourceSet,
@@ -339,22 +330,22 @@ def estimate_from_trial(
     """Three-state phase-error estimate from counts, with a delta-method error.
 
     Negative predicted virtual yields are clamped to zero at this layer (the
-    exact-arithmetic estimator stays strict); the standard error propagates
-    the multinomial covariance of the count fractions through the ratio.
+    exact-arithmetic estimator stays strict).  The standard error propagates
+    the multinomial covariance of the count fractions through the unclamped
+    ratio, whose coefficients are the sums of the error cells and of all
+    cells of :data:`estimator.THREE_STATE_MAP`.
     """
     table = empirical_yields(trial, sources, basis_probs)
     e_x = estimator.phase_error_three_state(table, negativity_tol=math.inf)
 
-    n = trial.n_pulses
-    fractions = np.array([table.get(*key) for key, _, _ in _EX_CELLS])
-    num_coeff = np.array([a for _, a, _ in _EX_CELLS])
-    den_coeff = np.array([d for _, _, d in _EX_CELLS])
+    fractions = estimator.three_state_yields(table)
+    cells = estimator.THREE_STATE_MAP
+    num_coeff = cells[0, 1] + cells[1, 0]
+    den_coeff = cells.sum(axis=(0, 1))
     numerator = float(num_coeff @ fractions)
     denominator = float(den_coeff @ fractions)
-    if denominator <= 0.0:
-        raise UndefinedRateError("no X-basis detections in trial")
     grad = (num_coeff * denominator - numerator * den_coeff) / denominator**2
-    cov = (np.diag(fractions) - np.outer(fractions, fractions)) / n
+    cov = (np.diag(fractions) - np.outer(fractions, fractions)) / trial.n_pulses
     variance = float(grad @ cov @ grad)
     return TrialEstimate(e_x=e_x, std_err=math.sqrt(max(variance, 0.0)))
 

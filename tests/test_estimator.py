@@ -15,7 +15,10 @@ from qkdkit.errors import (
 from qkdkit.estimator import (
     TransmissionFunctional,
     YieldTable,
+    NEGATIVITY_TOL,
+    THREE_STATE_MAP,
     check_well_posed,
+    error_rate,
     mdi_phase_error,
     mdi_solve,
     phase_error_three_state,
@@ -58,16 +61,6 @@ def trace_yield(operator, state, weight):
 
 
 class TestYieldTable:
-    def test_joint_conditional_round_trip(self):
-        table = exact_yields(three_state_sources(), random_channel(2), random_povm(2))
-        conditional = table.to_conditional()
-        assert not conditional.joint
-        back = conditional.to_joint()
-        for key, value in table.yields.items():
-            assert abs(back.yields[key] - value) <= 1e-15
-            weight = table.weight(key[0], key[2])
-            assert abs(conditional.yields[key] - value / weight) <= 1e-15
-
     def test_joint_entry_capped_by_weight(self):
         with pytest.raises(ValidationError):
             YieldTable(
@@ -223,6 +216,45 @@ class TestPredictYield:
                 table.get("x", s, "0z") + table.get("x", s, "1z") - table.get("x", s, "0x")
             )
             assert abs(predict_yield(f, basis_state("1x"), 1 / 6) - closed) <= 1e-10
+
+
+class TestErrorRate:
+    def test_small_negative_error_cell_clamped(self):
+        table = np.array([[0.5, -0.5 * NEGATIVITY_TOL], [0.1, 0.4]])
+        assert error_rate(table) == 0.1 / table.sum()
+
+    @pytest.mark.parametrize("cell", [(0, 1), (1, 1)])
+    def test_cell_below_tolerance_raises(self, cell):
+        table = np.array([[0.5, 0.2], [0.1, 0.4]])
+        table[cell] = -2.0 * NEGATIVITY_TOL
+        with pytest.raises(InconsistentYieldsError):
+            error_rate(table)
+
+    def test_zero_denominator_undefined(self):
+        with pytest.raises(UndefinedRateError):
+            error_rate(np.zeros((2, 2)))
+
+    def test_infinite_tolerance_always_clamps(self):
+        table = np.array([[0.5, -0.2], [0.1, 0.4]])
+        assert error_rate(table, negativity_tol=math.inf) == 0.1 / table.sum()
+
+    def test_rate_above_one_raises(self):
+        table = np.array([[0.0, 0.5], [0.5, -0.5]])
+        with pytest.raises(InconsistentYieldsError):
+            error_rate(table, negativity_tol=0.6)
+
+    def test_three_state_map_rows_sum_to_z_pair(self):
+        # row s of the table is Y(s, 0x) + Y(s, 1x) = Y(s, 0z) + Y(s, 1z)
+        z_pair = np.array([[1.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 1.0, 0.0]])
+        assert np.array_equal(THREE_STATE_MAP.sum(axis=1), z_pair)
+
+    def test_no_z_pair_detections_undefined_when_clamping(self):
+        table = x_table({
+            (0, "0z"): 0.0, (0, "1z"): 0.0, (0, "0x"): 0.1,
+            (1, "0z"): 0.0, (1, "1z"): 0.0, (1, "0x"): 0.2,
+        })
+        with pytest.raises(UndefinedRateError):
+            phase_error_three_state(table, negativity_tol=math.inf)
 
 
 class TestPhaseErrorThreeState:

@@ -246,4 +246,6 @@ class TestEstimateFromTrial:
             1_000, sources, KrausChannel((np.eye(2),)), ideal_povm(), seed=1
         )
         table = empirical_yields(trial, sources)
-        assert table.joint
+        for (label, basis, outcome), count in trial.counts.items():
+            if outcome != "f":
+                assert table.get(basis, outcome, label) == count / 1_000
