@@ -9,7 +9,7 @@ Subpackages:
     cli         command-line interface
 """
 
-from .channel import ChannelParams, ZStats, channel_stats, conditional_virtual_yields, single_photon_stats, total_loss, transmittance, zbasis_stats
+from .channel import ChannelParams, ZStats, channel_stats, conditional_virtual_yields, single_photon_stats, transmittance, zbasis_stats
 from .errors import (
     InconsistentYieldsError,
     PlanarityError,
@@ -87,7 +87,7 @@ __all__ = [
     "optimize_alpha", "pauli_decompose", "phase_error_three_state",
     "phase_error_virtual", "predict_yield", "random_channel", "random_povm",
     "run_protocol", "secret_key_rate", "single_photon_stats",
-    "solve_functional", "sweep", "three_state_sources", "total_loss", "transmittance",
+    "solve_functional", "sweep", "three_state_sources", "transmittance",
     "virtual_amplitudes", "virtual_states_from_purification",
     "virtual_states_planar", "zbasis_stats",
 ]

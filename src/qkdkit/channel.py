@@ -109,11 +109,6 @@ def transmittance(params: ChannelParams, distance_km: ArrayLike | None = None) -
     return params.det_eff * np.reshape(powers, exponents.shape)
 
 
-def total_loss(params: ChannelParams) -> float:
-    """Total loss ``L = 1 - T``, in [0, 1]."""
-    return 1.0 - transmittance(params)
-
-
 def conditional_virtual_yields(params: ChannelParams, t: ArrayLike | None = None) -> np.ndarray:
     """Conditional X-basis yields ``Y[..., s, j]`` of the two virtual states.
 

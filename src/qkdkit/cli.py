@@ -56,9 +56,6 @@ EXIT_ERROR = 1
 EXIT_ILL_POSED = 2
 EXIT_UNDEFINED = 3
 
-# a multinomial draw counts pulses in a signed 64-bit integer
-_MAX_PULSES = 2**63 - 1
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -89,7 +86,7 @@ class RunConfig:
             raise ValidationError("invalid field distance_step: must be > 0")
         if self.seed < 0:
             raise ValidationError(f"invalid field seed: must be >= 0, got {self.seed}")
-        if not 0 <= self.pulses <= _MAX_PULSES:
+        if not 0 <= self.pulses <= montecarlo.MAX_PULSES:
             raise ValidationError("invalid field pulses: must be in [0, 2**63 - 1]")
 
     def distances(self) -> list[float]:
@@ -224,23 +221,44 @@ def cmd_sweep(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _csv_rows(path: str, required: tuple[str, ...], kind: str) -> list[tuple[dict, str]]:
+    """The rows of a CSV file that must have ``required`` columns, each with
+    its ``"<path>: row N"`` location for error messages."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
+            raise ValidationError(f"{path}: {kind} CSV must have columns {list(required)}")
+        return [(row, f"{path}: row {reader.line_num}") for row in reader]
+
+
+def _cell(row: dict, column: str, where: str, kind: type = float, default: object = None):
+    """The named cell of a CSV row as ``kind`` (``str``, ``int`` or a finite
+    ``float``); a blank or missing cell gives ``default`` when one is set."""
+    raw = row.get(column)
+    if raw is None or not raw.strip():
+        if default is not None:
+            return default
+        raise ValidationError(f"{where}: column {column} is missing")
+    try:
+        value = kind(raw.strip())
+    except ValueError:
+        raise ValidationError(f"{where}: column {column}: cannot parse {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValidationError(f"{where}: column {column} must be finite, got {raw!r}")
+    return value
+
+
 def _read_counts_csv(path: str) -> montecarlo.TrialRecord:
     """Parse a counts CSV (the ``simulate`` output schema) into a trial."""
     counts: dict[tuple[str, str, object], int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not set(COUNTS_HEADER).issubset(reader.fieldnames):
-            raise ValidationError(
-                f"{path}: counts CSV must have columns {list(COUNTS_HEADER)}"
-            )
-        for row in reader:
-            outcome: object = row["outcome"].strip()
-            if outcome in ("0", "1"):
-                outcome = int(outcome)
-            key = (row["label"].strip(), row["basis"].strip(), outcome)
-            if key in counts:
-                raise ValidationError(f"{path}: duplicate counts row {key}")
-            counts[key] = int(row["count"])
+    for row, where in _csv_rows(path, COUNTS_HEADER, "counts"):
+        outcome: object = _cell(row, "outcome", where, str)
+        if outcome in ("0", "1"):
+            outcome = int(outcome)
+        key = (_cell(row, "label", where, str), _cell(row, "basis", where, str), outcome)
+        if key in counts:
+            raise ValidationError(f"{path}: duplicate counts row {key}")
+        counts[key] = _cell(row, "count", where, int)
     if not counts:
         raise ValidationError(f"{path}: no count rows found")
     return montecarlo.TrialRecord(
@@ -260,37 +278,31 @@ def _read_yield_csv(path: str) -> tuple[YieldTable, SourceSet]:
     yields: dict[tuple[str, int, str], float] = {}
     priors: dict[str, float] = {}
     states: dict[str, QubitState] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"label", "basis", "outcome", "probability", "prior"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValidationError(
-                f"{path}: yield CSV must have columns {sorted(required)}"
-            )
-        for row in reader:
-            label = row["label"].strip()
-            basis = row["basis"].strip()
-            outcome = int(row["outcome"])
-            probability = float(row["probability"])
-            prior = float(row["prior"])
-            key = (basis, outcome, label)
-            if key in yields:
-                raise ValidationError(f"{path}: duplicate cell {key}")
-            yields[key] = probability
-            if label in priors and abs(priors[label] - prior) > 1e-12:
-                raise ValidationError(f"{path}: inconsistent priors for label {label!r}")
-            priors[label] = prior
-            if label not in states:
-                if row.get("px") not in (None, ""):
-                    bloch = BlochVector(
-                        v0=1.0,
-                        px=float(row["px"]),
-                        py=float(row.get("py") or 0.0),
-                        pz=float(row.get("pz") or 0.0),
-                    )
-                    states[label] = bloch_to_density(bloch)
-                else:
-                    states[label] = basis_state(label)
+    for row, where in _csv_rows(
+            path, ("basis", "label", "outcome", "prior", "probability"), "yield"):
+        label = _cell(row, "label", where, str)
+        basis = _cell(row, "basis", where, str)
+        outcome = _cell(row, "outcome", where, int)
+        probability = _cell(row, "probability", where)
+        prior = _cell(row, "prior", where)
+        key = (basis, outcome, label)
+        if key in yields:
+            raise ValidationError(f"{path}: duplicate cell {key}")
+        yields[key] = probability
+        if label in priors and abs(priors[label] - prior) > 1e-12:
+            raise ValidationError(f"{path}: inconsistent priors for label {label!r}")
+        priors[label] = prior
+        if label not in states:
+            if (row.get("px") or "").strip():
+                bloch = BlochVector(
+                    v0=1.0,
+                    px=_cell(row, "px", where),
+                    py=_cell(row, "py", where, default=0.0),
+                    pz=_cell(row, "pz", where, default=0.0),
+                )
+                states[label] = bloch_to_density(bloch)
+            else:
+                states[label] = basis_state(label)
     if not yields:
         raise ValidationError(f"{path}: no yield rows found")
     # The prior column is the joint prefactor P(label) * P(basis); factorize it
@@ -420,28 +432,22 @@ def _read_pair_yield_csv(path: str) -> tuple[dict[tuple[str, str], float], float
     """
     pairs: dict[tuple[str, str], float] = {}
     gamma: float | None = None
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"label_a", "label_b", "probability", "prior"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    for row, where in _csv_rows(
+            path, ("label_a", "label_b", "prior", "probability"), "pair-yield"):
+        key = (_cell(row, "label_a", where, str), _cell(row, "label_b", where, str))
+        if key in pairs:
+            raise ValidationError(f"{path}: duplicate pair {key}")
+        pairs[key] = _cell(row, "probability", where)
+        prior = _cell(row, "prior", where)
+        if key[0].endswith("z") and key[1].endswith("z"):
+            implied = prior * 9.0
+            if gamma is not None and abs(gamma - implied) > 1e-12:
+                raise ValidationError(f"{path}: inconsistent Z-Z priors")
+            gamma = implied
+        elif abs(prior - 1.0 / 9.0) > 1e-12:
             raise ValidationError(
-                f"{path}: pair-yield CSV must have columns {sorted(required)}"
+                f"{path}: pairs involving X states must carry prior 1/9"
             )
-        for row in reader:
-            key = (row["label_a"].strip(), row["label_b"].strip())
-            if key in pairs:
-                raise ValidationError(f"{path}: duplicate pair {key}")
-            pairs[key] = float(row["probability"])
-            prior = float(row["prior"])
-            if key[0].endswith("z") and key[1].endswith("z"):
-                implied = prior * 9.0
-                if gamma is not None and abs(gamma - implied) > 1e-12:
-                    raise ValidationError(f"{path}: inconsistent Z-Z priors")
-                gamma = implied
-            elif abs(prior - 1.0 / 9.0) > 1e-12:
-                raise ValidationError(
-                    f"{path}: pairs involving X states must carry prior 1/9"
-                )
     if gamma is None:
         raise ValidationError(f"{path}: no Z-Z pair rows found")
     return pairs, gamma
@@ -547,7 +553,8 @@ def main(argv: list[str] | None = None) -> int:
     except UndefinedRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
-    except (ValidationError, InconsistentYieldsError, OSError) as exc:
+    except (ValidationError, InconsistentYieldsError, OSError, UnicodeDecodeError,
+            csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

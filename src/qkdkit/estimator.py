@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -223,29 +224,14 @@ def check_well_posed(blochs: Sequence[BlochVector]) -> ConditioningReport:
         raise ValidationError(f"need 3 or 4 source states, got {n}")
     full = np.array([b.as_array() for b in blochs])
     singular = np.linalg.svd(_design_matrix(blochs), compute_uv=False)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.abs(full[i] - full[j]).max() <= 1e-12:
-                return ConditioningReport(
-                    well_posed=False,
-                    condition_number=math.inf,
-                    singular_values=tuple(singular),
-                    reason="duplicate-states",
-                )
+    values = tuple(singular)
+    if any(np.abs(full[i] - full[j]).max() <= 1e-12 for i, j in combinations(range(n), 2)):
+        return ConditioningReport(False, math.inf, values, reason="duplicate-states")
     smax, smin = float(singular[0]), float(singular[-1])
     if smin <= SINGULARITY_THRESHOLD * smax:
         cond = math.inf if smin == 0.0 else smax / smin
-        return ConditioningReport(
-            well_posed=False,
-            condition_number=cond,
-            singular_values=tuple(singular),
-            reason="rank-deficient",
-        )
-    return ConditioningReport(
-        well_posed=True,
-        condition_number=smax / smin,
-        singular_values=tuple(singular),
-    )
+        return ConditioningReport(False, cond, values, reason="rank-deficient")
+    return ConditioningReport(True, smax / smin, values)
 
 
 def _design_matrix(blochs: Sequence[BlochVector]) -> np.ndarray:

@@ -10,7 +10,7 @@ from qkdkit.channel import (
     channel_stats,
     conditional_virtual_yields,
     single_photon_stats,
-    total_loss,
+    transmittance,
     virtual_priors,
     zbasis_stats,
 )
@@ -30,17 +30,17 @@ def c_squared(eps):
     )
 
 
-class TestTotalLoss:
+class TestTransmittance:
     def test_zero_distance(self):
-        assert abs(total_loss(DEFAULTS) - 0.85) <= 1e-15
+        assert abs(transmittance(DEFAULTS) - 0.15) <= 1e-15
 
     def test_perfect_apparatus(self):
         p = ChannelParams(det_eff=1.0, atten_db_per_km=0.0, distance_km=100.0)
-        assert total_loss(p) == 0.0
+        assert transmittance(p) == 1.0
 
     def test_fifty_km(self):
         p = DEFAULTS.at(distance_km=50.0)
-        assert abs(total_loss(p) - 0.9866312359279938) <= 1e-12
+        assert abs(transmittance(p) - 0.0133687640720062) <= 1e-12
 
     def test_param_validation(self):
         with pytest.raises(ValidationError):
@@ -63,7 +63,7 @@ class TestConditionalVirtualYields:
     def test_everything_lost(self):
         # absurd distance underflows the transmittance to exactly zero
         p = ChannelParams(dark_count=0.0, distance_km=1e7)
-        assert total_loss(p) == 1.0
+        assert transmittance(p) == 0.0
         assert np.all(conditional_virtual_yields(p) == 0.0)
 
     def test_lossless_perfect(self):
@@ -76,7 +76,7 @@ class TestConditionalVirtualYields:
         delta = 0.126
         p = ChannelParams(dark_count=0.0, distance_km=distance, delta=delta)
         yields = conditional_virtual_yields(p)
-        survive = 1.0 - total_loss(p)
+        survive = transmittance(p)
         oracle = c_squared(1.5 * delta)
         assert np.abs(yields / survive - oracle).max() <= 1e-12
 

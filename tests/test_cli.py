@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import io
 import math
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdkit import cli
 from qkdkit.qstate import basis_state
@@ -396,3 +402,94 @@ class TestPinnedStdout:
         assert cli.main(PINNED_SIMULATE + ["--out", str(out)]) == 0
         assert capsys.readouterr().out == (DATA / "simulate_counts.out").read_text()
         assert out.read_bytes() == (DATA / "simulate_counts.csv").read_bytes()
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+YIELD_HEADER = ["label", "basis", "outcome", "probability", "prior"]
+PAIR_HEADER = ["label_a", "label_b", "probability", "prior"]
+CANONICAL_BLOCH = {"0z": ["0.0", "0.0", "1.0"], "1z": ["0.0", "0.0", "-1.0"],
+                   "0x": ["1.0", "0.0", "0.0"]}
+
+
+def valid_inputs():
+    """(command, header, rows) of one valid input of each CSV kind."""
+    yields = identity_three_state_rows()
+    with open(DATA / "simulate_counts.csv", newline="") as handle:
+        counts = list(csv.reader(handle))
+    return {
+        "yield": ("estimate", YIELD_HEADER, yields),
+        "yield_px": ("estimate", YIELD_HEADER + ["px", "py", "pz"],
+                     [row + CANONICAL_BLOCH[row[0]] for row in yields]),
+        "counts": ("estimate", counts[0], counts[1:]),
+        "pairs": ("mdi-estimate", PAIR_HEADER, TestMdiEstimateCommand.bell_rows()),
+    }
+
+
+class TestMalformedCells:
+    """A bad cell ends in an ``error:`` line naming its row and column."""
+
+    @pytest.mark.parametrize("kind, row, column, text, message", [
+        ("yield", 0, 2, "zero", "row 2: column outcome: cannot parse 'zero'"),
+        ("counts", 0, 3, "ten", "row 2: column count: cannot parse 'ten'"),
+        ("yield", 1, 3, None, "row 3: column probability is missing"),
+        ("yield_px", 0, 5, "oops", "row 2: column px: cannot parse 'oops'"),
+        ("pairs", 4, 2, "abc", "row 6: column probability: cannot parse 'abc'"),
+        ("pairs", 2, 3, "nan", "row 4: column prior must be finite"),  # an X pair
+        ("pairs", 0, 3, "nan", "row 2: column prior must be finite"),  # first Z-Z pair
+        ("yield", 0, 3, "inf", "row 2: column probability must be finite"),
+    ])
+    def test_bad_cell_exits_one(self, tmp_path, capsys, kind, row, column, text, message):
+        command, header, rows = valid_inputs()[kind]
+        rows = [list(r) for r in rows]
+        if text is None:  # a short row
+            del rows[row][column:]
+        else:
+            rows[row][column] = text
+        path = tmp_path / "bad.csv"
+        write_csv(path, header, rows)
+        assert cli.main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"bad.csv: {message}" in err
+
+    def test_undecodable_bytes_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"label,basis,outcome,probability,prior\n0z,x,0,0.1\xff,0.1\n")
+        assert cli.main(["estimate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @settings(max_examples=200, deadline=2000)
+    @given(
+        kind=st.sampled_from(["yield", "yield_px", "counts", "pairs"]),
+        row=st.integers(0, 20),
+        column=st.integers(0, 7),
+        text=st.one_of(
+            st.sampled_from(["", " ", "nan", "-inf", "1e400", "-1", "0", "1", "2", "0.5",
+                             "1e-320", "9" * 40, "zero", "f", "0y", "1x"]),
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+        ),
+        truncate=st.booleans(),
+    )
+    def test_malformed_cell_never_escapes(self, kind, row, column, text, truncate):
+        command, header, rows = valid_inputs()[kind]
+        rows = [list(r) for r in rows]
+        target = rows[row % len(rows)]
+        if truncate:
+            del target[column % len(target):]
+        else:
+            target[column % len(target)] = text
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input.csv")
+            write_csv(path, header, rows)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main([command, path])
+        assert rc in (0, 1, 2, 3)
+        assert (rc == 0) == (err.getvalue() == "")
+        if rc:
+            assert err.getvalue().startswith("error:")

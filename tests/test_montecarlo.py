@@ -11,6 +11,7 @@ from qkdkit.channel import (
 )
 from qkdkit.errors import ValidationError
 from qkdkit.montecarlo import (
+    MAX_PULSES,
     BobPovm,
     KrausChannel,
     OutcomeMixer,
@@ -118,7 +119,7 @@ class TestExactYields:
                 assert abs(got - analytic[s, 0]) <= 1e-12
 
     def test_kraus_amplitude_is_transmittance(self):
-        # 1 - total_loss rebuilds T with a cancellation of ~1e-16/T relative
+        # rebuilding T as 1 - (1 - T) would cost ~1e-16/T relative precision
         params = ChannelParams(distance_km=300.0)
         amplitude = fiber_experiment(params).channel.operators[0][0, 0].real
         t = transmittance(params)
@@ -171,6 +172,13 @@ class TestRunProtocol:
     def test_zero_pulses_rejected(self):
         with pytest.raises(ValidationError):
             run_protocol(0, three_state_sources(), KrausChannel((np.eye(2),)), ideal_povm(), seed=0)
+
+    def test_pulses_beyond_int64_rejected(self):
+        # the multinomial draw would raise a raw OverflowError at 2**63
+        args = (three_state_sources(), KrausChannel((np.eye(2),)), ideal_povm())
+        with pytest.raises(ValidationError, match="n_pulses"):
+            run_protocol(MAX_PULSES + 1, *args, seed=0)
+        assert sum(run_protocol(MAX_PULSES, *args, seed=0).counts.values()) == MAX_PULSES
 
     def test_frequencies_within_five_sigma(self):
         n = 1_000_000
