@@ -351,7 +351,9 @@ def error_rate(table: np.ndarray, *, negativity_tol: float = NEGATIVITY_TOL) -> 
 #: The three-state virtual-yield table ``[s, j] = Y(s, jx)`` as a linear map
 #: of the X-basis yields ``Y(s, label)``, ordered as :func:`three_state_yields`
 #: returns them.  The sent ``0x`` yields are read directly; the unsent ``1x``
-#: yields are ``Y(s, 1x) = Y(s, 0z) + Y(s, 1z) - Y(s, 0x)``.
+#: yields are ``Y(s, 1x) = Y(s, 0z) + Y(s, 1z) - Y(s, 0x)``.  Outcome-major,
+#: so :func:`error_rate` sums ``Y(s, 0x) + Y(s, 1x)`` first and a table with
+#: no Z-pair detections sums to exactly zero.
 THREE_STATE_MAP = np.array([
     [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0], [1.0, 1.0, -1.0, 0.0, 0.0, 0.0]],
     [[0.0, 0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0, -1.0]],

@@ -338,6 +338,7 @@ def estimate_from_trial(
     table = empirical_yields(trial, sources, basis_probs)
     e_x = estimator.phase_error_three_state(table, negativity_tol=math.inf)
 
+    n = trial.n_pulses
     fractions = estimator.three_state_yields(table)
     cells = estimator.THREE_STATE_MAP
     num_coeff = cells[0, 1] + cells[1, 0]
@@ -345,7 +346,7 @@ def estimate_from_trial(
     numerator = float(num_coeff @ fractions)
     denominator = float(den_coeff @ fractions)
     grad = (num_coeff * denominator - numerator * den_coeff) / denominator**2
-    cov = (np.diag(fractions) - np.outer(fractions, fractions)) / trial.n_pulses
+    cov = (np.diag(fractions) - np.outer(fractions, fractions)) / n
     variance = float(grad @ cov @ grad)
     return TrialEstimate(e_x=e_x, std_err=math.sqrt(max(variance, 0.0)))
 

@@ -13,10 +13,10 @@ from qkdkit.errors import (
     WellPosednessError,
 )
 from qkdkit.estimator import (
-    TransmissionFunctional,
-    YieldTable,
     NEGATIVITY_TOL,
     THREE_STATE_MAP,
+    TransmissionFunctional,
+    YieldTable,
     check_well_posed,
     error_rate,
     mdi_phase_error,
