@@ -114,6 +114,19 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "sweep_default.csv").read_bytes()
 
+    @pytest.mark.parametrize("options, name", [
+        # a non-default f_ec, a delta near the top of its range and zero-rate
+        # rows past the cutoff
+        (["--delta", "0", "--delta", "0.3", "--delta", "1.2", "--distance", "0:300:7.5",
+          "--f-ec", "1.5"], "sweep_three_deltas_f_ec.csv"),
+        (["--delta", "0", "--delta", "0.063", "--delta", "0.5", "--distance", "0:200:12.5",
+          "--alpha", "0.3"], "sweep_fixed_alpha.csv"),
+    ])
+    def test_golden_multi_delta_sweep(self, tmp_path, options, name):
+        out = tmp_path / name
+        assert cli.main(["sweep", *options, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / name).read_bytes()
+
     def test_default_deltas_give_three_blocks(self, tmp_path):
         out = tmp_path / "blocks.csv"
         code = cli.main(["sweep", "--distance", "0:10:10", "--alpha", "0.5",
