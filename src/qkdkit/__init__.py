@@ -9,7 +9,7 @@ Subpackages:
     cli         command-line interface
 """
 
-from .channel import ChannelParams, ZStats, channel_stats, conditional_virtual_yields, single_photon_stats, transmittance, zbasis_stats
+from .channel import ChannelParams, ZStats, conditional_virtual_yields, single_photon_stats, transmittance, zbasis_stats
 from .errors import (
     InconsistentYieldsError,
     PlanarityError,
@@ -32,7 +32,7 @@ from .estimator import (
 )
 from .keyrate import (
     OptimizeResult,
-    RatePoint,
+    SweepTable,
     binary_entropy,
     optimize_alpha,
     secret_key_rate,
@@ -76,11 +76,11 @@ __all__ = [
     "BlochVector", "BobPovm", "ChannelParams", "ConditioningReport",
     "FiberExperiment", "InconsistentYieldsError", "KrausChannel",
     "OptimizeResult", "OutcomeMixer", "PlanarityError", "QubitState",
-    "RatePoint", "SourceSet", "TransmissionFunctional", "TrialEstimate",
+    "SourceSet", "SweepTable", "TransmissionFunctional", "TrialEstimate",
     "TrialRecord", "TwoQubitFunctional", "UndefinedRateError",
     "ValidationError", "VirtualEnsemble", "WellPosednessError", "YieldTable",
     "ZStats", "basis_state", "binary_entropy", "bloch_to_density",
-    "channel_stats", "check_well_posed", "conditional_virtual_yields",
+    "check_well_posed", "conditional_virtual_yields",
     "dark_count_mixer", "encode_single_photon", "estimate_from_trial",
     "exact_yields", "fiber_experiment", "four_state_sources",
     "mdi_phase_error", "mdi_solve", "modulated_three_state_sources",

@@ -11,8 +11,9 @@ yields of the virtual states, whose squared overlaps come from
 all of them uniformly, the single-photon phase error rate is independent of
 distance whenever dark counts are negligible.
 
-The helpers are vectorized over the intensity ``alpha`` and the transmittance
-``t``, so the intensity optimizer evaluates all distances of a sweep at once.
+The helpers are vectorized over the intensity ``alpha``, the transmittance
+``t`` and the modulation error ``delta``, so the intensity optimizer evaluates
+every (delta, distance) point of a sweep at once.
 """
 
 from __future__ import annotations
@@ -109,18 +110,27 @@ def transmittance(params: ChannelParams, distance_km: ArrayLike | None = None) -
     return params.det_eff * np.reshape(powers, exponents.shape)
 
 
-def conditional_virtual_yields(params: ChannelParams, t: ArrayLike | None = None) -> np.ndarray:
+def _per_delta(fn, params: ChannelParams, delta: ArrayLike | None, shape: tuple = ()) -> np.ndarray:
+    """``fn(d)`` for each element ``d`` of ``delta`` (default ``params.delta``), by the
+    same Python ``math`` calls as for a single delta, on ``delta``'s axes then ``shape``."""
+    deltas = np.asarray(params.delta if delta is None else delta, dtype=float)
+    return np.reshape([fn(d) for d in deltas.ravel().tolist()], deltas.shape + shape)
+
+
+def conditional_virtual_yields(params: ChannelParams, t: ArrayLike | None = None,
+                               delta: ArrayLike | None = None) -> np.ndarray:
     """Conditional X-basis yields ``Y[..., s, j]`` of the two virtual states.
 
     A transmitted photon clicks detector ``s`` with probability
     ``C[s, j](3*delta/2)**2``; a dark count fires the empty detector with
     probability ``e_d``; double clicks are split evenly between the bits.
-    Vectorized over the transmittance ``t`` (default that of ``params``):
-    the result has shape ``t.shape + (2, 2)``.
+    Vectorized over the transmittance ``t`` and ``delta`` (defaults those of
+    ``params``): the result has their broadcast shape followed by ``(2, 2)``.
     """
     e_d = params.dark_count
     t = np.asarray(transmittance(params) if t is None else t)
-    arrived = t[..., None, None] * virtual_amplitudes(1.5 * params.delta) ** 2
+    arrived = t[..., None, None] * _per_delta(lambda d: virtual_amplitudes(1.5 * d) ** 2,
+                                              params, delta, (2, 2))
     return arrived * (1.0 - e_d / 2.0) + e_d * (1.0 - e_d / 2.0) + arrived[..., ::-1, :] * e_d
 
 
@@ -130,13 +140,14 @@ def virtual_priors(delta: float) -> np.ndarray:
     return np.array([(1.0 + s) / 2.0, (1.0 - s) / 2.0])
 
 
-def single_photon_terms(params: ChannelParams, t: ArrayLike | None) -> tuple[ArrayLike, ArrayLike]:
+def single_photon_terms(params: ChannelParams, t: ArrayLike | None,
+                        delta: ArrayLike | None = None) -> tuple[ArrayLike, ArrayLike]:
     """Prior-weighted conditional yield and single-photon phase error ``e_x1``.
 
     Neither depends on the intensity; ``e_x1`` is NaN where nothing clicks.
     """
-    yields = conditional_virtual_yields(params, t)
-    weighted = (yields * virtual_priors(params.delta)).sum(axis=(-2, -1))
+    yields = conditional_virtual_yields(params, t, delta)
+    weighted = (yields * _per_delta(virtual_priors, params, delta, (1, 2))).sum(axis=(-2, -1))
     with np.errstate(invalid="ignore"):
         e_x1 = (yields[..., 1, 0] + yields[..., 0, 1]) / yields.sum(axis=(-2, -1))
     return weighted, e_x1
@@ -147,40 +158,42 @@ def single_photon_gain(alpha: ArrayLike, weighted: ArrayLike) -> ArrayLike:
     return 0.5 * np.exp(-2.0 * alpha) * alpha * weighted
 
 
-def single_photon_stats(
-    params: ChannelParams, alpha: ArrayLike | None = None, t: ArrayLike | None = None
-) -> tuple[ArrayLike, ArrayLike]:
-    """Return ``(Q_z1, e_x1)``; vectorized over ``alpha`` and the transmittance ``t``."""
-    weighted, e_x1 = single_photon_terms(params, t)
+def single_photon_stats(params: ChannelParams, alpha: ArrayLike | None = None,
+                        t: ArrayLike | None = None, delta: ArrayLike | None = None) -> tuple:
+    """Return ``(Q_z1, e_x1)``; vectorized over ``alpha``, the transmittance ``t`` and ``delta``."""
+    weighted, e_x1 = single_photon_terms(params, t, delta)
     if np.any(np.isnan(e_x1)):
         raise UndefinedRateError("no single-photon detections (total loss, no darks)")
     return single_photon_gain(params.alpha if alpha is None else alpha, weighted), e_x1
 
 
-def zbasis_click_probs(params: ChannelParams, alpha: ArrayLike, t: ArrayLike) -> tuple:
+def zbasis_click_probs(params: ChannelParams, alpha: ArrayLike, t: ArrayLike,
+                       delta: ArrayLike | None = None) -> tuple:
     """Per-detector click probabilities ``(P00, P10, P01, P11)``.
 
     ``P[s|j]`` is the probability detector ``s`` fires when bit ``j`` was sent
-    with intensity ``alpha`` over transmittance ``t``.  ``-expm1(-m)`` keeps
-    full precision at a small mean photon number ``m``.
+    with intensity ``alpha`` over transmittance ``t`` at error ``delta``.
+    ``-expm1(-m)`` keeps full precision at a small mean photon number ``m``.
     """
     e_d = params.dark_count
     signal = alpha * t
-    half = params.delta / 2.0
+    sin2 = _per_delta(lambda d: math.sin(d / 2.0) ** 2, params, delta)
+    cos2 = _per_delta(lambda d: math.cos(d / 2.0) ** 2, params, delta)
     p00 = e_d + (1.0 - e_d) * -np.expm1(-signal)
-    p01 = e_d + (1.0 - e_d) * -np.expm1(-signal * math.sin(half) ** 2)
-    p11 = e_d + (1.0 - e_d) * -np.expm1(-signal * math.cos(half) ** 2)
+    p01 = e_d + (1.0 - e_d) * -np.expm1(-signal * sin2)
+    p11 = e_d + (1.0 - e_d) * -np.expm1(-signal * cos2)
     return p00, e_d, p01, p11
 
 
-def zbasis_gain_error_weight(params: ChannelParams, alpha: ArrayLike, t: ArrayLike) -> tuple:
-    """Overall gain ``Q_z`` and error weight ``w_z``; vectorized over ``alpha`` and ``t``.
+def zbasis_gain_error_weight(params: ChannelParams, alpha: ArrayLike, t: ArrayLike,
+                             delta: ArrayLike | None = None) -> tuple:
+    """Overall gain ``Q_z`` and error weight ``w_z``; vectorized over ``alpha``, ``t``, ``delta``.
 
     Per sent bit, the detection probability is the inclusive-or of the two
     detectors and the error weight counts wrong-detector-only clicks plus
     half of the double clicks (random assignment).
     """
-    p00, p10, p01, p11 = zbasis_click_probs(params, alpha, t)
+    p00, p10, p01, p11 = zbasis_click_probs(params, alpha, t, delta)
     gain = 0.5 * (p00 + p10 - p00 * p10) + 0.5 * (p01 + p11 - p01 * p11)
     weight = 0.5 * ((1.0 - p00) * p10 + 0.5 * p00 * p10) + 0.5 * (
         p01 * (1.0 - p11) + 0.5 * p01 * p11
@@ -188,19 +201,13 @@ def zbasis_gain_error_weight(params: ChannelParams, alpha: ArrayLike, t: ArrayLi
     return gain, weight
 
 
-def zbasis_stats(
-    params: ChannelParams, alpha: ArrayLike | None = None, t: ArrayLike | None = None
-) -> tuple[ArrayLike, ArrayLike]:
-    """Return ``(Q_z, e_z)`` for the key basis; vectorized over ``alpha`` and ``t``."""
+def zbasis_stats(params: ChannelParams, alpha: ArrayLike | None = None,
+                 t: ArrayLike | None = None, delta: ArrayLike | None = None) -> tuple:
+    """Return ``(Q_z, e_z)`` for the key basis; vectorized over ``alpha``, ``t`` and ``delta``."""
     alpha = params.alpha if alpha is None else alpha
-    q_z, w_z = zbasis_gain_error_weight(params, alpha, transmittance(params) if t is None else t)
+    t = transmittance(params) if t is None else t
+    q_z, w_z = zbasis_gain_error_weight(params, alpha, t, delta)
     if np.any(q_z <= 0.0):
         raise UndefinedRateError("Z-basis gain is zero; bit error rate undefined")
     return q_z, w_z / q_z
 
-
-def channel_stats(params: ChannelParams) -> ZStats:
-    """Assemble the full :class:`ZStats` record for one parameter point."""
-    q_z, e_z = zbasis_stats(params)
-    q_z1, e_x1 = single_photon_stats(params)
-    return ZStats(q_z=float(q_z), e_z=float(e_z), q_z1=float(q_z1), e_x1=float(e_x1))

@@ -56,6 +56,8 @@ EXIT_ERROR = 1
 EXIT_ILL_POSED = 2
 EXIT_UNDEFINED = 3
 
+_DISTANCE_FIELDS = ("distance_start", "distance_stop", "distance_step")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -78,7 +80,7 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("distance_start", "distance_stop", "distance_step"):
+        for name in _DISTANCE_FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValidationError(f"invalid field {name}: must be finite, got {value!r}")
@@ -112,20 +114,20 @@ class RunConfig:
 
 _FLOAT_FIELDS = {
     "dark_count", "det_eff", "atten_db_per_km", "f_ec",
-    "alpha", "alpha_min", "alpha_max", "alpha_tol",
+    "alpha", "alpha_min", "alpha_max", "alpha_tol", *_DISTANCE_FIELDS,
 }
 _INT_FIELDS = {"seed", "pulses"}
 
 
-def _parse_distance_range(text: str) -> tuple[float, float, float]:
+def _parse_distance_range(text: str) -> dict[str, float]:
+    """``START:STOP:STEP`` as RunConfig keyword arguments."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"invalid field distance: expected START:STOP:STEP, got {text!r}")
     try:
-        start, stop, step = (float(p) for p in parts)
+        return dict(zip(_DISTANCE_FIELDS, (float(p) for p in parts)))
     except ValueError:
         raise ValidationError(f"invalid field distance: non-numeric part in {text!r}") from None
-    return start, stop, step
 
 
 def _config_from_mapping(values: dict[str, str]) -> dict[str, object]:
@@ -134,8 +136,7 @@ def _config_from_mapping(values: dict[str, str]) -> dict[str, object]:
     out: dict[str, object] = {}
     for key, raw in values.items():
         if key == "distance":
-            start, stop, step = _parse_distance_range(raw)
-            out["distance_start"], out["distance_stop"], out["distance_step"] = start, stop, step
+            out.update(_parse_distance_range(raw))
             continue
         if key not in known:
             raise ValidationError(f"unknown config field {key!r}")
@@ -146,8 +147,6 @@ def _config_from_mapping(values: dict[str, str]) -> dict[str, object]:
                 out[key] = float(raw)
             elif key in _INT_FIELDS:
                 out[key] = int(raw)
-            elif key in ("distance_start", "distance_stop", "distance_step"):
-                out[key] = float(raw)
             else:
                 out[key] = raw
         except ValueError:
@@ -194,29 +193,13 @@ def _atomic_write(path: str, text: str) -> None:
 def cmd_sweep(config: RunConfig) -> int:
     if config.out is None:
         raise ValidationError("invalid field out: sweep requires an output path")
-    params = config.channel_params(0.0, 0.0)
-    lines = [",".join(SWEEP_HEADER)]
-    for delta in config.delta:
-        points = keyrate.sweep(
-            config.distances(),
-            delta,
-            params,
-            f_ec=config.f_ec,
-            bounds=(config.alpha_min, config.alpha_max),
-            tol=config.alpha_tol,
-            alpha=config.alpha,
-        )
-        for point in points:
-            lines.append(",".join([
-                _format(delta),
-                _format(point.distance_km),
-                _format(point.alpha_opt),
-                _format(point.q_z),
-                _format(point.e_z),
-                _format(point.q_z1),
-                _format(point.e_x1),
-                _format(point.rate),
-            ]))
+    table = keyrate.sweep(config.distances(), config.delta, config.channel_params(0.0, 0.0),
+                          f_ec=config.f_ec, bounds=(config.alpha_min, config.alpha_max),
+                          tol=config.alpha_tol, alpha=config.alpha)
+    # "%.17g" % x gives the bytes of _format(x)
+    row = ",".join(["%.17g"] * len(SWEEP_HEADER))
+    columns = (getattr(table, f.name).tolist() for f in fields(table))
+    lines = [",".join(SWEEP_HEADER), *(row % values for values in zip(*columns))]
     _atomic_write(config.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -511,25 +494,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     kwargs: dict[str, object] = {}
     if args.config is not None:
         kwargs.update(load_config_file(args.config))
-    if args.out is not None:
-        kwargs["out"] = args.out
+    kwargs.update({name: getattr(args, name) for name in ("out", "alpha", "seed", "pulses", "f_ec")
+                   if getattr(args, name) is not None})
     if args.delta:
         kwargs["delta"] = tuple(args.delta)
     if args.distance is not None:
-        start, stop, step = _parse_distance_range(args.distance)
-        kwargs["distance_start"], kwargs["distance_stop"], kwargs["distance_step"] = (
-            start, stop, step,
-        )
-    if args.alpha is not None:
-        kwargs["alpha"] = args.alpha
+        kwargs.update(_parse_distance_range(args.distance))
     if args.optimize:
         kwargs["alpha"] = None
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.pulses is not None:
-        kwargs["pulses"] = args.pulses
-    if args.f_ec is not None:
-        kwargs["f_ec"] = args.f_ec
     return RunConfig(**kwargs)
 
 

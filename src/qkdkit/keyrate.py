@@ -5,11 +5,12 @@ The rate per pulse is
     R = max(0, 1/2 * (Q_z1 * (1 - h(e_x1)) - f_ec * Q_z * h(e_z)))
 
 where ``f_ec >= 1`` multiplies the error-correction term (``f_ec = 1``
-recovers the bare formula).  The signal intensity is optimized per distance
+recovers the bare formula).  The signal intensity is optimized per point
 with a deterministic coarse log-grid scan followed by golden-section
 refinement, so repeated sweeps are bit-identical.  A sweep runs that search
-over all of its distances at once, as array operations, with the same grid and
-golden-section rule at every distance.
+over every (delta, distance) point at once, as array operations on a table
+with delta on the leading axis, with the same grid and golden-section rule at
+every point, and returns its results as columns.
 """
 
 from __future__ import annotations
@@ -63,16 +64,16 @@ def secret_key_rate(stats: ZStats, f_ec: float = DEFAULT_F_EC) -> float:
     return max(rate, 0.0)
 
 
-def _rate_function(params: ChannelParams, t: np.ndarray, f_ec: float):
-    """Key rate as a function of the intensity over the transmittance column ``t``;
+def _rate_function(params: ChannelParams, t: np.ndarray, f_ec: float, delta: ArrayLike | None):
+    """Key rate as a function of the intensity over the columns ``t`` and ``delta``;
     the pieces that do not depend on the intensity are computed here, once."""
     _check_f_ec(f_ec)
-    weighted, e_x1 = single_photon_terms(params, t)
+    weighted, e_x1 = single_photon_terms(params, t, delta)
     # where nothing clicks the weighted yield and Q_z vanish, so R = 0 for any e_x1
     pa_factor = 1.0 - binary_entropy(np.nan_to_num(e_x1))
 
     def rates(alpha: ArrayLike) -> np.ndarray:
-        gain, weight = zbasis_gain_error_weight(params, alpha, t)
+        gain, weight = zbasis_gain_error_weight(params, alpha, t, delta)
         e_z = np.where(gain > 0.0, weight / np.where(gain > 0.0, gain, 1.0), 0.0)
         q_z1 = single_photon_gain(alpha, weighted)
         return np.maximum(0.5 * (q_z1 * pa_factor - f_ec * gain * binary_entropy(e_z)), 0.0)
@@ -102,8 +103,8 @@ def _optimize(rates, bounds: tuple[float, float], tol: float) -> tuple[np.ndarra
         raise ValidationError(f"alpha_tol must be finite and > 0, got {tol!r}")
     grid = np.geomspace(lo, hi, COARSE_GRID_POINTS)
     grid_rates = rates(grid)
-    best_idx = grid_rates.argmax(axis=1)[:, None]
-    best_alpha, best_rate = grid[best_idx], np.take_along_axis(grid_rates, best_idx, axis=1)
+    best_idx = grid_rates.argmax(axis=-1)[..., None]
+    best_alpha, best_rate = grid[best_idx], np.take_along_axis(grid_rates, best_idx, axis=-1)
     zero_rate = best_rate <= 0.0  # rates are clamped, so these keep rate 0.0
     a, b = grid[np.maximum(best_idx - 1, 0)], grid[np.minimum(best_idx + 1, COARSE_GRID_POINTS - 1)]
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
@@ -140,67 +141,77 @@ def optimize_alpha(
     bracketing interval around the grid argmax by golden-section search to a
     relative width of ``tol``.  The returned rate is never below any coarse
     grid value.  ``params.alpha`` is ignored.  This is the one-point case of
-    the search :func:`sweep` runs over all of its distances at once.
+    the search :func:`sweep` runs over all of its points at once.
 
     Returns:
         zero_rate is True when the rate is non-positive on the whole grid;
         the grid argmax is still reported as ``alpha``.
     """
-    rates = _rate_function(params, np.reshape(transmittance(params), (1, 1)), f_ec)
+    rates = _rate_function(params, np.reshape(transmittance(params), (1, 1)), f_ec, None)
     alpha, rate, zero_rate = _optimize(rates, bounds, tol)
     return OptimizeResult(alpha=float(alpha[0]), rate=float(rate[0]), zero_rate=bool(zero_rate[0]))
 
 
 @dataclass(frozen=True)
-class RatePoint:
-    """Per-distance sweep record."""
+class SweepTable:
+    """Sweep results as columns, one row per (delta, distance) point, all
+    distances of the first delta first; the checks run once per column."""
 
-    distance_km: float
-    alpha_opt: float
-    q_z: float
-    e_z: float
-    q_z1: float
-    e_x1: float
-    rate: float
+    delta: np.ndarray
+    distance_km: np.ndarray
+    alpha_opt: np.ndarray
+    q_z: np.ndarray
+    e_z: np.ndarray
+    q_z1: np.ndarray
+    e_x1: np.ndarray
+    rate: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.rate >= 0.0:
-            raise ValidationError(f"rate must be a number clamped at zero, got {self.rate!r}")
-        if not self.alpha_opt > 0.0:
-            raise ValidationError("alpha_opt must be positive")
-        # the probability checks and Q_z1 <= Q_z, as for the stats record
-        ZStats(q_z=self.q_z, e_z=self.e_z, q_z1=self.q_z1, e_x1=self.e_x1)
+        # the checks of a single point, once per column; NaN fails each range test
+        tests = {"rate": self.rate >= 0.0, "alpha_opt": self.alpha_opt > 0.0}
+        tests.update({name: (getattr(self, name) >= 0.0) & (getattr(self, name) <= 1.0)
+                      for name in ("q_z", "e_z", "q_z1", "e_x1")})
+        for name, ok in tests.items():
+            if not ok.all():
+                bad = float(getattr(self, name)[~ok][0])
+                raise ValidationError(f"{name} = {bad!r} is out of range")
+        if np.any(self.q_z1 > self.q_z + 1e-12):
+            raise ValidationError("single-photon gain exceeds the overall gain")
 
 
 def sweep(
     distances: Sequence[float],
-    delta: float,
+    deltas: Sequence[float],
     params: ChannelParams,
     f_ec: float = DEFAULT_F_EC,
     bounds: tuple[float, float] = DEFAULT_ALPHA_BOUNDS,
     tol: float = DEFAULT_ALPHA_TOL,
     alpha: float | None = None,
-) -> list[RatePoint]:
-    """Evaluate the (optimized) key rate at each distance.
+) -> SweepTable:
+    """Evaluate the (optimized) key rate at every (delta, distance) point.
 
-    All distances are evaluated together as array operations; each point's
-    result depends on that point alone, so the output is independent of the
-    ordering of ``distances``.  Passing ``alpha`` skips optimization and
-    evaluates at that fixed intensity.
+    All points are evaluated together as array operations, with the deltas on
+    the leading axis; each point's result depends on that point alone, so a
+    row does not depend on the other deltas or distances or their order.
+    Passing ``alpha`` skips optimization and evaluates at that fixed intensity.
     """
     distances = np.asarray(distances, dtype=float)
     if np.any(distances < 0.0):
         raise ValidationError("distances must be non-negative")
     if not np.all(np.isfinite(distances)):
         raise ValidationError("distances must be finite")
-    params = params.at(delta=float(delta), alpha=params.alpha if alpha is None else float(alpha))
+    params = params.at(alpha=params.alpha if alpha is None else float(alpha))
+    # ChannelParams checks each delta
+    delta = np.array([params.at(delta=float(d)).delta for d in deltas], dtype=float)[:, None, None]
     t = transmittance(params, distances)[:, None]
-    rates = _rate_function(params, t, f_ec)
+    rates = _rate_function(params, t, f_ec, delta)
     if alpha is None:
         alpha_opt, rate, _ = _optimize(rates, bounds, tol)
     else:
-        alpha_opt, rate = np.full(len(distances), params.alpha), rates(params.alpha)
-    q_z, e_z = zbasis_stats(params, alpha_opt[:, None], t)
-    q_z1, e_x1 = single_photon_stats(params, alpha_opt[:, None], t)
-    columns = (distances, alpha_opt, q_z, e_z, q_z1, e_x1, rate)
-    return [RatePoint(*row) for row in zip(*(np.ravel(c).tolist() for c in columns))]
+        rate = rates(params.alpha).ravel()
+        alpha_opt = np.full(rate.shape, params.alpha)
+    at = alpha_opt.reshape(len(delta), len(distances), 1)
+    q_z, e_z = zbasis_stats(params, at, t, delta)
+    q_z1, e_x1 = single_photon_stats(params, at, t, delta)
+    return SweepTable(np.repeat(delta.ravel(), len(distances)), np.tile(distances, len(delta)),
+                      alpha_opt, q_z.ravel(), e_z.ravel(), q_z1.ravel(), e_x1.ravel(), rate)

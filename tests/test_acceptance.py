@@ -229,12 +229,12 @@ DISTANCES = [float(d) for d in range(0, 151, 5)]
 
 
 def _sweep_rates(delta):
-    return qk.sweep(DISTANCES, delta, DEFAULTS, f_ec=1.22)
+    return qk.sweep(DISTANCES, [delta], DEFAULTS, f_ec=1.22).rate
 
 
 def test_criterion_6a_positive_rate_at_100km():
     start = time.monotonic()
-    rates = {d: _sweep_rates(d)[DISTANCES.index(100.0)].rate for d in (0.0, 0.063, 0.126)}
+    rates = {d: _sweep_rates(d)[DISTANCES.index(100.0)] for d in (0.0, 0.063, 0.126)}
     elapsed = time.monotonic() - start
     ok = all(r > 0.0 for r in rates.values()) and elapsed <= 30.0
     assert report(
@@ -249,9 +249,9 @@ def test_criterion_6b_modulation_error_rate_ratio():
     base = _sweep_rates(0.0)
     modulated = _sweep_rates(0.126)
     ratios = [
-        (p0.distance_km, p1.rate / p0.rate)
-        for p0, p1 in zip(base, modulated)
-        if p0.rate > 1e-10
+        (distance, r1 / r0)
+        for distance, r0, r1 in zip(DISTANCES, base, modulated)
+        if r0 > 1e-10
     ]
     worst_distance, worst = min(ratios, key=lambda item: item[1])
     ok = worst >= 0.85

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qkdkit.keyrate import (
     COARSE_GRID_POINTS,
     binary_entropy,
     optimize_alpha,
+    SweepTable,
     secret_key_rate,
     sweep,
 )
@@ -181,19 +183,25 @@ SEARCH_CASES = [
 ]
 
 
+SEARCH_DELTAS = [0.0, 0.063, 0.126, 0.5]
+
+
 class TestBatchedOptimizer:
     """The batched search equals the scalar specification bit for bit."""
 
-    @pytest.mark.parametrize("delta", [0.0, 0.063, 0.126, 0.5])
+    @pytest.mark.parametrize("delta", SEARCH_DELTAS)
     @pytest.mark.parametrize("distances,bounds,tol,f_ec", SEARCH_CASES)
     def test_sweep_and_optimize_alpha_match_reference(self, delta, distances, bounds, tol, f_ec):
-        points = sweep(distances, delta, DEFAULTS, f_ec=f_ec, bounds=bounds, tol=tol)
-        for distance, point in zip(distances, points):
+        # one search over all four deltas; the rows of ``delta`` are checked
+        table = sweep(distances, SEARCH_DELTAS, DEFAULTS, f_ec=f_ec, bounds=bounds, tol=tol)
+        block = table.delta == delta
+        assert table.distance_km[block].tolist() == distances
+        for distance, alpha_opt, rate in zip(distances, table.alpha_opt[block], table.rate[block]):
             params = DEFAULTS.at(distance_km=distance, delta=delta)
-            alpha, rate, zero_rate = reference_optimize(params, bounds, tol, f_ec)
+            alpha, rate_ref, zero_rate = reference_optimize(params, bounds, tol, f_ec)
             result = optimize_alpha(params, bounds=bounds, tol=tol, f_ec=f_ec)
-            assert (result.alpha, result.rate, result.zero_rate) == (alpha, rate, zero_rate)
-            assert (point.alpha_opt, point.rate) == (alpha, rate)
+            assert (result.alpha, result.rate, result.zero_rate) == (alpha, rate_ref, zero_rate)
+            assert (alpha_opt, rate) == (alpha, rate_ref)
 
     def test_cases_reach_bounds_and_zero_rate(self):
         # guards SEARCH_CASES: they must keep covering the edge cases they name
@@ -204,38 +212,88 @@ class TestBatchedOptimizer:
         assert upper[0] > 0.05 * (1.0 - 1e-3) and lower[0] < 0.6 * (1.0 + 1e-4)
 
 
+def rows(table):
+    """The rows of a sweep table as tuples of the bytes of each cell."""
+    columns = [getattr(table, f.name) for f in fields(table)]
+    return list(zip(*([x.tobytes() for x in column] for column in columns)))
+
+
 class TestSweep:
     def test_empty_distances(self):
-        assert sweep([], 0.0, DEFAULTS) == []
+        for distances, deltas in (([], [0.0]), ([0.0, 10.0], []), ([], [])):
+            table = sweep(distances, deltas, DEFAULTS)
+            assert all(getattr(table, f.name).shape == (0,) for f in fields(table))
 
     def test_order_invariance(self):
         distances = [0.0, 40.0, 80.0]
-        forward = sweep(distances, 0.063, DEFAULTS)
-        backward = sweep(distances[::-1], 0.063, DEFAULTS)
-        assert forward == backward[::-1]
+        forward = sweep(distances, [0.063], DEFAULTS)
+        backward = sweep(distances[::-1], [0.063], DEFAULTS)
+        assert rows(forward) == rows(backward)[::-1]
+
+    @pytest.mark.parametrize("alpha", [None, 0.3])
+    def test_rows_do_not_depend_on_other_deltas(self, alpha):
+        # each delta's block equals its own single-delta sweep bit for bit, and
+        # reversing the deltas only reverses the blocks
+        distances, deltas = [0.0, 1e-9, 37.5, 149.5, 500.0], [0.0, 0.063, 0.126, 0.5, 1.2]
+        table = rows(sweep(distances, deltas, DEFAULTS, f_ec=1.5, alpha=alpha))
+        blocks = [table[i:i + len(distances)] for i in range(0, len(table), len(distances))]
+        singles = [rows(sweep(distances, [d], DEFAULTS, f_ec=1.5, alpha=alpha)) for d in deltas]
+        assert blocks == singles
+        reverse = rows(sweep(distances, deltas[::-1], DEFAULTS, f_ec=1.5, alpha=alpha))
+        assert reverse == [row for block in blocks[::-1] for row in block]
 
     def test_monotone_rate(self):
-        points = sweep(list(np.arange(0.0, 151.0, 10.0)), 0.063, DEFAULTS)
-        rates = [p.rate for p in points]
+        rates = sweep(list(np.arange(0.0, 151.0, 10.0)), [0.063], DEFAULTS).rate
         assert all(a >= b - 1e-15 for a, b in zip(rates, rates[1:]))
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValidationError):
-            sweep([-1.0], 0.0, DEFAULTS)
+            sweep([-1.0], [0.0], DEFAULTS)
 
     @pytest.mark.parametrize("distance", [math.nan, math.inf])
     def test_non_finite_distance_rejected(self, distance):
         with pytest.raises(ValidationError, match="finite"):
-            sweep([10.0, distance], 0.0, DEFAULTS)
+            sweep([10.0, distance], [0.0], DEFAULTS)
+
+    @pytest.mark.parametrize("delta", [-0.1, 2.0 * math.pi / 3.0, math.nan])
+    def test_out_of_range_delta_rejected(self, delta):
+        with pytest.raises(ValidationError, match="delta"):
+            sweep([10.0], [0.0, delta], DEFAULTS)
 
     def test_fixed_alpha_skips_optimization(self):
-        points = sweep([0.0, 50.0], 0.0, DEFAULTS, alpha=0.3)
-        assert all(p.alpha_opt == 0.3 for p in points)
+        table = sweep([0.0, 50.0], [0.0, 0.126], DEFAULTS, alpha=0.3)
+        assert table.alpha_opt.tolist() == [0.3] * 4
 
     def test_ratio_nearly_constant_without_darks(self):
         params = DEFAULTS.at(dark_count=0.0)
         distances = list(np.arange(0.0, 101.0, 20.0))
-        base = sweep(distances, 0.0, params)
-        mod = sweep(distances, 0.126, params)
-        ratios = [m.rate / b.rate for b, m in zip(base, mod) if b.rate > 1e-10]
+        base, mod = sweep(distances, [0.0, 0.126], params).rate.reshape(2, -1)
+        ratios = [m / b for b, m in zip(base, mod) if b > 1e-10]
         assert max(ratios) - min(ratios) <= 0.02 * max(ratios)
+
+
+class TestSweepTable:
+    """The record checks run once per column."""
+
+    GOOD = dict(delta=[0.0, 0.1], distance_km=[0.0, 5.0], alpha_opt=[0.5, 0.4],
+                q_z=[0.1, 0.05], e_z=[0.01, 0.02], q_z1=[0.05, 0.02], e_x1=[0.0, 0.01],
+                rate=[0.02, 0.0])
+
+    def table(self, **changes):
+        return SweepTable(**{k: np.array(changes.get(k, v)) for k, v in self.GOOD.items()})
+
+    def test_valid_columns_accepted(self):
+        assert self.table().rate.tolist() == [0.02, 0.0]
+
+    @pytest.mark.parametrize("column, values, message", [
+        ("rate", [0.02, math.nan], "rate = nan is out of range"),
+        ("rate", [-1e-3, 0.0], "rate = -0.001 is out of range"),
+        ("alpha_opt", [0.5, 0.0], "alpha_opt = 0.0 is out of range"),
+        ("e_z", [0.01, 1.5], "e_z = 1.5 is out of range"),
+        ("q_z", [math.inf, 0.05], "q_z = inf is out of range"),
+        ("e_x1", [math.nan, 0.0], "e_x1 = nan is out of range"),
+        ("q_z1", [0.05, 0.06], "single-photon gain exceeds the overall gain"),
+    ])
+    def test_bad_column_rejected(self, column, values, message):
+        with pytest.raises(ValidationError, match=message):
+            self.table(**{column: values})
