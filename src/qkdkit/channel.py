@@ -105,7 +105,8 @@ def transmittance(params: ChannelParams, distance_km: ArrayLike | None = None) -
     """
     if distance_km is None:
         distance_km = params.distance_km
-    exponents = -params.atten_db_per_km * np.asarray(distance_km, dtype=float) / 10.0
+    with np.errstate(over="ignore"):  # a loss past 1.8e308 dB is -inf, where T is 0
+        exponents = -params.atten_db_per_km * np.asarray(distance_km, dtype=float) / 10.0
     powers = [10.0 ** x for x in exponents.ravel().tolist()]
     return params.det_eff * np.reshape(powers, exponents.shape)
 
@@ -155,7 +156,8 @@ def single_photon_terms(params: ChannelParams, t: ArrayLike | None,
 
 def single_photon_gain(alpha: ArrayLike, weighted: ArrayLike) -> ArrayLike:
     """Single-photon Z-basis gain from the prior-weighted yield; vectorized."""
-    return 0.5 * np.exp(-2.0 * alpha) * alpha * weighted
+    with np.errstate(over="ignore"):  # -2 * alpha is -inf past 9e307, where the gain is 0
+        return 0.5 * np.exp(-2.0 * alpha) * alpha * weighted
 
 
 def single_photon_stats(params: ChannelParams, alpha: ArrayLike | None = None,

@@ -19,7 +19,9 @@ Exit codes: 0 success, 1 validation or I/O error, 2 ill-posed sources,
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
+import functools
 import math
 import os
 import sys
@@ -56,6 +58,7 @@ EXIT_ERROR = 1
 EXIT_ILL_POSED = 2
 EXIT_UNDEFINED = 3
 
+MAX_DISTANCE_POINTS = 2**17  # a (points, 64) float64 grid of the search is 64 MiB per delta
 _DISTANCE_FIELDS = ("distance_start", "distance_stop", "distance_step")
 
 
@@ -92,14 +95,15 @@ class RunConfig:
             raise ValidationError("invalid field pulses: must be in [0, 2**63 - 1]")
 
     def distances(self) -> list[float]:
-        out = []
-        i = 0
-        while True:
-            d = self.distance_start + i * self.distance_step
-            if d > self.distance_stop + 1e-9:
-                return out
-            out.append(d)
-            i += 1
+        """``start + i*step`` for each ``i`` with ``start + i*step <= stop + 1e-9``."""
+        start, step, limit = self.distance_start, self.distance_step, self.distance_stop + 1e-9
+        if start + MAX_DISTANCE_POINTS * step <= limit:
+            raise ValidationError(f"invalid field distance: {start!r}:{self.distance_stop!r}:"
+                                  f"{step!r} gives more than {MAX_DISTANCE_POINTS} points")
+        # the test is monotone in i, so bisect for the first i that fails it
+        count = bisect.bisect_left(range(MAX_DISTANCE_POINTS), True,
+                                   key=lambda i: start + i * step > limit)
+        return [start + i * step for i in range(count)]
 
     def channel_params(self, distance_km: float, delta: float) -> ChannelParams:
         return ChannelParams(
@@ -463,7 +467,9 @@ def cmd_mdi_estimate(config: RunConfig, yields_path: str) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qkdkit",
         description="Loss-tolerant phase-error estimation and key-rate simulation",

@@ -117,6 +117,7 @@ def _optimize(rates, bounds: tuple[float, float], tol: float) -> tuple[np.ndarra
             best_alpha, best_rate = np.where(better, x, best_alpha), np.where(better, fx, best_rate)
         if not active.any():
             return best_alpha.ravel(), best_rate.ravel(), zero_rate.ravel()
+        width = b - a
         left = active & (fc >= fd)  # keep [a, d]; the old c becomes d
         right = active & ~left  # keep [c, b]; the old d becomes c
         a, b = np.where(right, c, a), np.where(left, d, b)
@@ -126,7 +127,8 @@ def _optimize(rates, bounds: tuple[float, float], tol: float) -> tuple[np.ndarra
         f_probe = rates(probe)
         c, fc = np.where(left, probe, c), np.where(left, f_probe, fc)
         d, fd = np.where(right, probe, d), np.where(right, f_probe, fd)
-        active &= (b - a) > tol * np.maximum(a, lo)
+        # a bracket a few ulps wide can stop shrinking before any tol below ~4e-16 is met
+        active &= ((b - a) > tol * np.maximum(a, lo)) & ((b - a) < width)
 
 
 def optimize_alpha(
@@ -196,10 +198,8 @@ def sweep(
     Passing ``alpha`` skips optimization and evaluates at that fixed intensity.
     """
     distances = np.asarray(distances, dtype=float)
-    if np.any(distances < 0.0):
-        raise ValidationError("distances must be non-negative")
-    if not np.all(np.isfinite(distances)):
-        raise ValidationError("distances must be finite")
+    if not np.all(np.isfinite(distances) & (distances >= 0.0)):
+        raise ValidationError("distances must be finite and non-negative")
     params = params.at(alpha=params.alpha if alpha is None else float(alpha))
     # ChannelParams checks each delta
     delta = np.array([params.at(delta=float(d)).delta for d in deltas], dtype=float)[:, None, None]

@@ -321,8 +321,9 @@ def virtual_amplitudes(delta: float) -> np.ndarray:
 
     Columns are normalized; at ``delta = 0`` the matrix is the identity.
     """
-    if not (math.isfinite(delta) and 0.0 <= delta < math.pi):
-        raise ValidationError(f"delta must be in [0, pi), got {delta!r}")
+    # within about 2e-8 of pi, sin(delta/2) rounds to 1 and the second column to 0/0
+    if not (math.isfinite(delta) and 0.0 <= delta < math.pi and math.sin(delta / 2.0) < 1.0):
+        raise ValidationError(f"delta must be in [0, pi) with sin(delta/2) < 1, got {delta!r}")
     s = math.sin(delta / 2.0)
     c = math.cos(delta / 2.0)
     rp = 2.0 * math.sqrt(1.0 + s)

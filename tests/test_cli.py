@@ -4,6 +4,7 @@ import io
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,155 @@ class TestSweepCommand:
     def test_requires_out(self, capsys):
         assert cli.main(["sweep", "--delta", "0.0", "--alpha", "0.5"]) == 1
         assert "out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("distance", ["0:10:1e-12", "1e300:1e300:1"])
+    def test_too_many_distances_rejected(self, tmp_path, capsys, distance):
+        # the first looped for hours; in the second start + i*step never
+        # passes stop, so the loop ran until memory ran out
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--delta", "0", "--alpha", "0.5", "--distance", distance, "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid field distance:") and "more than" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, 150.0, 5.0), (0.0, 0.3, 0.1), (0.0, 1e-9, 1e-9), (0.1, 0.7, 0.2), (10.0, 0.0, 5.0),
+        (5.0, 5.0, 1.0), (1e300, 1e300, 1e300), (0.0, 1.0, 1.0 / 3.0), (-5.0, 5.0, 2.5),
+    ])
+    def test_distance_count_keeps_loop_boundary(self, start, stop, step):
+        expected, i = [], 0
+        while start + i * step <= stop + 1e-9:
+            expected.append(start + i * step)
+            i += 1
+        config = cli.RunConfig(distance_start=start, distance_stop=stop, distance_step=step)
+        assert config.distances() == expected
+
+    def test_distance_count_limit(self):
+        limit = cli.MAX_DISTANCE_POINTS
+        assert limit > 10**5
+        last = float(limit - 1)
+        assert len(cli.RunConfig(distance_stop=last, distance_step=1.0).distances()) == limit
+        with pytest.raises(cli.ValidationError, match="invalid field distance"):
+            cli.RunConfig(distance_stop=last + 1.0, distance_step=1.0).distances()
+
+    def test_delta_just_below_limit_rejected(self, tmp_path, capsys):
+        # 3*delta/4 rounds to within 1e-8 of pi/2: a raw ZeroDivisionError before
+        argv = ["sweep", "--delta", "2.09439510239319", "--distance", "0:10:5",
+                "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: delta must be in [0, pi)")
+
+    def test_alpha_tol_below_float_resolution_ends(self, tmp_path):
+        # the bracket stops shrinking a few ulps wide; the search used to loop forever
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha_tol = 1e-17\n")
+        argv = ["sweep", "--delta", "0", "--distance", "0:10:5", "--config", str(config),
+                "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 0
+
+    def test_huge_loss_prints_no_warning(self, tmp_path, capsys):
+        # the loss in dB overflows to -inf; the transmittance 0 is right
+        config = tmp_path / "run.cfg"
+        config.write_text("atten_db_per_km = 1e308\n")
+        argv = ["sweep", "--delta", "0", "--distance", "5:5:1", "--alpha", "0.5",
+                "--config", str(config), "--out", str(tmp_path / "x.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        row = (tmp_path / "x.csv").read_text().splitlines()[1].split(",")
+        assert row[6:] == ["0.5", "0"]  # e_x1 of dark counts alone, and R
+
+    def test_huge_alpha_prints_no_warning(self, tmp_path, capsys):
+        # -2 * alpha overflows in the single-photon gain, whose value 0 is right
+        argv = ["sweep", "--delta", "0", "--distance", "0:10:5", "--alpha", "1e308",
+                "--out", str(tmp_path / "x.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        rates = [line.split(",")[-1] for line in (tmp_path / "x.csv").read_text().splitlines()[1:]]
+        assert rates == ["0", "0", "0"]
+
+
+class TestParserReuse:
+    def test_mixed_commands_match_fresh_parser(self, tmp_path, capsys):
+        # one cached parser serves every call; each call prints and writes what
+        # a freshly built parser gives, and no --delta list leaks into the next
+        calls = [
+            ["sweep", "--delta", "0.3", "--distance", "0:10:5", "--alpha", "0.5"],
+            ["estimate", str(DATA / "estimate_planar.csv")],
+            ["simulate", "--pulses", "1000", "--seed", "3", "--distance", "5:5:1"],
+            ["sweep", "--distance", "0:10:5", "--alpha", "0.5"],
+        ]
+
+        def run(k, argv, fresh):
+            if fresh:
+                cli.build_parser.cache_clear()
+            out = tmp_path / f"{k}-{fresh}.out"
+            rc = cli.main(argv + ["--out", str(out)])
+            captured = capsys.readouterr()
+            return rc, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+        cli.build_parser.cache_clear()
+        reused = [run(k, argv, fresh=False) for k, argv in enumerate(calls)]
+        assert cli.build_parser.cache_info().misses == 1
+        assert reused == [run(k, argv, fresh=True) for k, argv in enumerate(calls)]
+        assert all(rc == 0 for rc, *_ in reused)
+        rows = reused[3][3].decode().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0"] * 3 + ["0.063"] * 3 + ["0.126"] * 3
+
+
+DISTANCE_PARTS = ["0", "5", "7.5", "150", "1e-300", "1e-12", "1e300", "1e308", "-1", "nan",
+                  "inf", "x", ""]
+DELTAS = ["0", "0.063", "1.2", "2.0943951023931953", "2.09439510239319", "-0.1", "3.2", "nan",
+          "inf", "1e308"]
+EXTREMES = ["5e-324", "1e-308", "1e-4", "0.5", "1", "1.22", "2", "1e308", "0", "-1", "nan", "inf"]
+CONFIG_LINES = [f"{key} = {value}" for key in ("alpha_min", "alpha_max", "alpha_tol", "f_ec",
+                                               "dark_count", "det_eff", "atten_db_per_km", "alpha")
+                for value in EXTREMES] + ["delta = 0 0.5", "delta = 3", "delta =", "distance = 0:150:7.5",
+                                          "distance = 0:1e300:1", "distance = 1:2", "bogus = 1"]
+
+
+class TestSweepArgvFuzz:
+    @settings(max_examples=200, deadline=2000)
+    @given(
+        distance=st.tuples(*[st.sampled_from(DISTANCE_PARTS)] * 3),
+        deltas=st.lists(st.sampled_from(DELTAS), max_size=3),
+        alpha=st.one_of(st.none(), st.sampled_from(EXTREMES)),
+        f_ec=st.one_of(st.none(), st.sampled_from(EXTREMES)),
+        optimize=st.booleans(),
+        config=st.lists(st.sampled_from(CONFIG_LINES), max_size=4),
+    )
+    def test_sweep_never_escapes(self, distance, deltas, alpha, f_ec, optimize, config):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["sweep", f"--distance={':'.join(distance)}", "--out", os.path.join(tmp, "x.csv")]
+            argv += [f"--delta={d}" for d in deltas]
+            argv += [f"--alpha={alpha}"] * (alpha is not None) + [f"--f-ec={f_ec}"] * (f_ec is not None)
+            argv += ["--optimize"] * optimize
+            if config:
+                path = os.path.join(tmp, "run.cfg")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write("\n".join(config) + "\n")
+                argv += ["--config", path]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    rc = cli.main(argv)
+                except SystemExit as exc:  # an argparse usage error
+                    rc = exc.code
+                    assert rc == 2 and "error:" in err.getvalue()
+                    return
+        assert rc in (0, 1, 2, 3)
+        assert not caught, [str(w.message) for w in caught]
+        assert out.getvalue() == ""
+        if rc:
+            assert err.getvalue().startswith("error:")
+        else:
+            assert err.getvalue() == ""
 
 
 class TestEstimateCommand:

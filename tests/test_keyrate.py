@@ -55,10 +55,12 @@ def reference_optimize(params, bounds=(1e-4, 1.0), tol=1e-4, f_ec=1.22):
     a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, COARSE_GRID_POINTS - 1)])
     c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
     fc, fd = rate_at(c), rate_at(d)
-    while (b - a) > tol * max(a, lo):
+    shrinking = True
+    while shrinking and (b - a) > tol * max(a, lo):
         for x, fx in ((c, fc), (d, fd)):
             if fx > best_rate:
                 best_alpha, best_rate = x, fx
+        width = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -67,6 +69,7 @@ def reference_optimize(params, bounds=(1e-4, 1.0), tol=1e-4, f_ec=1.22):
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
             fd = rate_at(d)
+        shrinking = (b - a) < width  # a bracket a few ulps wide can stop shrinking
     for x, fx in ((c, fc), (d, fd)):
         if fx > best_rate:
             best_alpha, best_rate = x, fx
@@ -173,13 +176,15 @@ class TestOptimizeAlpha:
 
 # (distances, bounds, tol, f_ec): defaults; a tighter interval, tolerance and
 # f_ec; optima on the upper bound (alpha_max 0.05) and on the lower bound
-# (alpha_min 0.6); a tolerance the first bracket already meets; 500 km has no key
+# (alpha_min 0.6); a tolerance the first bracket already meets; a tolerance below
+# float resolution, where the bracket stops shrinking; 500 km has no key
 SEARCH_CASES = [
     ([0.0, 1e-9, 37.5, 100.0, 149.5, 500.0], (1e-4, 1.0), 1e-4, 1.22),
     ([0.0, 60.0, 130.0, 250.0], (1e-3, 0.3), 1e-7, 1.0),
     ([0.0, 80.0, 140.0], (1e-5, 0.05), 1e-3, 1.5),
     ([0.0, 80.0, 140.0], (0.6, 2.0), 1e-4, 1.22),
     ([10.0, 90.0], (1e-4, 1.0), 0.5, 1.1),
+    ([0.0, 60.0, 140.0], (1e-4, 1.0), 1e-17, 1.22),
 ]
 
 

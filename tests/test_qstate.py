@@ -128,6 +128,12 @@ class TestVirtualStates:
         norms = (coeffs**2).sum(axis=0)
         assert np.abs(norms - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("delta", [math.pi, math.pi - 1e-8, 3.141592653589785])
+    def test_delta_whose_sine_rounds_to_one_rejected(self, delta):
+        # sin(delta/2) == 1.0 in double precision: the second column was 0/0
+        with pytest.raises(ValidationError, match="delta must be in"):
+            virtual_amplitudes(delta)
+
     @settings(max_examples=50)
     @given(delta=st.floats(0.0, 0.5))
     def test_ensemble_planar_and_normalized(self, delta):
