@@ -248,28 +248,20 @@ class TestSweepCommand:
                 "--out", str(tmp_path / "x.csv")]
         assert cli.main(argv) == 0
 
-    def test_huge_loss_prints_no_warning(self, tmp_path, capsys):
-        # the loss in dB overflows to -inf; the transmittance 0 is right
+    @pytest.mark.parametrize("alpha, line", [
+        ("1e308", ""),  # -2 * alpha overflows in the single-photon gain, whose 0 is right
+        ("0.5", "atten_db_per_km = 1e308"),  # the loss in dB overflows; T = 0 is right
+    ])
+    def test_overflow_to_zero_prints_no_warning(self, tmp_path, capsys, alpha, line):
         config = tmp_path / "run.cfg"
-        config.write_text("atten_db_per_km = 1e308\n")
-        argv = ["sweep", "--delta", "0", "--distance", "5:5:1", "--alpha", "0.5",
+        config.write_text(line + "\n")
+        argv = ["sweep", "--delta", "0", "--distance", "5:15:5", "--alpha", alpha,
                 "--config", str(config), "--out", str(tmp_path / "x.csv")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(argv) == 0
         assert capsys.readouterr().err == ""
-        row = (tmp_path / "x.csv").read_text().splitlines()[1].split(",")
-        assert row[6:] == ["0.5", "0"]  # e_x1 of dark counts alone, and R
-
-    def test_huge_alpha_prints_no_warning(self, tmp_path, capsys):
-        # -2 * alpha overflows in the single-photon gain, whose value 0 is right
-        argv = ["sweep", "--delta", "0", "--distance", "0:10:5", "--alpha", "1e308",
-                "--out", str(tmp_path / "x.csv")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main(argv) == 0
-        assert capsys.readouterr().err == ""
-        rates = [line.split(",")[-1] for line in (tmp_path / "x.csv").read_text().splitlines()[1:]]
+        rates = [row.split(",")[-1] for row in (tmp_path / "x.csv").read_text().splitlines()[1:]]
         assert rates == ["0", "0", "0"]
 
 
