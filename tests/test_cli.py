@@ -207,7 +207,8 @@ class TestSweepCommand:
         # the first looped for hours; in the second start + i*step never
         # passes stop, so the loop ran until memory ran out
         out = tmp_path / "x.csv"
-        argv = ["sweep", "--delta", "0", "--alpha", "0.5", "--distance", distance, "--out", str(out)]
+        argv = ["sweep", "--delta", "0", "--alpha", "0.5", "--distance", distance,
+                "--out", str(out)]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid field distance:") and "more than" in err
@@ -298,10 +299,11 @@ DISTANCE_PARTS = ["0", "5", "7.5", "150", "1e-300", "1e-12", "1e300", "1e308", "
 DELTAS = ["0", "0.063", "1.2", "2.0943951023931953", "2.09439510239319", "-0.1", "3.2", "nan",
           "inf", "1e308"]
 EXTREMES = ["5e-324", "1e-308", "1e-4", "0.5", "1", "1.22", "2", "1e308", "0", "-1", "nan", "inf"]
-CONFIG_LINES = [f"{key} = {value}" for key in ("alpha_min", "alpha_max", "alpha_tol", "f_ec",
-                                               "dark_count", "det_eff", "atten_db_per_km", "alpha")
-                for value in EXTREMES] + ["delta = 0 0.5", "delta = 3", "delta =", "distance = 0:150:7.5",
-                                          "distance = 0:1e300:1", "distance = 1:2", "bogus = 1"]
+CONFIG_KEYS = ("alpha_min", "alpha_max", "alpha_tol", "f_ec", "dark_count", "det_eff",
+               "atten_db_per_km", "alpha")
+CONFIG_LINES = [f"{key} = {value}" for key in CONFIG_KEYS for value in EXTREMES] + [
+    "delta = 0 0.5", "delta = 3", "delta =", "distance = 0:150:7.5", "distance = 0:1e300:1",
+    "distance = 1:2", "bogus = 1"]
 
 
 class TestSweepArgvFuzz:
@@ -317,10 +319,10 @@ class TestSweepArgvFuzz:
     def test_sweep_never_escapes(self, distance, deltas, alpha, f_ec, optimize, config):
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
-            argv = ["sweep", f"--distance={':'.join(distance)}", "--out", os.path.join(tmp, "x.csv")]
-            argv += [f"--delta={d}" for d in deltas]
-            argv += [f"--alpha={alpha}"] * (alpha is not None) + [f"--f-ec={f_ec}"] * (f_ec is not None)
-            argv += ["--optimize"] * optimize
+            argv = ["sweep", f"--distance={':'.join(distance)}", f"--out={tmp}/x.csv"]
+            argv += [f"--delta={d}" for d in deltas] + ["--optimize"] * optimize
+            argv += [f"--alpha={alpha}"] * (alpha is not None)
+            argv += [f"--f-ec={f_ec}"] * (f_ec is not None)
             if config:
                 path = os.path.join(tmp, "run.cfg")
                 with open(path, "w", encoding="utf-8") as handle:
