@@ -29,6 +29,7 @@ from .estimator import (
     phase_error_virtual,
     predict_yield,
     solve_functional,
+    solve_functionals,
 )
 from .keyrate import (
     OptimizeResult,
@@ -87,7 +88,7 @@ __all__ = [
     "optimize_alpha", "pauli_decompose", "phase_error_three_state",
     "phase_error_virtual", "predict_yield", "random_channel", "random_povm",
     "run_protocol", "secret_key_rate", "single_photon_stats",
-    "solve_functional", "sweep", "three_state_sources", "transmittance",
+    "solve_functional", "solve_functionals", "sweep", "three_state_sources", "transmittance",
     "virtual_amplitudes", "virtual_states_from_purification",
     "virtual_states_planar", "zbasis_stats",
 ]

@@ -169,18 +169,27 @@ def single_photon_stats(params: ChannelParams, alpha: ArrayLike | None = None,
     return single_photon_gain(params.alpha if alpha is None else alpha, weighted), e_x1
 
 
+def zbasis_overlaps(params: ChannelParams, delta: ArrayLike | None = None) -> tuple:
+    """``(sin^2(delta/2), cos^2(delta/2))`` per element of ``delta`` (default
+    ``params.delta``): the overlaps of the modulated pi-phase signal with the
+    Z basis, which do not depend on the intensity or the transmittance."""
+    return (_per_delta(lambda d: math.sin(d / 2.0) ** 2, params, delta),
+            _per_delta(lambda d: math.cos(d / 2.0) ** 2, params, delta))
+
+
 def zbasis_click_probs(params: ChannelParams, alpha: ArrayLike, t: ArrayLike,
-                       delta: ArrayLike | None = None) -> tuple:
+                       delta: ArrayLike | None = None, overlaps: tuple | None = None) -> tuple:
     """Per-detector click probabilities ``(P00, P10, P01, P11)``.
 
     ``P[s|j]`` is the probability detector ``s`` fires when bit ``j`` was sent
     with intensity ``alpha`` over transmittance ``t`` at error ``delta``.
+    ``overlaps``, when given, is :func:`zbasis_overlaps` of ``delta``, built
+    once by a caller that evaluates many intensities.
     ``-expm1(-m)`` keeps full precision at a small mean photon number ``m``.
     """
     e_d = params.dark_count
     signal = alpha * t
-    sin2 = _per_delta(lambda d: math.sin(d / 2.0) ** 2, params, delta)
-    cos2 = _per_delta(lambda d: math.cos(d / 2.0) ** 2, params, delta)
+    sin2, cos2 = zbasis_overlaps(params, delta) if overlaps is None else overlaps
     p00 = e_d + (1.0 - e_d) * -np.expm1(-signal)
     p01 = e_d + (1.0 - e_d) * -np.expm1(-signal * sin2)
     p11 = e_d + (1.0 - e_d) * -np.expm1(-signal * cos2)
@@ -188,14 +197,15 @@ def zbasis_click_probs(params: ChannelParams, alpha: ArrayLike, t: ArrayLike,
 
 
 def zbasis_gain_error_weight(params: ChannelParams, alpha: ArrayLike, t: ArrayLike,
-                             delta: ArrayLike | None = None) -> tuple:
+                             delta: ArrayLike | None = None, overlaps: tuple | None = None) -> tuple:
     """Overall gain ``Q_z`` and error weight ``w_z``; vectorized over ``alpha``, ``t``, ``delta``.
 
     Per sent bit, the detection probability is the inclusive-or of the two
     detectors and the error weight counts wrong-detector-only clicks plus
-    half of the double clicks (random assignment).
+    half of the double clicks (random assignment).  ``overlaps`` is as for
+    :func:`zbasis_click_probs`.
     """
-    p00, p10, p01, p11 = zbasis_click_probs(params, alpha, t, delta)
+    p00, p10, p01, p11 = zbasis_click_probs(params, alpha, t, delta, overlaps)
     gain = 0.5 * (p00 + p10 - p00 * p10) + 0.5 * (p01 + p11 - p01 * p11)
     weight = 0.5 * ((1.0 - p00) * p10 + 0.5 * p00 * p10) + 0.5 * (
         p01 * (1.0 - p11) + 0.5 * p01 * p11

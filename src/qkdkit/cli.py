@@ -42,6 +42,7 @@ from .qstate import (
     BlochVector,
     QubitState,
     SourceSet,
+    VirtualEnsemble,
     basis_state,
     bloch_to_density,
     three_state_sources,
@@ -58,7 +59,7 @@ EXIT_ERROR = 1
 EXIT_ILL_POSED = 2
 EXIT_UNDEFINED = 3
 
-MAX_DISTANCE_POINTS = 2**17  # a (points, 64) float64 grid of the search is 64 MiB per delta
+MAX_DISTANCE_POINTS = 2**17  # a sweep keeps ~210 bytes per point: ~80 MiB for 3 deltas here
 _DISTANCE_FIELDS = ("distance_start", "distance_stop", "distance_step")
 
 
@@ -313,6 +314,12 @@ def _read_yield_csv(path: str) -> tuple[YieldTable, SourceSet]:
     return table, sources
 
 
+@functools.cache
+def _perfect_x_ensemble() -> VirtualEnsemble:
+    """The X-basis virtual ensemble of the perfect Z pair, built on first use."""
+    return virtual_states_planar(0.0)
+
+
 def _is_counts_file(path: str) -> bool:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         header = handle.readline()
@@ -342,11 +349,8 @@ def cmd_estimate(config: RunConfig, yields_path: str) -> int:
     print(f"condition_number: {_format(report.condition_number)}")
     if not report.well_posed:
         raise WellPosednessError(f"sources are ill-posed ({report.reason})")
-    functionals = {
-        s: estimator.solve_functional(table, sources, outcome=s, basis="x")
-        for s in (0, 1)
-    }
-    for s, functional in functionals.items():
+    functionals = estimator.solve_functionals(table, sources, (0, 1), basis="x", report=report)
+    for s, functional in enumerate(functionals):
         coeffs = " ".join(f"{k}={_format(v)}" for k, v in functional.q.items())
         print(f"q[outcome={s}]: {coeffs}")
     if "0z" in sources.labels and "1z" in sources.labels:
@@ -354,15 +358,17 @@ def cmd_estimate(config: RunConfig, yields_path: str) -> int:
             sources.state("0z"), sources.state("1z"), flip=False, basis="x"
         )
     else:
-        ensemble = virtual_states_planar(0.0)
+        ensemble = _perfect_x_ensemble()
     # joint prefactor of virtual state j: P(Z pair) * P(X basis) * w_j
     z_pair_weight = (sources.prior("0z") + sources.prior("1z")) * 0.5 \
         if "0z" in sources.labels and "1z" in sources.labels else 1.0 / len(sources)
-    virtual = estimator.virtual_yields(functionals[0], functionals[1], ensemble, z_pair_weight)
+    virtual = estimator.virtual_yields(*functionals, ensemble, z_pair_weight)
     for (j, s), value in np.ndenumerate(virtual):
         print(f"virtual_yield[outcome={s},{j}x]: {_format(value)}")
+    # a label without Bloch columns is the shared canonical state itself
     if set(sources.labels) == {"0z", "1z", "0x"} and all(
-        np.allclose(sources.state(lab).density, basis_state(lab).density, atol=1e-12)
+        sources.state(lab) is basis_state(lab)
+        or np.allclose(sources.state(lab).density, basis_state(lab).density, atol=1e-12)
         for lab in sources.labels
     ):
         # exact canonical sources: the closed form keeps an ideal table's 0 exact
@@ -376,7 +382,9 @@ def cmd_estimate(config: RunConfig, yields_path: str) -> int:
 def cmd_simulate(config: RunConfig) -> int:
     if config.pulses < 1:
         raise ValidationError("invalid field pulses: simulate needs pulses >= 1")
-    delta = config.delta[0] if config.delta else 0.0
+    if not config.delta:
+        raise ValidationError("invalid field delta: simulate needs a delta, got none")
+    delta = config.delta[0]
     params = config.channel_params(config.distance_start, delta)
     experiment = montecarlo.fiber_experiment(params)
     trial = montecarlo.run_protocol(
@@ -458,7 +466,7 @@ def cmd_mdi_estimate(config: RunConfig, yields_path: str) -> int:
     for i, s in enumerate(axes):
         for j, t in enumerate(axes):
             print(f"q[{s},{t}]: {_format(functional.q[i, j])}")
-    ensemble = virtual_states_planar(0.0)
+    ensemble = _perfect_x_ensemble()
     table = estimator.mdi_virtual_yields(functional, ensemble, ensemble)
     for (j, k), value in np.ndenumerate(table / 9.0):
         print(f"virtual_pair_yield[{j}x,{k}x]: {_format(value)}")

@@ -239,10 +239,16 @@ def _design_matrix(blochs: Sequence[BlochVector]) -> np.ndarray:
     return np.array([b.as_array(planar=planar) for b in blochs])
 
 
-def _svd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _svd_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u, s, vt = np.linalg.svd(matrix)
     if s[-1] <= SINGULARITY_THRESHOLD * s[0]:
         raise WellPosednessError("design matrix is numerically singular")
+    return u, s, vt
+
+
+def _svd_solve(matrix: np.ndarray, factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` from its :func:`_svd_factor` factors."""
+    u, s, vt = factors
     x = vt.T @ ((u.T @ rhs) / s)
     residual = np.abs(matrix @ x - rhs).max()
     if residual > RESIDUAL_TOL * max(1.0, np.abs(rhs).max()):
@@ -252,18 +258,21 @@ def _svd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_functional(
+def solve_functionals(
     yields: YieldTable,
     sources: SourceSet,
-    outcome: int,
+    outcomes: Sequence[int] = (0, 1),
     basis: str = "x",
-) -> TransmissionFunctional:
-    """Solve the transmission rates for one of Bob's outcomes.
+    report: ConditioningReport | None = None,
+) -> tuple[TransmissionFunctional, ...]:
+    """Solve the transmission rates for each of Bob's ``outcomes``, in order.
 
     The equation for source ``j`` is
     ``Y(basis, outcome, j) = P(j) P(basis) (q_id + p_j . q)``.  Three sources
     must lie in the X-Z plane and give the planar system; four sources give
-    the full system.
+    the full system.  The sources are checked and factorized once for all
+    outcomes; ``report`` is their :func:`check_well_posed` report when the
+    caller already has it.
 
     Raises:
         WellPosednessError: sources do not span the system.
@@ -281,7 +290,8 @@ def solve_functional(
                 raise PlanarityError(
                     f"source {label!r} has p_y != 0; the 3-state solver is planar"
                 )
-    report = check_well_posed(blochs)
+    if report is None:
+        report = check_well_posed(blochs)
     if not report.well_posed:
         raise WellPosednessError(f"ill-posed sources ({report.reason})")
     for label in sources.labels:
@@ -290,17 +300,33 @@ def solve_functional(
             raise ValidationError(
                 f"prior mismatch for {label!r} between yield table and sources"
             )
-    rhs = np.array(
-        [
-            yields.get(basis, outcome, label) / yields.weight(basis, label)
-            for label in sources.labels
-        ]
-    )
-    coeffs = _svd_solve(_design_matrix(blochs), rhs)
+    design = _design_matrix(blochs)
+    factors = _svd_factor(design)
     keys = ("id", "x", "z") if planar else ("id", "x", "y", "z")
-    return TransmissionFunctional(
-        outcome=outcome, q=dict(zip(keys, coeffs)), planar=planar
-    )
+    functionals = []
+    for outcome in outcomes:
+        rhs = np.array(
+            [
+                yields.get(basis, outcome, label) / yields.weight(basis, label)
+                for label in sources.labels
+            ]
+        )
+        coeffs = _svd_solve(design, factors, rhs)
+        functionals.append(
+            TransmissionFunctional(outcome=outcome, q=dict(zip(keys, coeffs)), planar=planar)
+        )
+    return tuple(functionals)
+
+
+def solve_functional(
+    yields: YieldTable,
+    sources: SourceSet,
+    outcome: int,
+    basis: str = "x",
+) -> TransmissionFunctional:
+    """Solve the transmission rates for one of Bob's outcomes: the one-outcome
+    case of :func:`solve_functionals`, with the same checks and errors."""
+    return solve_functionals(yields, sources, (outcome,), basis)[0]
 
 
 def predict_yield(
@@ -464,7 +490,7 @@ def mdi_solve(
                 raise ValidationError(f"missing pair yield for {key!r}")
             rhs.append(pair_yields[key] / _pair_weight(label_a, label_b, gamma))
     design = np.kron(_design_matrix(blochs_a), _design_matrix(blochs_b))
-    coeffs = _svd_solve(design, np.array(rhs))
+    coeffs = _svd_solve(design, _svd_factor(design), np.array(rhs))
     functional = TwoQubitFunctional(q=coeffs.reshape(3, 3))
     _check_mdi_physical(functional, blochs_a, blochs_b)
     return functional

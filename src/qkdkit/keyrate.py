@@ -23,7 +23,8 @@ import numpy as np
 from scipy.special import xlogy
 
 from .channel import (ArrayLike, ChannelParams, ZStats, single_photon_gain, single_photon_stats,
-                      single_photon_terms, transmittance, zbasis_gain_error_weight, zbasis_stats)
+                      single_photon_terms, transmittance, zbasis_gain_error_weight, zbasis_overlaps,
+                      zbasis_stats)
 from .errors import ValidationError
 
 _LN2 = math.log(2.0)
@@ -33,6 +34,8 @@ DEFAULT_F_EC = 1.22
 DEFAULT_ALPHA_BOUNDS = (1e-4, 1.0)
 DEFAULT_ALPHA_TOL = 1e-4
 COARSE_GRID_POINTS = 64
+#: points per slice of the coarse grid scan, which holds ``(slice, 64)`` arrays
+GRID_SCAN_SLICE = 1024
 
 
 def binary_entropy(x):
@@ -65,20 +68,24 @@ def secret_key_rate(stats: ZStats, f_ec: float = DEFAULT_F_EC) -> float:
 
 
 def _rate_function(params: ChannelParams, t: np.ndarray, f_ec: float, delta: ArrayLike | None):
-    """Key rate as a function of the intensity over the columns ``t`` and ``delta``;
-    the pieces that do not depend on the intensity are computed here, once."""
+    """Key rate as a function of the intensity over the columns ``t`` and ``delta``,
+    with the shape of their points (distances on the last axis); the pieces that
+    do not depend on the intensity are computed here, once."""
     _check_f_ec(f_ec)
     weighted, e_x1 = single_photon_terms(params, t, delta)
     # where nothing clicks the weighted yield and Q_z vanish, so R = 0 for any e_x1
     pa_factor = 1.0 - binary_entropy(np.nan_to_num(e_x1))
+    overlaps = zbasis_overlaps(params, delta)
 
-    def rates(alpha: ArrayLike) -> np.ndarray:
-        gain, weight = zbasis_gain_error_weight(params, alpha, t, delta)
+    def rates(alpha: ArrayLike, rows: slice = slice(None)) -> np.ndarray:
+        """Rates at ``alpha`` (one column per intensity) of the distances ``rows``."""
+        gain, weight = zbasis_gain_error_weight(params, alpha, t[rows], overlaps=overlaps)
         e_z = np.where(gain > 0.0, weight / np.where(gain > 0.0, gain, 1.0), 0.0)
-        q_z1 = single_photon_gain(alpha, weighted)
-        return np.maximum(0.5 * (q_z1 * pa_factor - f_ec * gain * binary_entropy(e_z)), 0.0)
+        q_z1 = single_photon_gain(alpha, weighted[..., rows, :])
+        return np.maximum(
+            0.5 * (q_z1 * pa_factor[..., rows, :] - f_ec * gain * binary_entropy(e_z)), 0.0)
 
-    return rates
+    return rates, weighted.shape[:-1]
 
 
 @dataclass(frozen=True)
@@ -90,10 +97,13 @@ class OptimizeResult:
     zero_rate: bool
 
 
-def _optimize(rates, bounds: tuple[float, float], tol: float) -> tuple[np.ndarray, ...]:
+def _optimize(rates, shape: tuple[int, ...], bounds: tuple[float, float],
+              tol: float) -> tuple[np.ndarray, ...]:
     """Best intensity, rate and zero-rate flag per point of the function ``rates``:
-    the search of :func:`optimize_alpha`, run for all points at once as array
-    operations, each point stopping under its own width test."""
+    the search of :func:`optimize_alpha`, run for all points of ``shape`` at once
+    as array operations, each point stopping under its own width test.  The grid
+    scan runs over slices of about :data:`GRID_SCAN_SLICE` points, so its memory
+    is bounded."""
     lo, hi = bounds
     if not (0.0 < lo < hi < math.inf):
         raise ValidationError(
@@ -102,9 +112,14 @@ def _optimize(rates, bounds: tuple[float, float], tol: float) -> tuple[np.ndarra
     if not (0.0 < tol < math.inf):
         raise ValidationError(f"alpha_tol must be finite and > 0, got {tol!r}")
     grid = np.geomspace(lo, hi, COARSE_GRID_POINTS)
-    grid_rates = rates(grid)
-    best_idx = grid_rates.argmax(axis=-1)[..., None]
-    best_alpha, best_rate = grid[best_idx], np.take_along_axis(grid_rates, best_idx, axis=-1)
+    best_idx, best_rate = np.empty((*shape, 1), dtype=np.intp), np.empty((*shape, 1))
+    per_slice = max(1, GRID_SCAN_SLICE // max(1, math.prod(shape[:-1])))  # distances
+    for start in range(0, shape[-1], per_slice):
+        rows = slice(start, start + per_slice)
+        grid_rates = rates(grid, rows)
+        best_idx[..., rows, :] = grid_rates.argmax(axis=-1)[..., None]  # first of equal maxima
+        best_rate[..., rows, :] = np.take_along_axis(grid_rates, best_idx[..., rows, :], axis=-1)
+    best_alpha = grid[best_idx]
     zero_rate = best_rate <= 0.0  # rates are clamped, so these keep rate 0.0
     a, b = grid[np.maximum(best_idx - 1, 0)], grid[np.minimum(best_idx + 1, COARSE_GRID_POINTS - 1)]
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
@@ -149,8 +164,8 @@ def optimize_alpha(
         zero_rate is True when the rate is non-positive on the whole grid;
         the grid argmax is still reported as ``alpha``.
     """
-    rates = _rate_function(params, np.reshape(transmittance(params), (1, 1)), f_ec, None)
-    alpha, rate, zero_rate = _optimize(rates, bounds, tol)
+    rates, shape = _rate_function(params, np.reshape(transmittance(params), (1, 1)), f_ec, None)
+    alpha, rate, zero_rate = _optimize(rates, shape, bounds, tol)
     return OptimizeResult(alpha=float(alpha[0]), rate=float(rate[0]), zero_rate=bool(zero_rate[0]))
 
 
@@ -204,9 +219,9 @@ def sweep(
     # ChannelParams checks each delta
     delta = np.array([params.at(delta=float(d)).delta for d in deltas], dtype=float)[:, None, None]
     t = transmittance(params, distances)[:, None]
-    rates = _rate_function(params, t, f_ec, delta)
+    rates, shape = _rate_function(params, t, f_ec, delta)
     if alpha is None:
-        alpha_opt, rate, _ = _optimize(rates, bounds, tol)
+        alpha_opt, rate, _ = _optimize(rates, shape, bounds, tol)
     else:
         rate = rates(params.alpha).ravel()
         alpha_opt = np.full(rate.shape, params.alpha)

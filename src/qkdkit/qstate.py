@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,8 +109,13 @@ class QubitState:
         """Build a (possibly mixed) state from a density matrix."""
         return cls(density=rho)
 
-    def bloch(self) -> "BlochVector":
+    @functools.cached_property
+    def _bloch(self) -> "BlochVector":
         return pauli_decompose(self)
+
+    def bloch(self) -> "BlochVector":
+        """The Bloch vector, decomposed on first use and kept: the state is frozen."""
+        return self._bloch
 
 
 @dataclass(frozen=True)
@@ -150,22 +156,35 @@ class BlochVector:
 
 
 def basis_state(label: str) -> QubitState:
-    """Return the canonical eigenstate for one of ``0z,1z,0x,1x,0y,1y``."""
-    try:
-        vec = _KETS[label]
-    except KeyError:
-        raise ValidationError(f"unknown basis-state label {label!r}") from None
+    """Return the canonical eigenstate for one of ``0z,1z,0x,1x,0y,1y``.
+
+    Each is built on first use and then shared: a :class:`QubitState` is
+    immutable.
+    """
+    if label not in _KETS:
+        raise ValidationError(f"unknown basis-state label {label!r}")
+    return _canonical_state(label)
+
+
+@functools.cache  # one entry per key of _KETS
+def _canonical_state(label: str) -> QubitState:
+    vec = _KETS[label]
     return QubitState.from_amplitudes(vec[0], vec[1])
 
 
 def pauli_decompose(state: QubitState) -> BlochVector:
-    """Decompose a state as ``rho = (v0*Id + px*sx + py*sy + pz*sz)/2``."""
-    rho = state.density
+    """Decompose a state as ``rho = (v0*Id + px*sx + py*sy + pz*sz)/2``.
+
+    Reads ``Tr(rho sigma)`` off the density entries: the Pauli entries are
+    exactly 0, +-1 and +-i, so this gives the bits of the matrix products.
+    The ``+ 0.0`` turns a -0.0 into 0.0, as the products' zero terms do.
+    """
+    (r00, r01), (r10, r11) = state.density.tolist()
     return BlochVector(
-        v0=float(np.trace(rho).real),
-        px=float(np.trace(rho @ SIGMA_X).real),
-        py=float(np.trace(rho @ SIGMA_Y).real),
-        pz=float(np.trace(rho @ SIGMA_Z).real),
+        v0=r00.real + r11.real,
+        px=r01.real + r10.real + 0.0,
+        py=r10.imag - r01.imag + 0.0,
+        pz=r00.real - r11.real,
     )
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,82 @@ class TestSweepArgvFuzz:
             assert err.getvalue() == ""
 
 
+# inputs per command: mostly its own kinds, then another command's and a missing file
+INPUTS = {
+    "simulate": [None],
+    "estimate": ["estimate_canonical.csv", "estimate_planar.csv", "estimate_four_state.csv",
+                 "simulate_counts.csv", "mdi_relay.csv", "missing.csv"],
+    "mdi-estimate": ["mdi_relay.csv", "estimate_canonical.csv", "missing.csv"],
+}
+COUNTS = ["0", "1", "10", "1000", "1000000", "1000000000000", "9223372036854775807",
+          "9223372036854775808", "-1", "1e3", "x"]
+RUN_LINES = CONFIG_LINES + [f"{key} = {value}" for key in ("seed", "pulses") for value in COUNTS]
+
+
+def run_cli(argv):
+    """``(exit code, stdout, stderr, warnings)`` of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # an argparse usage error
+            rc = ("usage", exc.code)
+    return rc, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+class TestRunArgvFuzz:
+    """``simulate``, ``estimate`` and ``mdi-estimate`` on generated argv and
+    config files: every call ends in an exit code, never a traceback, and a
+    repeated call prints the same, so nothing one call builds leaks into the next."""
+
+    @settings(max_examples=200, deadline=2000)
+    @given(
+        command=st.sampled_from(sorted(INPUTS)),
+        data=st.data(),
+        distance=st.one_of(st.none(), st.tuples(*[st.sampled_from(DISTANCE_PARTS)] * 3)),
+        deltas=st.lists(st.sampled_from(DELTAS), max_size=2),
+        flags=st.lists(st.one_of(
+            st.tuples(st.sampled_from(["--seed", "--pulses"]), st.sampled_from(COUNTS)),
+            st.tuples(st.sampled_from(["--alpha", "--f-ec"]), st.sampled_from(EXTREMES))),
+            max_size=3),
+        optimize=st.booleans(),
+        config=st.lists(st.sampled_from(RUN_LINES), max_size=4),
+    )
+    def test_run_commands_never_escape(self, command, data, distance, deltas, flags, optimize,
+                                       config):
+        name = data.draw(st.sampled_from(INPUTS[command]))
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command, f"--out={tmp}/x.csv"]
+            if name is not None:
+                argv.append(str(DATA / name))
+            if distance is not None:
+                argv.append(f"--distance={':'.join(distance)}")
+            argv += [f"--delta={d}" for d in deltas] + ["--optimize"] * optimize
+            argv += [f"{flag}={value}" for flag, value in flags]
+            if command == "simulate" and not any(flag == "--pulses" for flag, _ in flags):
+                argv.append("--pulses=1000")  # not the default 10^6, to keep examples fast
+            if config:
+                path = os.path.join(tmp, "run.cfg")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write("\n".join(config) + "\n")
+                argv += ["--config", path]
+            first, second = run_cli(argv), run_cli(argv)
+        assert first == second
+        rc, out, err, caught = first
+        if rc == ("usage", 2):
+            assert "error:" in err
+            return
+        assert rc in (0, 1, 2, 3)
+        assert not caught, caught
+        assert "Traceback" not in out + err
+        if rc:
+            assert err.startswith("error:")
+        else:
+            assert err == "" and out
+
+
 class TestEstimateCommand:
     def test_identity_table_zero_error(self, tmp_path, capsys):
         path = tmp_path / "yields.csv"
@@ -447,6 +524,13 @@ class TestSimulateCommand:
     def test_zero_pulses_rejected(self, capsys):
         assert cli.main(["simulate", "--pulses", "0"]) == 1
         assert "pulses" in capsys.readouterr().err
+
+    def test_empty_delta_list_rejected(self, tmp_path, capsys):
+        # "delta =" in a config file is an empty list, not delta 0
+        config = tmp_path / "run.cfg"
+        config.write_text("delta =\n")
+        assert cli.main(["simulate", "--pulses", "10", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid field delta")
 
     def test_negative_seed_rejected(self, capsys):
         assert cli.main(["simulate", "--seed", "-1", "--pulses", "10"]) == 1
@@ -559,6 +643,43 @@ class TestPinnedStdout:
         assert cli.main(PINNED_SIMULATE + ["--out", str(out)]) == 0
         assert capsys.readouterr().out == (DATA / "simulate_counts.out").read_text()
         assert out.read_bytes() == (DATA / "simulate_counts.csv").read_bytes()
+
+
+class TestFixedObjectsBuiltOnce:
+    """SVD and ``eigvalsh`` calls per call on the pinned inputs.
+
+    The canonical states, their Bloch vectors and the perfect virtual
+    ensemble are built once per process, and an ``estimate`` factorizes its
+    sources once for both outcomes after one well-posedness check.  The
+    ``eigvalsh`` calls left are the state checks of the Bloch-column sources
+    and of the purified virtual states, which differ per input.  A change
+    that rebuilds a fixed object on every call changes these counts.
+    """
+
+    # (svd, eigvalsh) calls of one call on each pinned input
+    CALLS = {"estimate_canonical.csv": (2, 2), "estimate_planar.csv": (2, 5),
+             "estimate_four_state.csv": (2, 6), "mdi_relay.csv": (3, 0),
+             "simulate_counts.csv": (0, 0)}
+
+    @pytest.mark.parametrize("command, name, expected", PINNED_STDOUT)
+    def test_linear_algebra_calls(self, monkeypatch, capsys, command, name, expected):
+        argv = [command, str(DATA / name)]
+        assert cli.main(argv) == 0  # builds what is built once per process
+        counts = Counter()
+
+        def counting(fn):
+            def counted(*args, **kwargs):
+                counts[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for fn in (np.linalg.svd, np.linalg.eigvalsh):
+            monkeypatch.setattr(np.linalg, fn.__name__, counting(fn))
+        for _ in range(2):
+            counts.clear()
+            assert cli.main(argv) == 0
+            assert (counts["svd"], counts["eigvalsh"]) == self.CALLS[name]
+        assert capsys.readouterr().out == (DATA / expected).read_text() * 3
 
 
 def write_csv(path, header, rows):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+from qkdkit import keyrate
 from qkdkit.channel import (
     ChannelParams,
     ZStats,
@@ -268,6 +270,21 @@ class TestSweep:
     def test_fixed_alpha_skips_optimization(self):
         table = sweep([0.0, 50.0], [0.0, 0.126], DEFAULTS, alpha=0.3)
         assert table.alpha_opt.tolist() == [0.3] * 4
+
+    def test_sliced_grid_scan_bounds_memory(self, monkeypatch):
+        # an unsliced scan holds (points, 64) temporaries: a 98 MiB peak here
+        distances = [k * 0.0075 for k in range(20_000)]
+        tracemalloc.start()
+        try:
+            table = sweep(distances, [0.063], DEFAULTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        monkeypatch.setattr(keyrate, "GRID_SCAN_SLICE", len(distances))  # one slice
+        unsliced = sweep(distances, [0.063], DEFAULTS)
+        for f in fields(table):
+            assert getattr(table, f.name).tobytes() == getattr(unsliced, f.name).tobytes()
 
     def test_ratio_nearly_constant_without_darks(self):
         params = DEFAULTS.at(dark_count=0.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qkdkit.errors import ValidationError
 from qkdkit.qstate import (
+    PAULI,
     BlochVector,
     QubitState,
     SourceSet,
@@ -64,6 +65,32 @@ class TestPauliDecompose:
         back = bloch_to_density(pauli_decompose(state))
         assert np.abs(back.density - state.density).max() <= 1e-12
 
+    @settings(max_examples=200)
+    @given(
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        weight=st.floats(0.0, 1.0),
+        label=st.sampled_from(["0z", "1z", "0x", "1x", "0y", "1y"]),
+        delta=st.floats(0.0, 2.0),
+    )
+    def test_closed_form_equals_trace_formula(self, theta, phi, weight, label, delta):
+        # the entries read off the density are the bits of Tr(rho sigma), sign of zero included
+        pure = random_pure(theta, phi)
+        mixed = QubitState.from_density(
+            weight * pure.density + (1 - weight) * basis_state(label).density)
+        modulated = modulated_three_state_sources(delta).entries
+        for state in (pure, mixed, basis_state(label), *(s for _, s, _ in modulated)):
+            traces = [float(np.trace(state.density @ PAULI[k]).real) for k in PAULI]
+            closed = pauli_decompose(state).as_array().tolist()
+            assert closed == traces
+            assert [math.copysign(1.0, v) for v in closed] == \
+                [math.copysign(1.0, v) for v in traces]
+
+    def test_bloch_is_computed_once(self):
+        state = random_pure(0.3, 1.1)
+        assert state.bloch() is state.bloch()
+        assert state.bloch() == pauli_decompose(state)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             QubitState.from_density(np.array([[0.5, 0.5j], [0.5j, 0.5]]))
@@ -79,6 +106,25 @@ class TestPauliDecompose:
     def test_rejects_unnormalized_amplitudes(self):
         with pytest.raises(ValidationError):
             QubitState.from_amplitudes(1.0, 1.0)
+
+
+class TestBasisState:
+    @pytest.mark.parametrize("label", ["0z", "1z", "0x", "1x", "0y", "1y"])
+    def test_one_shared_read_only_state(self, label):
+        state = basis_state(label)
+        assert basis_state(label) is state
+        assert state.bloch() is basis_state(label).bloch()
+        for arr in (state.density, state.ket):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, ...] = 0.0
+        with pytest.raises(AttributeError):
+            state.density = np.eye(2)
+
+    def test_unknown_label_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="unknown basis-state label"):
+                basis_state("2z")
 
 
 class TestEncodeSinglePhoton:
