@@ -615,6 +615,7 @@ PINNED_STDOUT = [
     ("estimate", "estimate_planar.csv", "estimate_planar.out"),
     ("estimate", "estimate_four_state.csv", "estimate_four_state.out"),
     ("mdi-estimate", "mdi_relay.csv", "mdi_relay.out"),
+    ("mdi-estimate", "mdi_relay_mixed_labels.csv", "mdi_relay_mixed_labels.out"),
     ("estimate", "simulate_counts.csv", "simulate_counts.estimate.out"),
 ]
 PINNED_SIMULATE = ["simulate", "--pulses", "1000000", "--seed", "7",
@@ -628,9 +629,10 @@ class TestPinnedStdout:
     sources, of partly mixed modulated sources (``px,pz`` columns) and of
     perturbed mixed four-state sources (``px,py,pz`` columns) through
     ``random_channel(k)`` and ``random_povm(k)``, k = 3, 4, 5.  The relay
-    table projects on Phi+ after ``random_channel(6)`` and
-    ``random_channel(7)`` with gamma 0.4.  The counts CSV is the output of
-    ``PINNED_SIMULATE``.
+    tables project on Phi+ after ``random_channel(6)`` and
+    ``random_channel(7)`` with gamma 0.4: in one both parties send
+    ``0z, 1z, 0x``, in the other party B sends ``0z, 1z, 1x``.  The counts
+    CSV is the output of ``PINNED_SIMULATE``.
     """
 
     @pytest.mark.parametrize("command, name, expected", PINNED_STDOUT)
@@ -659,7 +661,7 @@ class TestFixedObjectsBuiltOnce:
     # (svd, eigvalsh) calls of one call on each pinned input
     CALLS = {"estimate_canonical.csv": (2, 2), "estimate_planar.csv": (2, 5),
              "estimate_four_state.csv": (2, 6), "mdi_relay.csv": (3, 0),
-             "simulate_counts.csv": (0, 0)}
+             "mdi_relay_mixed_labels.csv": (3, 0), "simulate_counts.csv": (0, 0)}
 
     @pytest.mark.parametrize("command, name, expected", PINNED_STDOUT)
     def test_linear_algebra_calls(self, monkeypatch, capsys, command, name, expected):
