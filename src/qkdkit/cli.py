@@ -353,15 +353,12 @@ def cmd_estimate(config: RunConfig, yields_path: str) -> int:
     for s, functional in enumerate(functionals):
         coeffs = " ".join(f"{k}={_format(v)}" for k, v in functional.q.items())
         print(f"q[outcome={s}]: {coeffs}")
-    if "0z" in sources.labels and "1z" in sources.labels:
-        ensemble = virtual_states_from_purification(
-            sources.state("0z"), sources.state("1z"), flip=False, basis="x"
-        )
-    else:
-        ensemble = _perfect_x_ensemble()
     # joint prefactor of virtual state j: P(Z pair) * P(X basis) * w_j
-    z_pair_weight = (sources.prior("0z") + sources.prior("1z")) * 0.5 \
-        if "0z" in sources.labels and "1z" in sources.labels else 1.0 / len(sources)
+    if {"0z", "1z"} <= set(sources.labels):
+        ensemble = virtual_states_from_purification(sources.state("0z"), sources.state("1z"))
+        z_pair_weight = (sources.prior("0z") + sources.prior("1z")) * 0.5
+    else:
+        ensemble, z_pair_weight = _perfect_x_ensemble(), 1.0 / len(sources)
     virtual = estimator.virtual_yields(*functionals, ensemble, z_pair_weight)
     for (j, s), value in np.ndenumerate(virtual):
         print(f"virtual_yield[outcome={s},{j}x]: {_format(value)}")
@@ -460,7 +457,9 @@ def cmd_mdi_estimate(config: RunConfig, yields_path: str) -> int:
             entries=tuple((lab, basis_state(lab), 1.0 / 3.0) for lab in labels)
         )
 
-    sources_a, sources_b = canonical(labels_a), canonical(labels_b)
+    sources_a = canonical(labels_a)
+    # one source set for both parties is checked once
+    sources_b = sources_a if labels_b == labels_a else canonical(labels_b)
     functional = estimator.mdi_solve(pairs, sources_a, sources_b, gamma)
     axes = ("id", "x", "z")
     for i, s in enumerate(axes):

@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
     WellPosednessError,
 )
-from .qstate import BlochVector, QubitState, SourceSet, VirtualEnsemble
+from .qstate import BlochVector, QubitState, SourceSet, VirtualEnsemble, basis_state
 
 #: smallest/largest singular value below this ratio means ill-posed sources.
 SINGULARITY_THRESHOLD = 1e-9
@@ -175,31 +175,22 @@ class TwoQubitFunctional:
     """Solved two-party rates ``q[s, t] = Tr(D sigma_s x sigma_t)/4``.
 
     Indices run over ``(id, x, z)`` for each party; only planar product
-    states can be predicted.
+    states can be predicted: the yield of ``a x b`` is ``va @ q @ vb`` over
+    their planar rows ``(v0, px, pz)``.
     """
 
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float)
+        q = np.array(self.q, dtype=float)
         if q.shape != (3, 3):
             raise ValidationError("two-qubit functional must be 3x3 over (id, x, z)")
-        arr = np.array(q)
-        arr.setflags(write=False)
-        object.__setattr__(self, "q", arr)
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
         if not (-NEGATIVITY_TOL <= q[0, 0] <= 1.0 + NEGATIVITY_TOL):
             raise InconsistentYieldsError(
                 f"identity-identity rate {q[0, 0]!r} outside [0, 1]"
             )
-
-    def evaluate(self, bloch_a: BlochVector, bloch_b: BlochVector) -> float:
-        """Predicted conditional yield for a planar product state."""
-        for bloch in (bloch_a, bloch_b):
-            if not bloch.is_planar:
-                raise PlanarityError("two-qubit functional requires planar states")
-        va = bloch_a.as_array(planar=True)
-        vb = bloch_b.as_array(planar=True)
-        return float(va @ self.q @ vb)
 
 
 @dataclass(frozen=True)
@@ -237,6 +228,33 @@ def check_well_posed(blochs: Sequence[BlochVector]) -> ConditioningReport:
 def _design_matrix(blochs: Sequence[BlochVector]) -> np.ndarray:
     planar = len(blochs) == 3
     return np.array([b.as_array(planar=planar) for b in blochs])
+
+
+def _checked_design(
+    sources: SourceSet, report: ConditioningReport | None = None, party: str = ""
+) -> np.ndarray:
+    """The design matrix of ``sources`` after the checks of every solve, in
+    order: 3 or 4 states, three states in the X-Z plane, well-posed.
+
+    ``report`` is the sources' :func:`check_well_posed` report when the caller
+    already has it; ``party`` names the relay party in the messages.
+    """
+    blochs = sources.blochs()
+    n = len(blochs)
+    if n not in (3, 4):
+        raise ValidationError(f"need 3 or 4 sources, got {n}")
+    who = f"party {party} " if party else ""
+    if n == 3:
+        for label, bloch in zip(sources.labels, blochs):
+            if not bloch.is_planar:
+                raise PlanarityError(
+                    f"{who}source {label!r} has p_y != 0; the 3-state solver is planar"
+                )
+    if report is None:
+        report = check_well_posed(blochs)
+    if not report.well_posed:
+        raise WellPosednessError(f"{who}sources are ill-posed ({report.reason})")
+    return _design_matrix(blochs)
 
 
 def _svd_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -279,29 +297,15 @@ def solve_functionals(
         InconsistentYieldsError: the solved rates would predict negative
             yields beyond ``1e-9`` (the data fit no physical map).
     """
-    blochs = sources.blochs()
-    n = len(blochs)
-    if n not in (3, 4):
-        raise ValidationError(f"need 3 or 4 sources, got {n}")
-    planar = n == 3
-    if planar:
-        for label, bloch in zip(sources.labels, blochs):
-            if not bloch.is_planar:
-                raise PlanarityError(
-                    f"source {label!r} has p_y != 0; the 3-state solver is planar"
-                )
-    if report is None:
-        report = check_well_posed(blochs)
-    if not report.well_posed:
-        raise WellPosednessError(f"ill-posed sources ({report.reason})")
+    design = _checked_design(sources, report)
     for label in sources.labels:
         table_prior = yields.priors.get(label)
         if table_prior is not None and abs(table_prior - sources.prior(label)) > 1e-9:
             raise ValidationError(
                 f"prior mismatch for {label!r} between yield table and sources"
             )
-    design = _design_matrix(blochs)
     factors = _svd_factor(design)
+    planar = len(sources) == 3
     keys = ("id", "x", "z") if planar else ("id", "x", "y", "z")
     functionals = []
     for outcome in outcomes:
@@ -419,12 +423,27 @@ def virtual_yields(
     """
     if f0.outcome != 0 or f1.outcome != 1:
         raise ValidationError("functionals must be for outcomes 0 and 1, in order")
-    table = np.empty((2, 2))
-    for j, (w_j, state) in enumerate(ensemble.entries):
-        bloch = state.bloch()
-        for s, functional in enumerate((f0, f1)):
-            table[j, s] = predict_yield(functional, bloch, prior=w_j * prior)
-    return table
+    if f0.planar != f1.planar:
+        raise ValidationError("functionals must both be planar or both full")
+    joint = np.array(ensemble.weights) * prior
+    for value in joint.tolist():
+        if not (0.0 <= value <= 1.0):
+            raise ValidationError(f"prior must be in [0, 1], got {value!r}")
+    rows = _bloch_rows(ensemble, f0.planar)
+    rows[:, 0] = 1.0  # the identity coefficient exactly, as TransmissionFunctional.evaluate
+    keys = ("id", "x", "z") if f0.planar else ("id", "x", "y", "z")
+    q = np.array([[f.q[k] for k in keys] for f in (f0, f1)])
+    # summed left to right, so each cell rounds as TransmissionFunctional.evaluate
+    return joint[:, None] * (rows[:, None, :] * q).sum(axis=-1)
+
+
+def _bloch_rows(ensemble: VirtualEnsemble, planar: bool) -> np.ndarray:
+    """The ``as_array(planar)`` rows of an ensemble's states, checked to lie in
+    the X-Z plane when ``planar``."""
+    blochs = [state.bloch() for state in ensemble.states]
+    if planar and not all(bloch.is_planar for bloch in blochs):
+        raise PlanarityError("planar functional applied to a state with p_y != 0")
+    return np.array([bloch.as_array(planar=planar) for bloch in blochs])
 
 
 def phase_error_virtual(
@@ -463,25 +482,21 @@ def mdi_solve(
     ``pair_yields`` holds the joint probability that Alice and Bob send the
     labelled pair and the relay announces the target outcome.  Z-Z pairs
     carry the prefactor ``gamma/9`` (the sacrificed test fraction); pairs
-    involving an X state carry ``1/9``.
+    involving an X state carry ``1/9``.  The design is the Kronecker product
+    of the parties' checked designs; one source set passed for both is
+    checked once.
 
     Raises:
         WellPosednessError: either party's triple is degenerate.
+        InconsistentYieldsError: the solved rates predict a product yield of
+            the sources or X eigenstates outside [0, 1].
     """
     if not (0.0 < gamma < 1.0):
         raise ValidationError(f"test fraction gamma must be in (0, 1), got {gamma!r}")
     if len(sources_a) != 3 or len(sources_b) != 3:
         raise ValidationError("each party needs exactly 3 source states")
-    blochs_a, blochs_b = sources_a.blochs(), sources_b.blochs()
-    for party, sources, blochs in (("A", sources_a, blochs_a), ("B", sources_b, blochs_b)):
-        for label, bloch in zip(sources.labels, blochs):
-            if not bloch.is_planar:
-                raise PlanarityError(f"party {party} source {label!r} is off-plane")
-        report = check_well_posed(blochs)
-        if not report.well_posed:
-            raise WellPosednessError(
-                f"party {party} sources are ill-posed ({report.reason})"
-            )
+    design_a = _checked_design(sources_a, party="A")
+    design_b = design_a if sources_b is sources_a else _checked_design(sources_b, party="B")
     rhs = []
     for label_a in sources_a.labels:
         for label_b in sources_b.labels:
@@ -489,26 +504,14 @@ def mdi_solve(
             if key not in pair_yields:
                 raise ValidationError(f"missing pair yield for {key!r}")
             rhs.append(pair_yields[key] / _pair_weight(label_a, label_b, gamma))
-    design = np.kron(_design_matrix(blochs_a), _design_matrix(blochs_b))
+    design = np.kron(design_a, design_b)
     coeffs = _svd_solve(design, _svd_factor(design), np.array(rhs))
     functional = TwoQubitFunctional(q=coeffs.reshape(3, 3))
-    _check_mdi_physical(functional, blochs_a, blochs_b)
+    x_rows = [basis_state(label).bloch().as_array(planar=True) for label in ("0x", "1x")]
+    predicted = np.vstack([design_a, *x_rows]) @ functional.q @ np.vstack([design_b, *x_rows]).T
+    if ((predicted < -NEGATIVITY_TOL) | (predicted > 1.0 + NEGATIVITY_TOL)).any():
+        raise InconsistentYieldsError("two-qubit functional predicts unphysical product yields")
     return functional
-
-
-def _check_mdi_physical(
-    functional: TwoQubitFunctional, blochs_a: list[BlochVector], blochs_b: list[BlochVector]
-) -> None:
-    from .qstate import basis_state
-
-    x_states = [basis_state("0x").bloch(), basis_state("1x").bloch()]
-    for bloch_a in blochs_a + x_states:
-        for bloch_b in blochs_b + x_states:
-            predicted = functional.evaluate(bloch_a, bloch_b)
-            if predicted < -NEGATIVITY_TOL or predicted > 1.0 + NEGATIVITY_TOL:
-                raise InconsistentYieldsError(
-                    "two-qubit functional predicts unphysical product yields"
-                )
 
 
 def mdi_virtual_yields(
@@ -520,13 +523,8 @@ def mdi_virtual_yields(
     parties: the functional evaluated bilinearly on their products."""
     if ensemble_a.basis != "x" or ensemble_b.basis != "x":
         raise ValidationError("relay phase error uses X-basis virtual ensembles")
-    blochs_b = [(wb, sb.bloch()) for wb, sb in ensemble_b.entries]
-    table = np.empty((2, 2))
-    for j, (wa, sa) in enumerate(ensemble_a.entries):
-        bloch_a = sa.bloch()
-        for k, (wb, bloch_b) in enumerate(blochs_b):
-            table[j, k] = wa * wb * functional.evaluate(bloch_a, bloch_b)
-    return table
+    rows_a, rows_b = (_bloch_rows(ensemble, planar=True) for ensemble in (ensemble_a, ensemble_b))
+    return np.outer(ensemble_a.weights, ensemble_b.weights) * (rows_a @ functional.q @ rows_b.T)
 
 
 def mdi_phase_error(

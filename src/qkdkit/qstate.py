@@ -254,9 +254,6 @@ class SourceSet:
                 return prior
         raise ValidationError(f"no source labelled {label!r}")
 
-    def bloch(self, label: str) -> BlochVector:
-        return self.state(label).bloch()
-
     def blochs(self) -> list[BlochVector]:
         return [state.bloch() for _, state, _ in self.entries]
 
@@ -393,15 +390,13 @@ def _purification(state: QubitState) -> np.ndarray:
 def virtual_states_from_purification(
     rho_0z: QubitState,
     rho_1z: QubitState,
-    flip: bool = False,
     basis: str = "x",
 ) -> VirtualEnsemble:
     """Virtual ensemble of a general (possibly mixed) Z pair.
 
     Builds the entangled source state over (key qubit A, shield, B) from
     purifications of the two inputs, projects A onto the ``basis``
-    eigenstates, and traces out A and the shield.  ``flip`` swaps which
-    input is paired with ``|0z>_A`` (a bit-flip symmetry of the source).
+    eigenstates, and traces out A and the shield.
 
     Returns:
         Ensemble ``{(w_j, normalized virtual state j)}`` with
@@ -409,9 +404,8 @@ def virtual_states_from_purification(
     """
     if basis not in ("x", "y"):
         raise ValidationError(f"basis must be 'x' or 'y', got {basis!r}")
-    first, second = (rho_1z, rho_0z) if flip else (rho_0z, rho_1z)
-    phi_a = _purification(first)
-    phi_b = _purification(second)
+    phi_a = _purification(rho_0z)
+    phi_b = _purification(rho_1z)
     dim = max(phi_a.shape[0], phi_b.shape[0])
 
     def pad(phi: np.ndarray) -> np.ndarray:

@@ -608,6 +608,24 @@ class TestMdiEstimateCommand:
         assert cli.main(["mdi-estimate", str(path)]) == 1
         assert "prior" in capsys.readouterr().err
 
+    def test_unphysical_product_yield_exits_one(self, tmp_path, capsys):
+        # every sent pair's yield is in [0, 1], but |0x>|1x> would get 0.2 - 0.5
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        operator = 0.2 * np.eye(4) + 0.5 * np.kron(sigma_x, sigma_x)
+        rows = []
+        for a in ("0z", "1z", "0x"):
+            for b in ("0z", "1z", "0x"):
+                prior = 0.5 / 9.0 if a.endswith("z") and b.endswith("z") else 1.0 / 9.0
+                product = np.kron(basis_state(a).density, basis_state(b).density)
+                value = prior * float(np.trace(operator @ product).real)
+                rows.append([a, b, repr(value), repr(prior)])
+        path = tmp_path / "unphysical.csv"
+        write_csv(path, PAIR_HEADER, rows)
+        assert cli.main(["mdi-estimate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "unphysical product yields" in captured.err
+
 
 # (command, input, pinned stdout); inputs and outputs live in tests/data
 PINNED_STDOUT = [
@@ -648,20 +666,23 @@ class TestPinnedStdout:
 
 
 class TestFixedObjectsBuiltOnce:
-    """SVD and ``eigvalsh`` calls per call on the pinned inputs.
+    """SVD, ``eigvalsh`` and ``eigh`` calls per call on the pinned inputs.
 
     The canonical states, their Bloch vectors and the perfect virtual
     ensemble are built once per process, and an ``estimate`` factorizes its
-    sources once for both outcomes after one well-posedness check.  The
-    ``eigvalsh`` calls left are the state checks of the Bloch-column sources
-    and of the purified virtual states, which differ per input.  A change
-    that rebuilds a fixed object on every call changes these counts.
+    sources once for both outcomes after one well-posedness check.  A source
+    set shared by both relay parties is checked once, so the relay table
+    whose parties send the same labels makes one SVD fewer than the other.
+    The ``eigvalsh`` calls left are the state checks of the Bloch-column
+    sources and of the purified virtual states, which differ per input; the
+    ``eigh`` calls purify the Z pair.  A change that rebuilds a fixed object
+    on every call changes these counts.
     """
 
-    # (svd, eigvalsh) calls of one call on each pinned input
-    CALLS = {"estimate_canonical.csv": (2, 2), "estimate_planar.csv": (2, 5),
-             "estimate_four_state.csv": (2, 6), "mdi_relay.csv": (3, 0),
-             "mdi_relay_mixed_labels.csv": (3, 0), "simulate_counts.csv": (0, 0)}
+    # (svd, eigvalsh, eigh) calls of one call on each pinned input
+    CALLS = {"estimate_canonical.csv": (2, 2, 2), "estimate_planar.csv": (2, 5, 2),
+             "estimate_four_state.csv": (2, 6, 2), "mdi_relay.csv": (2, 0, 0),
+             "mdi_relay_mixed_labels.csv": (3, 0, 0), "simulate_counts.csv": (0, 0, 0)}
 
     @pytest.mark.parametrize("command, name, expected", PINNED_STDOUT)
     def test_linear_algebra_calls(self, monkeypatch, capsys, command, name, expected):
@@ -675,12 +696,12 @@ class TestFixedObjectsBuiltOnce:
                 return fn(*args, **kwargs)
             return counted
 
-        for fn in (np.linalg.svd, np.linalg.eigvalsh):
+        for fn in (np.linalg.svd, np.linalg.eigvalsh, np.linalg.eigh):
             monkeypatch.setattr(np.linalg, fn.__name__, counting(fn))
         for _ in range(2):
             counts.clear()
             assert cli.main(argv) == 0
-            assert (counts["svd"], counts["eigvalsh"]) == self.CALLS[name]
+            assert (counts["svd"], counts["eigvalsh"], counts["eigh"]) == self.CALLS[name]
         assert capsys.readouterr().out == (DATA / expected).read_text() * 3
 
 

@@ -16,22 +16,28 @@ from qkdkit.estimator import (
     NEGATIVITY_TOL,
     THREE_STATE_MAP,
     TransmissionFunctional,
+    TwoQubitFunctional,
     YieldTable,
     check_well_posed,
     error_rate,
     mdi_phase_error,
     mdi_solve,
+    mdi_virtual_yields,
     phase_error_three_state,
     phase_error_virtual,
     predict_yield,
     solve_functional,
+    solve_functionals,
+    virtual_yields,
 )
 from qkdkit.montecarlo import exact_yields, random_channel, random_povm
 from qkdkit.qstate import (
     PAULI,
     QubitState,
     SourceSet,
+    VirtualEnsemble,
     basis_state,
+    encode_single_photon,
     four_state_sources,
     three_state_sources,
     virtual_states_from_purification,
@@ -523,6 +529,17 @@ class TestMdi:
         with pytest.raises(WellPosednessError):
             mdi_solve(pairs, bad, good, gamma=0.5)
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_unphysical_product_yield_rejected(self, shared):
+        # every sent pair's yield is in [0, 1], but |0x>|1x> would get 0.2 - 0.5
+        operator = 0.2 * np.eye(4) + 0.5 * np.kron(PAULI["x"], PAULI["x"])
+        sources_a = three_state_sources()
+        sources_b = sources_a if shared else three_state_sources()
+        pairs = mdi_pair_yields(operator, sources_a, sources_b, gamma=0.5)
+        assert min(pairs.values()) >= 0.0 and max(pairs.values()) <= 1.0
+        with pytest.raises(InconsistentYieldsError, match="unphysical product yields"):
+            mdi_solve(pairs, sources_a, sources_b, gamma=0.5)
+
     def test_gamma_range_enforced(self):
         sources = three_state_sources()
         pairs = mdi_pair_yields(0.2 * np.eye(4), sources, sources, gamma=0.5)
@@ -543,3 +560,110 @@ class TestMdi:
             mdi_solve(scaled_pairs, sources, sources, 0.3), ensemble, ensemble
         )
         assert abs(base - scaled) <= 1e-10
+
+
+# Y eigenstates tagged as an X-basis ensemble, so only the planarity check can reject them
+Y_STATES = VirtualEnsemble(basis="x", entries=((0.5, basis_state("0y")), (0.5, basis_state("1y"))))
+
+
+def reference_virtual_yields(f0, f1, ensemble, prior):
+    """Per-cell :func:`predict_yield`: the specification of ``virtual_yields``."""
+    table = np.empty((2, 2))
+    for j, (w_j, state) in enumerate(ensemble.entries):
+        for s, functional in enumerate((f0, f1)):
+            table[j, s] = predict_yield(functional, state, prior=w_j * prior)
+    return table
+
+
+def reference_mdi_virtual_yields(functional, ensemble_a, ensemble_b):
+    """Per-cell ``w_j w_k (va @ q @ vb)``: the specification of ``mdi_virtual_yields``."""
+    table = np.empty((2, 2))
+    for j, (wa, sa) in enumerate(ensemble_a.entries):
+        for k, (wb, sb) in enumerate(ensemble_b.entries):
+            va, vb = sa.bloch().as_array(planar=True), sb.bloch().as_array(planar=True)
+            table[j, k] = wa * wb * float(va @ functional.q @ vb)
+    return table
+
+
+def random_planar_state(rng):
+    """A planar qubit state: a random mixture of two random pure planar states."""
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    weight = rng.uniform(0.0, 1.0)
+    pure = [encode_single_photon(angle, 0.0).density for angle in angles]
+    return QubitState.from_density(weight * pure[0] + (1.0 - weight) * pure[1])
+
+
+def random_ensembles(rng, basis="x"):
+    """A pure closed-form ensemble, a purified pure Z pair and a purified mixed Z pair."""
+    delta = rng.uniform(0.0, 1.0)
+    pure_pair = (encode_single_photon(0.0, delta), encode_single_photon(math.pi, delta))
+    mixed_pair = (random_planar_state(rng), random_planar_state(rng))
+    ensembles = [virtual_states_planar(delta)] if basis == "x" else []
+    return ensembles + [virtual_states_from_purification(*pure_pair, basis=basis),
+                        virtual_states_from_purification(*mixed_pair, basis=basis)]
+
+
+def random_functional(rng, outcome, planar):
+    """A valid functional: ``|Pauli part| <= q_id``."""
+    keys = ("x", "z") if planar else ("x", "y", "z")
+    q_id = rng.uniform(0.05, 1.0)
+    pauli = rng.normal(size=len(keys))
+    pauli *= rng.uniform(0.0, 1.0) * q_id / np.linalg.norm(pauli)
+    q = {"id": q_id, **dict(zip(keys, pauli.tolist()))}
+    return TransmissionFunctional(outcome=outcome, q=q, planar=planar)
+
+
+class TestVirtualTables:
+    """The virtual-yield tables are contractions over stacked Bloch rows; the
+    per-cell formulas they replaced stay here as their reference, and the
+    checks those formulas made stay with them."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_virtual_yields_match_per_cell_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        for planar, basis in ((True, "x"), (False, "x"), (False, "y")):
+            f0, f1 = (random_functional(rng, s, planar) for s in (0, 1))
+            for ensemble in random_ensembles(rng, basis):
+                prior = rng.uniform(0.0, 1.0)
+                got = virtual_yields(f0, f1, ensemble, prior)
+                want = reference_virtual_yields(f0, f1, ensemble, prior)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mdi_virtual_yields_match_per_cell_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        q = rng.normal(scale=0.2, size=(3, 3))
+        q[0, 0] = rng.uniform(0.0, 1.0)
+        functional = TwoQubitFunctional(q=q)
+        ensembles = random_ensembles(rng)
+        for ensemble_a in ensembles:
+            for ensemble_b in ensembles:
+                got = mdi_virtual_yields(functional, ensemble_a, ensemble_b)
+                want = reference_mdi_virtual_yields(functional, ensemble_a, ensemble_b)
+                assert got.tobytes() == want.tobytes()
+
+    def test_planar_functional_rejects_y_basis_ensemble(self):
+        f0, f1 = solve_functionals(x_table({
+            (0, "0z"): 0.5, (0, "1z"): 0.5, (0, "0x"): 1.0,
+            (1, "0z"): 0.5, (1, "1z"): 0.5, (1, "0x"): 0.0,
+        }), three_state_sources())
+        y_ensemble = virtual_states_from_purification(
+            basis_state("0z"), basis_state("1z"), basis="y")
+        for ensemble in (y_ensemble, Y_STATES):
+            with pytest.raises(PlanarityError):
+                virtual_yields(f0, f1, ensemble)
+
+    def test_planar_and_full_functionals_not_mixed(self):
+        rng = np.random.default_rng(0)
+        planar, full = random_functional(rng, 0, True), random_functional(rng, 1, False)
+        with pytest.raises(ValidationError, match="both be planar or both full"):
+            virtual_yields(planar, full, virtual_states_planar(0.0))
+
+    def test_relay_functional_rejects_y_states(self):
+        sources = three_state_sources()
+        functional = mdi_solve(
+            mdi_pair_yields(0.2 * np.eye(4), sources, sources, 0.5), sources, sources, 0.5)
+        x_ensemble = virtual_states_planar(0.0)
+        for ensembles in ((Y_STATES, x_ensemble), (x_ensemble, Y_STATES)):
+            with pytest.raises(PlanarityError):
+                mdi_virtual_yields(functional, *ensembles)

@@ -199,7 +199,6 @@ class TestVirtualStates:
         derived = virtual_states_from_purification(
             encode_single_photon(0.0, delta),
             encode_single_photon(math.pi, delta),
-            flip=False,
             basis="x",
         )
         for (w1, s1), (w2, s2) in zip(closed.entries, derived.entries):
@@ -208,7 +207,7 @@ class TestVirtualStates:
 
     def test_perfect_source_x(self):
         ensemble = virtual_states_from_purification(
-            basis_state("0z"), basis_state("1z"), flip=False, basis="x"
+            basis_state("0z"), basis_state("1z"), basis="x"
         )
         assert np.allclose(ensemble.weights, [0.5, 0.5], atol=1e-12)
         assert np.abs(ensemble.states[0].density - basis_state("0x").density).max() <= 1e-12
@@ -216,26 +215,13 @@ class TestVirtualStates:
 
     def test_perfect_source_y(self):
         ensemble = virtual_states_from_purification(
-            basis_state("0z"), basis_state("1z"), flip=False, basis="y"
+            basis_state("0z"), basis_state("1z"), basis="y"
         )
         assert np.allclose(ensemble.weights, [0.5, 0.5], atol=1e-12)
         for state in ensemble.states:
             bloch = state.bloch()
             assert abs(abs(bloch.py) - 1.0) <= 1e-12
             assert abs(bloch.px) <= 1e-12 and abs(bloch.pz) <= 1e-12
-
-    @pytest.mark.parametrize("basis", ["x", "y"])
-    def test_flip_equals_swapped_inputs(self, basis):
-        rho0 = QubitState.from_density(
-            0.7 * basis_state("0z").density + 0.3 * basis_state("0x").density
-        )
-        rho1 = encode_single_photon(math.pi, 0.2)
-        flipped = virtual_states_from_purification(rho0, rho1, flip=True, basis=basis)
-        swapped = virtual_states_from_purification(rho1, rho0, flip=False, basis=basis)
-        weighted = lambda ens: sorted(
-            (round(w, 12), tuple(np.round(s.density, 10).ravel())) for w, s in ens.entries
-        )
-        assert weighted(flipped) == weighted(swapped)
 
     def test_mixed_inputs_reproduce_marginal(self):
         # averaging the weighted virtual states must return (rho0 + rho1)/2
