@@ -108,6 +108,58 @@ class TestPauliDecompose:
             QubitState.from_amplitudes(1.0, 1.0)
 
 
+NOT_2X2 = "density must be 2x2"
+NON_FINITE = "density contains non-finite entries"
+NOT_HERMITIAN = "density is not Hermitian within 1e-12"
+BAD_TRACE = "density trace differs from 1 by more than 1e-12"
+BAD_EIGENVALUES = r"density eigenvalues outside \[0, 1\] beyond 1e-12"
+
+
+class TestStateChecks:
+    """Each check of ``QubitState`` decides at its tolerance, in a fixed order."""
+
+    @pytest.mark.parametrize("rho, message", [
+        (np.eye(3) / 3.0, NOT_2X2),
+        (np.array([0.5, 0.5]), NOT_2X2),
+        ([[math.nan, 0.0], [0.0, 1.0]], NON_FINITE),
+        ([[0.5, 0.0], [complex(0.0, math.inf), 0.5]], NON_FINITE),
+        ([[1.0, math.inf], [math.inf, 0.0]], NON_FINITE),
+        ([[0.5, 2e-12], [0.0, 0.5]], NOT_HERMITIAN),
+        ([[0.5, 0.5j], [0.5j, 0.5]], NOT_HERMITIAN),
+        (np.diag([0.5, 0.5 + 2e-12]), BAD_TRACE),
+        (np.diag([0.7, 0.6]), BAD_TRACE),
+        # an imaginary diagonal beyond the trace tolerance is never Hermitian within
+        # 1e-12, so the Hermitian check, which runs first, rejects it
+        (np.diag([0.5 + 1e-12j, 0.5 + 1e-12j]), NOT_HERMITIAN),
+        (np.diag([0.5, 0.5 + 1e-12j]), NOT_HERMITIAN),
+        (np.diag([1.2, -0.2]), BAD_EIGENVALUES),
+        ([[0.5, 0.5 + 2e-12], [0.5 + 2e-12, 0.5]], BAD_EIGENVALUES),
+        # a trace within 1e-12 with one eigenvalue beyond its bound and the other inside
+        (np.diag([1.0 + 1.5e-12, -0.6e-12]), BAD_EIGENVALUES),
+        (np.diag([1.0 + 0.6e-12, -1.5e-12]), BAD_EIGENVALUES),
+        # a trace error is reported before the eigenvalues it also moves
+        (np.diag([1.5, -0.2]), BAD_TRACE),
+        # |rho - rho^H| overflows the float range from finite parts
+        ([[0.5, 1.5e308 + 1.5e308j], [0.0, 0.5]], NOT_HERMITIAN),
+    ])
+    def test_rejected(self, rho, message):
+        with pytest.raises(ValidationError, match=message):
+            QubitState.from_density(np.asarray(rho))
+
+    @pytest.mark.parametrize("rho", [
+        [[0.5, 0.9e-12], [0.0, 0.5]],
+        np.diag([0.5, 0.5 + 0.9e-12]),
+        np.diag([0.5 + 0.5e-12j, 0.5 + 0.5e-12j]),
+        [[0.5, 0.5 + 0.4e-12], [0.5 + 0.4e-12, 0.5]],
+        np.diag([1.0 + 0.5e-12, -0.5e-12]),
+        [[0.5, -0.5j], [0.5j, 0.5]],
+    ])
+    def test_accepted_inside_tolerance(self, rho):
+        state = QubitState.from_density(np.asarray(rho))
+        assert np.array_equal(state.density, np.asarray(rho, dtype=complex))
+        assert not state.density.flags.writeable
+
+
 class TestBasisState:
     @pytest.mark.parametrize("label", ["0z", "1z", "0x", "1x", "0y", "1y"])
     def test_one_shared_read_only_state(self, label):
