@@ -320,6 +320,15 @@ def _perfect_x_ensemble() -> VirtualEnsemble:
     return virtual_states_planar(0.0)
 
 
+@functools.cache
+def _canonical_z_pair_ensemble() -> VirtualEnsemble:
+    """The purified X-basis ensemble of the shared ``|0z>, |1z>``, built on first use.
+
+    Not :func:`_perfect_x_ensemble`: its ``|0x>`` has ``px = 0.9999999999999998``.
+    """
+    return virtual_states_from_purification(basis_state("0z"), basis_state("1z"))
+
+
 def _is_counts_file(path: str) -> bool:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         header = handle.readline()
@@ -355,7 +364,11 @@ def cmd_estimate(config: RunConfig, yields_path: str) -> int:
         print(f"q[outcome={s}]: {coeffs}")
     # joint prefactor of virtual state j: P(Z pair) * P(X basis) * w_j
     if {"0z", "1z"} <= set(sources.labels):
-        ensemble = virtual_states_from_purification(sources.state("0z"), sources.state("1z"))
+        rho_0z, rho_1z = sources.state("0z"), sources.state("1z")
+        if rho_0z is basis_state("0z") and rho_1z is basis_state("1z"):
+            ensemble = _canonical_z_pair_ensemble()
+        else:
+            ensemble = virtual_states_from_purification(rho_0z, rho_1z)
         z_pair_weight = (sources.prior("0z") + sources.prior("1z")) * 0.5
     else:
         ensemble, z_pair_weight = _perfect_x_ensemble(), 1.0 / len(sources)
@@ -381,6 +394,10 @@ def cmd_simulate(config: RunConfig) -> int:
         raise ValidationError("invalid field pulses: simulate needs pulses >= 1")
     if not config.delta:
         raise ValidationError("invalid field delta: simulate needs a delta, got none")
+    # without a delta of its own, simulate runs the first of the sweep's defaults
+    if len(config.delta) > 1 and config.delta is not RunConfig.delta:
+        raise ValidationError(
+            f"invalid field delta: simulate takes one delta, got {len(config.delta)}")
     delta = config.delta[0]
     params = config.channel_params(config.distance_start, delta)
     experiment = montecarlo.fiber_experiment(params)

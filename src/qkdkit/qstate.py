@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -81,14 +82,23 @@ class QubitState:
         rho = np.asarray(self.density, dtype=complex)
         if rho.shape != (2, 2):
             raise ValidationError(f"density must be 2x2, got {rho.shape}")
-        if not np.all(np.isfinite(rho)):
+        # the entries as Python scalars: NumPy's per-call cost dwarfs 2x2 arithmetic
+        (r00, r01), (r10, r11) = rho.tolist()
+        if not all(map(cmath.isfinite, (r00, r01, r10, r11))):
             raise ValidationError("density contains non-finite entries")
-        if np.abs(rho - rho.conj().T).max() > ATOL:
+        # max |rho - rho^H|; the (1, 0) entry mirrors the (0, 1) one
+        try:
+            skew = max(abs(r00 - r00.conjugate()), abs(r01 - r10.conjugate()),
+                       abs(r11 - r11.conjugate()))
+        except OverflowError:  # abs() of a complex raises where NumPy's gives inf
+            skew = math.inf
+        if skew > ATOL:
             raise ValidationError("density is not Hermitian within 1e-12")
-        if abs(np.trace(rho).real - 1.0) > ATOL or abs(np.trace(rho).imag) > ATOL:
+        trace = r00 + r11
+        if abs(trace.real - 1.0) > ATOL or abs(trace.imag) > ATOL:
             raise ValidationError("density trace differs from 1 by more than 1e-12")
-        evals = np.linalg.eigvalsh(rho)
-        if evals.min() < -ATOL or evals.max() > 1.0 + ATOL:
+        evals = np.linalg.eigvalsh(rho)  # ascending
+        if evals[0] < -ATOL or evals[-1] > 1.0 + ATOL:
             raise ValidationError("density eigenvalues outside [0, 1] beyond 1e-12")
         object.__setattr__(self, "density", _frozen(rho))
         if self.ket is not None:
@@ -372,21 +382,6 @@ def virtual_states_planar(delta: float) -> VirtualEnsemble:
     return VirtualEnsemble(basis="x", entries=tuple(entries))
 
 
-def _purification(state: QubitState) -> np.ndarray:
-    """Purify ``state`` over (shield, system); returns shape ``(rank, 2)``.
-
-    Row ``i`` is ``sqrt(lambda_i) * v_i`` in eigenvalue-descending order with
-    phase-fixed eigenvectors, so the purification is deterministic.
-    """
-    evals, evecs = np.linalg.eigh(state.density)
-    order = np.argsort(evals)[::-1]
-    evals = np.clip(evals[order], 0.0, None)
-    evecs = evecs[:, order]
-    rank = max(1, int(np.sum(evals > ATOL)))
-    rows = [np.sqrt(evals[i]) * _fix_phase(evecs[:, i]) for i in range(rank)]
-    return np.array(rows)
-
-
 def virtual_states_from_purification(
     rho_0z: QubitState,
     rho_1z: QubitState,
@@ -398,32 +393,32 @@ def virtual_states_from_purification(
     purifications of the two inputs, projects A onto the ``basis``
     eigenstates, and traces out A and the shield.
 
+    Each input is purified over (shield, system) from one stacked ``eigh``:
+    shield row ``i`` is ``sqrt(lambda_i) * v_i`` in eigenvalue-descending
+    order with phase-fixed eigenvectors, so the purification is
+    deterministic.  Both are zero-padded to the larger rank, not to 2: a
+    pure pair's shield sums then keep their one term, and their bits.
+
     Returns:
         Ensemble ``{(w_j, normalized virtual state j)}`` with
         ``w_j = Tr(unnormalized virtual state j)``.
     """
     if basis not in ("x", "y"):
         raise ValidationError(f"basis must be 'x' or 'y', got {basis!r}")
-    phi_a = _purification(rho_0z)
-    phi_b = _purification(rho_1z)
-    dim = max(phi_a.shape[0], phi_b.shape[0])
-
-    def pad(phi: np.ndarray) -> np.ndarray:
-        return np.vstack([phi, np.zeros((dim - phi.shape[0], 2))])
-
-    phi_a, phi_b = pad(phi_a), pad(phi_b)
-
-    # <j_basis | j'_z> overlap coefficients of the A projection
-    entries = []
-    for j in (0, 1):
-        if basis == "x":
-            coeff = (-1.0) ** j
-        else:
-            coeff = (-1.0) ** j * (-1.0j)
-        psi = (phi_a + coeff * phi_b) / 2.0  # (shield, B) amplitudes
-        sigma = psi.T @ psi.conj()  # partial trace over the shield
-        weight = float(np.trace(sigma).real)
-        if weight <= ATOL:
-            raise ValidationError("virtual state has zero weight; degenerate source")
-        entries.append((weight, QubitState.from_density(sigma / weight)))
+    # eigh sorts each input's eigenvalues ascending; reversed, they descend
+    evals, evecs = np.linalg.eigh(np.stack([rho_0z.density, rho_1z.density]))
+    evals, evecs = np.clip(evals[:, ::-1], 0.0, None), evecs[:, :, ::-1]
+    ranks = np.maximum(1, np.sum(evals > ATOL, axis=1)).tolist()
+    phi = np.zeros((2, max(ranks), 2), dtype=complex)  # (input, shield, system)
+    for k, rank in enumerate(ranks):
+        for i in range(rank):
+            phi[k, i] = np.sqrt(evals[k, i]) * _fix_phase(evecs[k, :, i])
+    # <j_basis | j'_z> overlap coefficients of the A projection, one per virtual bit j
+    coeff = np.array([1.0, -1.0]) if basis == "x" else np.array([-1.0j, 1.0j])
+    psi = (phi[0] + coeff[:, None, None] * phi[1]) / 2.0  # (j, shield, B) amplitudes
+    sigma = np.swapaxes(psi, 1, 2) @ psi.conj()  # partial trace over the shield
+    weights = sigma[:, 0, 0].real + sigma[:, 1, 1].real
+    if weights.min() <= ATOL:
+        raise ValidationError("virtual state has zero weight; degenerate source")
+    entries = [(w, QubitState.from_density(s / w)) for w, s in zip(weights.tolist(), sigma)]
     return VirtualEnsemble(basis=basis, entries=tuple(entries))

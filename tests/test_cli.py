@@ -532,6 +532,29 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--pulses", "10", "--config", str(config)]) == 1
         assert capsys.readouterr().err.startswith("error: invalid field delta")
 
+    def test_repeated_delta_rejected(self, capsys):
+        argv = ["simulate", "--pulses", "10", "--delta", "0.1", "--delta", "0.5"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: invalid field delta: simulate takes one delta, got 2\n")
+
+    def test_config_delta_list_rejected(self, tmp_path, capsys):
+        # the sweep's three defaults, given explicitly, are a list too
+        config = tmp_path / "run.cfg"
+        config.write_text("delta = 0.0, 0.063, 0.126\n")
+        assert cli.main(["simulate", "--pulses", "10", "--config", str(config)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: invalid field delta: simulate takes one delta, got 3\n")
+
+    def test_no_delta_runs_the_first_default(self, capsys):
+        argv = ["simulate", "--pulses", "1000", "--seed", "5"]
+        assert cli.main(argv) == 0
+        default = capsys.readouterr()
+        assert cli.main(argv + ["--delta", "0.0"]) == 0
+        assert capsys.readouterr() == default
+        assert cli.main(argv + ["--delta", "0.063"]) == 0
+        assert capsys.readouterr().out != default.out
+
     def test_negative_seed_rejected(self, capsys):
         assert cli.main(["simulate", "--seed", "-1", "--pulses", "10"]) == 1
         err = capsys.readouterr().err
@@ -668,20 +691,21 @@ class TestPinnedStdout:
 class TestFixedObjectsBuiltOnce:
     """SVD, ``eigvalsh`` and ``eigh`` calls per call on the pinned inputs.
 
-    The canonical states, their Bloch vectors and the perfect virtual
-    ensemble are built once per process, and an ``estimate`` factorizes its
-    sources once for both outcomes after one well-posedness check.  A source
-    set shared by both relay parties is checked once, so the relay table
-    whose parties send the same labels makes one SVD fewer than the other.
-    The ``eigvalsh`` calls left are the state checks of the Bloch-column
-    sources and of the purified virtual states, which differ per input; the
-    ``eigh`` calls purify the Z pair.  A change that rebuilds a fixed object
-    on every call changes these counts.
+    The canonical states, their Bloch vectors, the perfect virtual ensemble
+    and the purified ensemble of the canonical Z pair are built once per
+    process, and an ``estimate`` factorizes its sources once for both
+    outcomes after one well-posedness check.  A source set shared by both
+    relay parties is checked once, so the relay table whose parties send the
+    same labels makes one SVD fewer than the other.  The ``eigvalsh`` calls
+    left are the state checks of the Bloch-column sources and of the purified
+    virtual states, which differ per input; a Z pair from Bloch columns is
+    purified with one ``eigh``.  A change that rebuilds a fixed object on
+    every call changes these counts.
     """
 
     # (svd, eigvalsh, eigh) calls of one call on each pinned input
-    CALLS = {"estimate_canonical.csv": (2, 2, 2), "estimate_planar.csv": (2, 5, 2),
-             "estimate_four_state.csv": (2, 6, 2), "mdi_relay.csv": (2, 0, 0),
+    CALLS = {"estimate_canonical.csv": (2, 0, 0), "estimate_planar.csv": (2, 5, 1),
+             "estimate_four_state.csv": (2, 6, 1), "mdi_relay.csv": (2, 0, 0),
              "mdi_relay_mixed_labels.csv": (3, 0, 0), "simulate_counts.csv": (0, 0, 0)}
 
     @pytest.mark.parametrize("command, name, expected", PINNED_STDOUT)

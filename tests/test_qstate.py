@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qkdkit.errors import ValidationError
 from qkdkit.qstate import (
+    ATOL,
     PAULI,
     BlochVector,
     QubitState,
@@ -21,6 +22,7 @@ from qkdkit.qstate import (
     virtual_amplitudes,
     virtual_states_from_purification,
     virtual_states_planar,
+    _fix_phase,
 )
 
 
@@ -131,6 +133,7 @@ class TestStateChecks:
         # an imaginary diagonal beyond the trace tolerance is never Hermitian within
         # 1e-12, so the Hermitian check, which runs first, rejects it
         (np.diag([0.5 + 1e-12j, 0.5 + 1e-12j]), NOT_HERMITIAN),
+        (np.diag([0.5 + 1e-12j, 0.5]), NOT_HERMITIAN),
         (np.diag([0.5, 0.5 + 1e-12j]), NOT_HERMITIAN),
         (np.diag([1.2, -0.2]), BAD_EIGENVALUES),
         ([[0.5, 0.5 + 2e-12], [0.5 + 2e-12, 0.5]], BAD_EIGENVALUES),
@@ -287,6 +290,92 @@ class TestVirtualStates:
             ensemble = virtual_states_from_purification(rho0, rho1, basis=basis)
             marginal = sum(w * s.density for (w, s) in ensemble.entries)
             assert np.abs(marginal - (rho0.density + rho1.density) / 2).max() <= 1e-12
+
+
+def reference_purification(state):
+    """The per-state purification, one ``eigh`` per input: the specification."""
+    evals, evecs = np.linalg.eigh(state.density)
+    order = np.argsort(evals)[::-1]
+    evals = np.clip(evals[order], 0.0, None)
+    evecs = evecs[:, order]
+    rank = max(1, int(np.sum(evals > ATOL)))
+    return np.array([np.sqrt(evals[i]) * _fix_phase(evecs[:, i]) for i in range(rank)])
+
+
+def reference_virtual_states(rho_0z, rho_1z, basis):
+    """``(weight, density)`` of each virtual bit, one projection per bit."""
+    phi_a, phi_b = reference_purification(rho_0z), reference_purification(rho_1z)
+    dim = max(phi_a.shape[0], phi_b.shape[0])
+    phi_a, phi_b = (np.vstack([phi, np.zeros((dim - phi.shape[0], 2))])
+                    for phi in (phi_a, phi_b))
+    entries = []
+    for j in (0, 1):
+        coeff = (-1.0) ** j if basis == "x" else (-1.0) ** j * (-1.0j)
+        psi = (phi_a + coeff * phi_b) / 2.0
+        sigma = psi.T @ psi.conj()
+        weight = float(np.trace(sigma).real)
+        if weight <= ATOL:
+            raise ValidationError("virtual state has zero weight; degenerate source")
+        entries.append((weight, sigma / weight))
+    return entries
+
+
+def random_states(seed):
+    """Pure, mixed, maximally mixed, near-pure and Bloch-built states of one seed."""
+    rng = np.random.default_rng(seed)
+    ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+    ket /= np.linalg.norm(ket)
+    pure = QubitState.from_amplitudes(ket[0], ket[1])
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T
+    rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
+    mixed = QubitState.from_density(rho)
+    # a tiny second eigenvalue, above or below the rank tolerance
+    weight = 1.0 - 10.0 ** rng.uniform(-14.0, -10.0)
+    near_pure = QubitState.from_density(
+        weight * pure.density + (1.0 - weight) * basis_state("1y").density)
+    direction = rng.normal(size=3)
+    radius = rng.choice([1.0, rng.uniform(0.0, 1.0)])
+    px, py, pz = radius * direction / np.linalg.norm(direction)
+    bloch = bloch_to_density(BlochVector(v0=1.0, px=px, py=py, pz=pz))
+    maximally_mixed = QubitState.from_density(np.eye(2) / 2.0)
+    delta = rng.uniform(0.0, 1.0)
+    modulated = [encode_single_photon(theta, delta) for theta in (0.0, math.pi)]
+    return [pure, mixed, near_pure, bloch, maximally_mixed, *modulated]
+
+
+class TestStackedPurification:
+    """The stacked purification equals the per-state one bit for bit."""
+
+    @pytest.mark.parametrize("basis", ["x", "y"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_reference(self, seed, basis):
+        states = random_states(seed)
+        labels = ["0z", "1z", "0x", "1x", "0y", "1y"]
+        others = random_states(seed + 1000) + [basis_state(lab) for lab in labels]
+        for rho_0z in states + [basis_state(labels[seed % 6])]:
+            for rho_1z in others:
+                try:
+                    reference = reference_virtual_states(rho_0z, rho_1z, basis)
+                except ValidationError as exc:
+                    with pytest.raises(ValidationError, match=str(exc)):
+                        virtual_states_from_purification(rho_0z, rho_1z, basis=basis)
+                    continue
+                ensemble = virtual_states_from_purification(rho_0z, rho_1z, basis=basis)
+                assert ensemble.basis == basis
+                for (weight, density), (w, state) in zip(reference, ensemble.entries):
+                    assert type(w) is float and w == weight
+                    assert state.density.tobytes() == density.tobytes()
+
+    def test_equal_pure_inputs_have_a_zero_weight_x_bit(self):
+        # |1x> projects phi_a - phi_b = 0; in the Y basis both bits keep weight 1/2
+        state = random_states(3)[0]
+        with pytest.raises(ValidationError, match="zero weight"):
+            reference_virtual_states(state, state, "x")
+        with pytest.raises(ValidationError, match="zero weight"):
+            virtual_states_from_purification(state, state, basis="x")
+        weights = virtual_states_from_purification(state, state, basis="y").weights
+        assert np.allclose(weights, 0.5, rtol=0.0, atol=1e-12)
 
 
 class TestSourceSets:
