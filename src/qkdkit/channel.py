@@ -7,9 +7,11 @@ detectors with dark counts.  Double clicks are assigned a random bit.
 
 The X-basis single-photon statistics are expressed through the conditional
 yields of the virtual states, whose squared overlaps come from
-:func:`qkdkit.qstate.virtual_amplitudes`; because channel loss multiplies
-all of them uniformly, the single-photon phase error rate is independent of
-distance whenever dark counts are negligible.
+:func:`qkdkit.qstate.virtual_amplitudes`.  The single-photon phase error rate
+``e_x1`` is the estimator's ratio, :func:`qkdkit.estimator.offdiag_share`, of
+that virtual-yield table; because channel loss multiplies all of its cells
+uniformly, ``e_x1`` is independent of distance whenever dark counts are
+negligible.
 
 The helpers are vectorized over the intensity ``alpha``, the transmittance
 ``t`` and the modulation error ``delta``, so the intensity optimizer evaluates
@@ -25,7 +27,8 @@ from typing import Union
 import numpy as np
 
 from .errors import UndefinedRateError, ValidationError
-from .qstate import virtual_amplitudes
+from .estimator import offdiag_share
+from .qstate import virtual_amplitudes, virtual_priors
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -89,12 +92,23 @@ class ZStats:
     e_x1: float
 
     def __post_init__(self) -> None:
-        for name in ("q_z", "e_z", "q_z1", "e_x1"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-                raise ValidationError(f"{name} = {value!r} is not a probability")
-        if self.q_z1 > self.q_z + 1e-12:
-            raise ValidationError("single-photon gain exceeds the overall gain")
+        check_ranges(self)
+
+
+def check_ranges(record, **tests) -> None:
+    """The checks of a :class:`ZStats`, on scalars or columns: ``tests`` (name -> where
+    it passes) first, then ``q_z``, ``e_z``, ``q_z1`` and ``e_x1`` in [0, 1] (NaN fails)
+    and ``q_z1 <= q_z + 1e-12``."""
+    for name in ("q_z", "e_z", "q_z1", "e_x1"):
+        value = getattr(record, name)
+        tests[name] = (value >= 0.0) & (value <= 1.0)
+    for name, ok in tests.items():
+        ok = np.asarray(ok)
+        if not ok.all():
+            bad = float(np.asarray(getattr(record, name))[~ok][0])
+            raise ValidationError(f"{name} = {bad!r} is out of range")
+    if np.any(record.q_z1 > record.q_z + 1e-12):
+        raise ValidationError("single-photon gain exceeds the overall gain")
 
 
 def transmittance(params: ChannelParams, distance_km: ArrayLike | None = None) -> ArrayLike:
@@ -135,12 +149,6 @@ def conditional_virtual_yields(params: ChannelParams, t: ArrayLike | None = None
     return arrived * (1.0 - e_d / 2.0) + e_d * (1.0 - e_d / 2.0) + arrived[..., ::-1, :] * e_d
 
 
-def virtual_priors(delta: float) -> np.ndarray:
-    """Weights ``P(j_x) = [1 + (-1)^j sin(delta/2)]/2`` of the virtual states."""
-    s = math.sin(delta / 2.0)
-    return np.array([(1.0 + s) / 2.0, (1.0 - s) / 2.0])
-
-
 def single_photon_terms(params: ChannelParams, t: ArrayLike | None,
                         delta: ArrayLike | None = None) -> tuple[ArrayLike, ArrayLike]:
     """Prior-weighted conditional yield and single-photon phase error ``e_x1``.
@@ -149,9 +157,7 @@ def single_photon_terms(params: ChannelParams, t: ArrayLike | None,
     """
     yields = conditional_virtual_yields(params, t, delta)
     weighted = (yields * _per_delta(virtual_priors, params, delta, (1, 2))).sum(axis=(-2, -1))
-    with np.errstate(invalid="ignore"):
-        e_x1 = (yields[..., 1, 0] + yields[..., 0, 1]) / yields.sum(axis=(-2, -1))
-    return weighted, e_x1
+    return weighted, offdiag_share(yields)
 
 
 def single_photon_gain(alpha: ArrayLike, weighted: ArrayLike) -> ArrayLike:
@@ -177,35 +183,22 @@ def zbasis_overlaps(params: ChannelParams, delta: ArrayLike | None = None) -> tu
             _per_delta(lambda d: math.cos(d / 2.0) ** 2, params, delta))
 
 
-def zbasis_click_probs(params: ChannelParams, alpha: ArrayLike, t: ArrayLike,
-                       delta: ArrayLike | None = None, overlaps: tuple | None = None) -> tuple:
-    """Per-detector click probabilities ``(P00, P10, P01, P11)``.
+def zbasis_gain_error_weight(params: ChannelParams, alpha: ArrayLike, t: ArrayLike,
+                             overlaps: tuple) -> tuple:
+    """Overall gain ``Q_z`` and error weight ``w_z``; vectorized over ``alpha``, ``t`` and
+    ``overlaps``, which is :func:`zbasis_overlaps` of the deltas.
 
-    ``P[s|j]`` is the probability detector ``s`` fires when bit ``j`` was sent
-    with intensity ``alpha`` over transmittance ``t`` at error ``delta``.
-    ``overlaps``, when given, is :func:`zbasis_overlaps` of ``delta``, built
-    once by a caller that evaluates many intensities.
-    ``-expm1(-m)`` keeps full precision at a small mean photon number ``m``.
+    Detector ``s`` fires with probability ``P[s|j]`` when bit ``j`` was sent, where
+    ``-expm1(-m)`` keeps full precision at a small mean photon number ``m``.  Per sent
+    bit, the detection probability is the inclusive-or of the two detectors and the
+    error weight counts wrong-detector-only clicks plus half of the double clicks.
     """
     e_d = params.dark_count
     signal = alpha * t
-    sin2, cos2 = zbasis_overlaps(params, delta) if overlaps is None else overlaps
-    p00 = e_d + (1.0 - e_d) * -np.expm1(-signal)
+    sin2, cos2 = overlaps
+    p00, p10 = e_d + (1.0 - e_d) * -np.expm1(-signal), e_d
     p01 = e_d + (1.0 - e_d) * -np.expm1(-signal * sin2)
     p11 = e_d + (1.0 - e_d) * -np.expm1(-signal * cos2)
-    return p00, e_d, p01, p11
-
-
-def zbasis_gain_error_weight(params: ChannelParams, alpha: ArrayLike, t: ArrayLike,
-                             delta: ArrayLike | None = None, overlaps: tuple | None = None) -> tuple:
-    """Overall gain ``Q_z`` and error weight ``w_z``; vectorized over ``alpha``, ``t``, ``delta``.
-
-    Per sent bit, the detection probability is the inclusive-or of the two
-    detectors and the error weight counts wrong-detector-only clicks plus
-    half of the double clicks (random assignment).  ``overlaps`` is as for
-    :func:`zbasis_click_probs`.
-    """
-    p00, p10, p01, p11 = zbasis_click_probs(params, alpha, t, delta, overlaps)
     gain = 0.5 * (p00 + p10 - p00 * p10) + 0.5 * (p01 + p11 - p01 * p11)
     weight = 0.5 * ((1.0 - p00) * p10 + 0.5 * p00 * p10) + 0.5 * (
         p01 * (1.0 - p11) + 0.5 * p01 * p11
@@ -218,7 +211,7 @@ def zbasis_stats(params: ChannelParams, alpha: ArrayLike | None = None,
     """Return ``(Q_z, e_z)`` for the key basis; vectorized over ``alpha``, ``t`` and ``delta``."""
     alpha = params.alpha if alpha is None else alpha
     t = transmittance(params) if t is None else t
-    q_z, w_z = zbasis_gain_error_weight(params, alpha, t, delta)
+    q_z, w_z = zbasis_gain_error_weight(params, alpha, t, zbasis_overlaps(params, delta))
     if np.any(q_z <= 0.0):
         raise UndefinedRateError("Z-basis gain is zero; bit error rate undefined")
     return q_z, w_z / q_z

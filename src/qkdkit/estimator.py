@@ -8,11 +8,13 @@ those rates exactly and with them the detection statistics of *any* state,
 in particular the virtual states that define the phase error rate.
 
 Every path ends in one ratio, :func:`error_rate`: the off-diagonal share of
-a 2x2 table of virtual yields.  Each cell of that table is a linear form in
-the observed yields (for the perfect three-state protocol the constant map
-:data:`THREE_STATE_MAP`; otherwise the solved functionals evaluated on the
-virtual states), so uniform channel loss scales the table and cancels: the
-estimate is loss-tolerant.
+a 2x2 table of virtual yields, computed by :func:`offdiag_share`.  Each cell
+of that table is a linear form in the observed yields (for the perfect
+three-state protocol the constant map :data:`THREE_STATE_MAP`; otherwise the
+solved functionals evaluated on the virtual states), so uniform channel loss
+scales the table and cancels: the estimate is loss-tolerant.  The analytic
+fiber model's single-photon ``e_x1`` (:mod:`qkdkit.channel`) is the same
+ratio, of its modelled virtual-yield tables.
 
 All solvers use an SVD factorization: it supplies the conditioning check
 (smallest/largest singular value) and a numerically robust solve in one go.
@@ -349,6 +351,13 @@ def predict_yield(
     return prior * functional.evaluate(bloch)
 
 
+def offdiag_share(table: np.ndarray) -> np.ndarray:
+    """Unchecked ``(max(t01, 0) + max(t10, 0)) / sum`` over the last two axes of ``table``."""
+    with np.errstate(invalid="ignore"):  # a table that sums to 0 gives NaN
+        errors = np.maximum(table[..., 0, 1], 0.0) + np.maximum(table[..., 1, 0], 0.0)
+        return errors / table.sum(axis=(-2, -1))
+
+
 def error_rate(table: np.ndarray, *, negativity_tol: float = NEGATIVITY_TOL) -> float:
     """Phase error rate: the off-diagonal share of a 2x2 virtual-yield table.
 
@@ -356,9 +365,10 @@ def error_rate(table: np.ndarray, *, negativity_tol: float = NEGATIVITY_TOL) -> 
     the relay's two virtual bits, so the errors are the off-diagonal cells.
     A cell below ``-negativity_tol`` raises :class:`InconsistentYieldsError`;
     smaller negative error cells are clamped to zero.  Statistical callers
-    pass ``math.inf`` to always clamp.
+    pass ``math.inf`` to always clamp.  The ratio itself is :func:`offdiag_share`.
 
     Raises:
+        ValidationError: a table that is not 2x2 or has a non-finite cell.
         UndefinedRateError: the cells sum to zero or less.
         InconsistentYieldsError: a negative cell, or a rate above 1, beyond
             ``negativity_tol``.
@@ -366,13 +376,15 @@ def error_rate(table: np.ndarray, *, negativity_tol: float = NEGATIVITY_TOL) -> 
     table = np.asarray(table, dtype=float)
     if table.shape != (2, 2):
         raise ValidationError(f"virtual-yield table must be 2x2, got shape {table.shape}")
-    lowest = float(table.min())
+    cells = table.ravel().tolist()  # Python scalars: NumPy's per-call cost dwarfs four cells
+    if not all(map(math.isfinite, cells)):
+        raise ValidationError("virtual-yield table must be finite")
+    lowest = min(cells)
     if lowest < -negativity_tol:
         raise InconsistentYieldsError(f"predicted virtual yield {lowest!r} is negative")
-    denominator = float(table.sum())
-    if denominator <= 0.0:
+    if float(table.sum()) <= 0.0:
         raise UndefinedRateError("virtual yields sum to zero; phase error rate undefined")
-    value = (max(float(table[0, 1]), 0.0) + max(float(table[1, 0]), 0.0)) / denominator
+    value = float(offdiag_share(table))
     if value > 1.0 + negativity_tol:
         raise InconsistentYieldsError(f"error rate {value!r} exceeds 1 beyond tolerance")
     return min(value, 1.0)

@@ -22,9 +22,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import xlogy
 
-from .channel import (ArrayLike, ChannelParams, ZStats, single_photon_gain, single_photon_stats,
-                      single_photon_terms, transmittance, zbasis_gain_error_weight, zbasis_overlaps,
-                      zbasis_stats)
+from .channel import (ArrayLike, ChannelParams, ZStats, check_ranges, single_photon_gain,
+                      single_photon_stats, single_photon_terms, transmittance,
+                      zbasis_gain_error_weight, zbasis_overlaps, zbasis_stats)
 from .errors import ValidationError
 
 _LN2 = math.log(2.0)
@@ -44,7 +44,7 @@ def binary_entropy(x):
     Accepts scalars or arrays in [0, 1].
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):  # NaN fails too
         raise ValidationError("binary_entropy argument must lie in [0, 1]")
     h = -(xlogy(arr, arr) + xlogy(1.0 - arr, 1.0 - arr)) / _LN2
     if np.isscalar(x) or arr.ndim == 0:
@@ -57,14 +57,16 @@ def _check_f_ec(f_ec: float) -> None:
         raise ValidationError(f"f_ec must be finite and >= 1, got {f_ec!r}")
 
 
+def _rate(q_z1: ArrayLike, pa_factor: ArrayLike, q_z: ArrayLike, e_z: ArrayLike, f_ec: float):
+    """The rate formula, clamped at zero, from the privacy-amplification factor
+    ``pa_factor = 1 - h(e_x1)``, which a sweep computes once for all intensities."""
+    return np.maximum(0.5 * (q_z1 * pa_factor - f_ec * q_z * binary_entropy(e_z)), 0.0)
+
+
 def secret_key_rate(stats: ZStats, f_ec: float = DEFAULT_F_EC) -> float:
     """Asymptotic secret key rate per pulse, clamped at zero."""
     _check_f_ec(f_ec)
-    rate = 0.5 * (
-        stats.q_z1 * (1.0 - binary_entropy(stats.e_x1))
-        - f_ec * stats.q_z * binary_entropy(stats.e_z)
-    )
-    return max(rate, 0.0)
+    return float(_rate(stats.q_z1, 1.0 - binary_entropy(stats.e_x1), stats.q_z, stats.e_z, f_ec))
 
 
 def _rate_function(params: ChannelParams, t: np.ndarray, f_ec: float, delta: ArrayLike | None):
@@ -79,11 +81,10 @@ def _rate_function(params: ChannelParams, t: np.ndarray, f_ec: float, delta: Arr
 
     def rates(alpha: ArrayLike, rows: slice = slice(None)) -> np.ndarray:
         """Rates at ``alpha`` (one column per intensity) of the distances ``rows``."""
-        gain, weight = zbasis_gain_error_weight(params, alpha, t[rows], overlaps=overlaps)
+        gain, weight = zbasis_gain_error_weight(params, alpha, t[rows], overlaps)
         e_z = np.where(gain > 0.0, weight / np.where(gain > 0.0, gain, 1.0), 0.0)
         q_z1 = single_photon_gain(alpha, weighted[..., rows, :])
-        return np.maximum(
-            0.5 * (q_z1 * pa_factor[..., rows, :] - f_ec * gain * binary_entropy(e_z)), 0.0)
+        return _rate(q_z1, pa_factor[..., rows, :], gain, e_z, f_ec)
 
     return rates, weighted.shape[:-1]
 
@@ -184,16 +185,8 @@ class SweepTable:
     rate: np.ndarray
 
     def __post_init__(self) -> None:
-        # the checks of a single point, once per column; NaN fails each range test
-        tests = {"rate": self.rate >= 0.0, "alpha_opt": self.alpha_opt > 0.0}
-        tests.update({name: (getattr(self, name) >= 0.0) & (getattr(self, name) <= 1.0)
-                      for name in ("q_z", "e_z", "q_z1", "e_x1")})
-        for name, ok in tests.items():
-            if not ok.all():
-                bad = float(getattr(self, name)[~ok][0])
-                raise ValidationError(f"{name} = {bad!r} is out of range")
-        if np.any(self.q_z1 > self.q_z + 1e-12):
-            raise ValidationError("single-photon gain exceeds the overall gain")
+        # the checks of a single point, once per column
+        check_ranges(self, rate=self.rate >= 0.0, alpha_opt=self.alpha_opt > 0.0)
 
 
 def sweep(

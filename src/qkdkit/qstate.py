@@ -152,7 +152,10 @@ class BlochVector:
 
     @property
     def norm2(self) -> float:
-        return self.px**2 + self.py**2 + self.pz**2
+        try:
+            return self.px**2 + self.py**2 + self.pz**2
+        except OverflowError:  # ** raises on a square past 1.8e308, where NumPy's gives inf
+            return math.inf
 
     @property
     def is_planar(self) -> bool:
@@ -268,29 +271,19 @@ class SourceSet:
         return [state.bloch() for _, state, _ in self.entries]
 
 
+def _canonical_sources(labels: tuple[str, ...]) -> SourceSet:
+    prior = 1.0 / len(labels)
+    return SourceSet(entries=tuple((label, basis_state(label), prior) for label in labels))
+
+
 def three_state_sources() -> SourceSet:
     """Perfect three-state sources ``{|0z>, |1z>, |0x>}`` with uniform priors."""
-    third = 1.0 / 3.0
-    return SourceSet(
-        entries=(
-            ("0z", basis_state("0z"), third),
-            ("1z", basis_state("1z"), third),
-            ("0x", basis_state("0x"), third),
-        )
-    )
+    return _canonical_sources(("0z", "1z", "0x"))
 
 
 def four_state_sources() -> SourceSet:
     """Perfect four-state sources whose Bloch points span a triangular pyramid."""
-    quarter = 0.25
-    return SourceSet(
-        entries=(
-            ("0z", basis_state("0z"), quarter),
-            ("1z", basis_state("1z"), quarter),
-            ("0x", basis_state("0x"), quarter),
-            ("0y", basis_state("0y"), quarter),
-        )
-    )
+    return _canonical_sources(("0z", "1z", "0x", "0y"))
 
 
 def modulated_three_state_sources(delta: float) -> SourceSet:
@@ -362,19 +355,23 @@ def virtual_amplitudes(delta: float) -> np.ndarray:
     )
 
 
+def virtual_priors(delta: float) -> np.ndarray:
+    """Weights ``P(j_x) = [1 + (-1)^j sin(delta/2)]/2`` of the virtual states."""
+    s = math.sin(delta / 2.0)
+    return np.array([(1.0 + s) / 2.0, (1.0 - s) / 2.0])
+
+
 def virtual_states_planar(delta: float) -> VirtualEnsemble:
     """Closed-form X-basis virtual ensemble of the modulated Z pair.
 
-    Weights are ``P(j_x) = [1 + (-1)^j sin(delta/2)]/2``; the states are
-    given by :func:`virtual_amplitudes`.  Equivalent to
+    Weights are :func:`virtual_priors`; the states are given by
+    :func:`virtual_amplitudes`.  Equivalent to
     :func:`virtual_states_from_purification` on
     ``(encode(0, delta), encode(pi, delta))``.
     """
     coeffs = virtual_amplitudes(delta)
-    s = math.sin(delta / 2.0)
-    weights = ((1.0 + s) / 2.0, (1.0 - s) / 2.0)
     entries = []
-    for j, weight in enumerate(weights):
+    for j, weight in enumerate(virtual_priors(delta).tolist()):
         # X-basis amplitudes -> Z-basis amplitudes
         a0 = (coeffs[0, j] + coeffs[1, j]) / _SQ2
         a1 = (coeffs[0, j] - coeffs[1, j]) / _SQ2

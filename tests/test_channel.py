@@ -214,6 +214,19 @@ class TestChannelStats:
         with pytest.raises(ValidationError):
             ZStats(q_z=0.1, e_z=1.5, q_z1=0.05, e_x1=0.0)
 
+    @pytest.mark.parametrize("dark_count", [0.0, 0.5e-7, 1e-4])
+    def test_model_e_x1_is_the_estimator_ratio(self, dark_count):
+        # e_x1 is error_rate of the modelled virtual-yield table, bit for bit
+        from qkdkit.estimator import error_rate
+
+        rng = np.random.default_rng(5)
+        params = DEFAULTS.at(dark_count=dark_count)
+        t = transmittance(params, rng.uniform(0.0, 400.0, 50))
+        delta = rng.uniform(0.0, 2.0, (8, 1))
+        _, e_x1 = single_photon_stats(params, t=t, delta=delta)
+        tables = conditional_virtual_yields(params, t, delta).reshape(-1, 2, 2)
+        assert e_x1.ravel().tolist() == [error_rate(table) for table in tables]
+
     def test_two_paths_one_number(self):
         # analytic e_x1 == estimator pipeline on the equivalent experiment
         from qkdkit.estimator import phase_error_virtual, solve_functional

@@ -454,6 +454,16 @@ class TestEstimateCommand:
         assert cli.main(["estimate", str(path)]) == 2
         assert "ill-posed" in capsys.readouterr().err
 
+    def test_huge_bloch_component_exits_one(self, tmp_path, capsys):
+        w = 1.0 / 6.0
+        sources = (("a", "0.0", "1.0"), ("b", "0.0", "-1.0"), ("c", "1e200", "0.0"))
+        rows = [[label, "x", s, repr(w * 0.4), repr(w), px, "0.0", pz]
+                for label, px, pz in sources for s in (0, 1)]
+        path = tmp_path / "huge.csv"
+        write_yield_csv(path, rows, extra_cols=("px", "py", "pz"))
+        assert cli.main(["estimate", str(path)]) == 1
+        assert capsys.readouterr().err == "error: Bloch vector lies outside the unit ball\n"
+
     def test_missing_entries_listed(self, tmp_path, capsys):
         rows = identity_three_state_rows()[:-1]  # drop one cell
         path = tmp_path / "partial.csv"

@@ -236,6 +236,12 @@ class TestErrorRate:
         with pytest.raises(InconsistentYieldsError):
             error_rate(table)
 
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_rejected(self, cell):
+        table = np.array([[0.5, 0.2], [cell, 0.4]])
+        with pytest.raises(ValidationError, match="must be finite"):
+            error_rate(table)
+
     def test_zero_denominator_undefined(self):
         with pytest.raises(UndefinedRateError):
             error_rate(np.zeros((2, 2)))

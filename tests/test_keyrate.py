@@ -107,6 +107,10 @@ class TestBinaryEntropy:
             binary_entropy(-0.01)
         with pytest.raises(ValidationError):
             binary_entropy(np.array([0.2, 1.01]))
+        with pytest.raises(ValidationError):
+            binary_entropy(math.nan)
+        with pytest.raises(ValidationError):
+            binary_entropy(np.array([0.2, math.nan]))
 
 
 class TestSecretKeyRate:
@@ -271,6 +275,18 @@ class TestSweep:
         table = sweep([0.0, 50.0], [0.0, 0.126], DEFAULTS, alpha=0.3)
         assert table.alpha_opt.tolist() == [0.3] * 4
 
+    def test_rate_is_secret_key_rate_of_its_row(self):
+        # the sweep and secret_key_rate state the rate formula once, so they agree bit for bit
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            params = DEFAULTS.at(dark_count=float(rng.choice([0.0, 0.5e-7, 1e-4])))
+            distance, delta = float(rng.uniform(0.0, 300.0)), float(rng.uniform(0.0, 0.8))
+            alpha, f_ec = float(rng.uniform(1e-3, 1.0)), float(rng.uniform(1.0, 1.6))
+            row = sweep([distance], [delta], params, f_ec=f_ec, alpha=alpha)
+            stats = ZStats(q_z=float(row.q_z[0]), e_z=float(row.e_z[0]),
+                           q_z1=float(row.q_z1[0]), e_x1=float(row.e_x1[0]))
+            assert row.rate[0] == secret_key_rate(stats, f_ec=f_ec)
+
     def test_sliced_grid_scan_bounds_memory(self, monkeypatch):
         # an unsliced scan holds (points, 64) temporaries: a 98 MiB peak here
         distances = [k * 0.0075 for k in range(20_000)]
@@ -315,7 +331,17 @@ class TestSweepTable:
         ("q_z", [math.inf, 0.05], "q_z = inf is out of range"),
         ("e_x1", [math.nan, 0.0], "e_x1 = nan is out of range"),
         ("q_z1", [0.05, 0.06], "single-photon gain exceeds the overall gain"),
+        # a single point, as ZStats, runs the same checks
+        (ZStats, dict(q_z=0.1, e_z=1.5, q_z1=0.05, e_x1=0.0), "e_z = 1.5 is out of range"),
+        (ZStats, dict(q_z=math.inf, e_z=0.0, q_z1=0.05, e_x1=0.0), "q_z = inf is out of range"),
+        (ZStats, dict(q_z=0.1, e_z=0.0, q_z1=0.05, e_x1=math.nan), "e_x1 = nan is out of range"),
+        (ZStats, dict(q_z=0.1, e_z=0.0, q_z1=-1e-3, e_x1=0.0), "q_z1 = -0.001 is out of range"),
+        (ZStats, dict(q_z=0.05, e_z=0.0, q_z1=0.06, e_x1=0.0),
+         "single-photon gain exceeds the overall gain"),
     ])
     def test_bad_column_rejected(self, column, values, message):
         with pytest.raises(ValidationError, match=message):
-            self.table(**{column: values})
+            if column is ZStats:
+                ZStats(**values)
+            else:
+                self.table(**{column: values})

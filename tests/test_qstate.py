@@ -411,3 +411,16 @@ class TestSourceSets:
             BlochVector(v0=1.0, px=1.0, py=1.0, pz=0.0)
         with pytest.raises(ValidationError):
             BlochVector(v0=0.5, px=0.0, py=0.0, pz=0.0)
+
+    @pytest.mark.parametrize("px, inside", [
+        (1.0000000000005, True),  # px**2 is the float 1 + 1e-12, the bound itself
+        (1.0000000000005003, False),  # the next float up
+        (1e155, False),  # px**2 overflows the float range
+        (-1e200, False),
+    ])
+    def test_bloch_norm_decided_at_bound(self, px, inside):
+        if inside:
+            assert BlochVector(v0=1.0, px=px, py=0.0, pz=0.0).norm2 == 1.0 + ATOL
+        else:
+            with pytest.raises(ValidationError, match="outside the unit ball"):
+                BlochVector(v0=1.0, px=px, py=0.0, pz=0.0)
