@@ -45,6 +45,7 @@ from .qstate import (
     VirtualEnsemble,
     basis_state,
     bloch_to_density,
+    canonical_sources,
     three_state_sources,
     virtual_states_from_purification,
     virtual_states_planar,
@@ -249,9 +250,7 @@ def _read_counts_csv(path: str) -> montecarlo.TrialRecord:
         counts[key] = _cell(row, "count", where, int)
     if not counts:
         raise ValidationError(f"{path}: no count rows found")
-    return montecarlo.TrialRecord(
-        counts=counts, n_pulses=sum(counts.values()), rng_seed=0
-    )
+    return montecarlo.TrialRecord(counts=counts, n_pulses=sum(counts.values()))
 
 
 def _read_yield_csv(path: str) -> tuple[YieldTable, SourceSet]:
@@ -358,7 +357,7 @@ def cmd_estimate(config: RunConfig, yields_path: str) -> int:
     print(f"condition_number: {_format(report.condition_number)}")
     if not report.well_posed:
         raise WellPosednessError(f"sources are ill-posed ({report.reason})")
-    functionals = estimator.solve_functionals(table, sources, (0, 1), basis="x", report=report)
+    functionals = estimator.solve_functionals(table, sources, (0, 1), report=report)
     for s, functional in enumerate(functionals):
         coeffs = " ".join(f"{k}={_format(v)}" for k, v in functional.q.items())
         print(f"q[outcome={s}]: {coeffs}")
@@ -390,8 +389,6 @@ def cmd_estimate(config: RunConfig, yields_path: str) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    if config.pulses < 1:
-        raise ValidationError("invalid field pulses: simulate needs pulses >= 1")
     if not config.delta:
         raise ValidationError("invalid field delta: simulate needs a delta, got none")
     # without a delta of its own, simulate runs the first of the sweep's defaults
@@ -466,17 +463,9 @@ def cmd_mdi_estimate(config: RunConfig, yields_path: str) -> int:
     pairs, gamma = _read_pair_yield_csv(yields_path)
     labels_a = sorted({a for a, _ in pairs})
     labels_b = sorted({b for _, b in pairs})
-    if len(labels_a) != 3 or len(labels_b) != 3:
-        raise ValidationError("each party must contribute exactly 3 labels")
-
-    def canonical(labels: list[str]) -> SourceSet:
-        return SourceSet(
-            entries=tuple((lab, basis_state(lab), 1.0 / 3.0) for lab in labels)
-        )
-
-    sources_a = canonical(labels_a)
+    sources_a = canonical_sources(labels_a)
     # one source set for both parties is checked once
-    sources_b = sources_a if labels_b == labels_a else canonical(labels_b)
+    sources_b = sources_a if labels_b == labels_a else canonical_sources(labels_b)
     functional = estimator.mdi_solve(pairs, sources_a, sources_b, gamma)
     axes = ("id", "x", "z")
     for i, s in enumerate(axes):

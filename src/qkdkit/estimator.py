@@ -131,30 +131,34 @@ class TransmissionFunctional:
     """Solved transmission rates ``q_t = Tr(D sigma_t)/2`` for one outcome.
 
     ``q`` maps ``t in {id, x, z}`` (planar) or ``{id, x, y, z}`` (full) to a
-    real coefficient.  The predicted conditional yield of a state with Bloch
-    vector ``p`` is ``q_id + p . q``, which must be non-negative for every
-    valid state; that bounds the Pauli part by ``q_id``.
+    real coefficient, so the functional is planar when ``q`` has no ``y``.
+    The predicted conditional yield of a state with Bloch vector ``p`` is
+    ``q_id + p . q``, which must be non-negative for every valid state; that
+    bounds the Pauli part by ``q_id``.
     """
 
     outcome: int
     q: Mapping[str, float]
-    planar: bool
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "q", dict(self.q))
         keys = ("id", "x", "z") if self.planar else ("id", "x", "y", "z")
         if set(self.q.keys()) != set(keys):
             raise ValidationError(f"functional must have coefficients {keys}")
-        object.__setattr__(self, "q", dict(self.q))
         q_id = self.q["id"]
         if not (-NEGATIVITY_TOL <= q_id <= 1.0 + NEGATIVITY_TOL):
             raise InconsistentYieldsError(
-                f"identity transmission rate {q_id!r} outside [0, 1]"
+                f"identity transmission rate {float(q_id)!r} outside [0, 1]"
             )
         pauli = [self.q[k] for k in keys[1:]]
         if math.hypot(*pauli) > q_id + NEGATIVITY_TOL:
             raise InconsistentYieldsError(
                 "functional predicts negative yields for some valid state"
             )
+
+    @property
+    def planar(self) -> bool:
+        return "y" not in self.q
 
     def evaluate(self, bloch: BlochVector) -> float:
         """Predicted conditional yield ``q_id + p . q`` for one state."""
@@ -191,7 +195,7 @@ class TwoQubitFunctional:
         object.__setattr__(self, "q", q)
         if not (-NEGATIVITY_TOL <= q[0, 0] <= 1.0 + NEGATIVITY_TOL):
             raise InconsistentYieldsError(
-                f"identity-identity rate {q[0, 0]!r} outside [0, 1]"
+                f"identity-identity rate {float(q[0, 0])!r} outside [0, 1]"
             )
 
 
@@ -201,7 +205,6 @@ class ConditioningReport:
 
     well_posed: bool
     condition_number: float
-    singular_values: tuple[float, ...]
     reason: str | None = None
 
 
@@ -217,14 +220,13 @@ def check_well_posed(blochs: Sequence[BlochVector]) -> ConditioningReport:
         raise ValidationError(f"need 3 or 4 source states, got {n}")
     full = np.array([b.as_array() for b in blochs])
     singular = np.linalg.svd(_design_matrix(blochs), compute_uv=False)
-    values = tuple(singular)
     if any(np.abs(full[i] - full[j]).max() <= 1e-12 for i, j in combinations(range(n), 2)):
-        return ConditioningReport(False, math.inf, values, reason="duplicate-states")
+        return ConditioningReport(False, math.inf, reason="duplicate-states")
     smax, smin = float(singular[0]), float(singular[-1])
     if smin <= SINGULARITY_THRESHOLD * smax:
         cond = math.inf if smin == 0.0 else smax / smin
-        return ConditioningReport(False, cond, values, reason="rank-deficient")
-    return ConditioningReport(True, smax / smin, values)
+        return ConditioningReport(False, cond, reason="rank-deficient")
+    return ConditioningReport(True, smax / smin)
 
 
 def _design_matrix(blochs: Sequence[BlochVector]) -> np.ndarray:
@@ -236,24 +238,22 @@ def _checked_design(
     sources: SourceSet, report: ConditioningReport | None = None, party: str = ""
 ) -> np.ndarray:
     """The design matrix of ``sources`` after the checks of every solve, in
-    order: 3 or 4 states, three states in the X-Z plane, well-posed.
+    order: 3 or 4 states (counted by :func:`check_well_posed`), three states
+    in the X-Z plane, well-posed.
 
     ``report`` is the sources' :func:`check_well_posed` report when the caller
     already has it; ``party`` names the relay party in the messages.
     """
     blochs = sources.blochs()
-    n = len(blochs)
-    if n not in (3, 4):
-        raise ValidationError(f"need 3 or 4 sources, got {n}")
+    if report is None:
+        report = check_well_posed(blochs)  # counts the states first
     who = f"party {party} " if party else ""
-    if n == 3:
+    if len(blochs) == 3:
         for label, bloch in zip(sources.labels, blochs):
             if not bloch.is_planar:
                 raise PlanarityError(
                     f"{who}source {label!r} has p_y != 0; the 3-state solver is planar"
                 )
-    if report is None:
-        report = check_well_posed(blochs)
     if not report.well_posed:
         raise WellPosednessError(f"{who}sources are ill-posed ({report.reason})")
     return _design_matrix(blochs)
@@ -273,7 +273,7 @@ def _svd_solve(matrix: np.ndarray, factors: tuple, rhs: np.ndarray) -> np.ndarra
     residual = np.abs(matrix @ x - rhs).max()
     if residual > RESIDUAL_TOL * max(1.0, np.abs(rhs).max()):
         raise InconsistentYieldsError(
-            f"linear solve residual {residual!r} exceeds tolerance"
+            f"linear solve residual {float(residual)!r} exceeds tolerance"
         )
     return x
 
@@ -282,13 +282,12 @@ def solve_functionals(
     yields: YieldTable,
     sources: SourceSet,
     outcomes: Sequence[int] = (0, 1),
-    basis: str = "x",
     report: ConditioningReport | None = None,
 ) -> tuple[TransmissionFunctional, ...]:
-    """Solve the transmission rates for each of Bob's ``outcomes``, in order.
+    """Solve the X-basis transmission rates for each of Bob's ``outcomes``, in order.
 
     The equation for source ``j`` is
-    ``Y(basis, outcome, j) = P(j) P(basis) (q_id + p_j . q)``.  Three sources
+    ``Y(x, outcome, j) = P(j) P(x) (q_id + p_j . q)``.  Three sources
     must lie in the X-Z plane and give the planar system; four sources give
     the full system.  The sources are checked and factorized once for all
     outcomes; ``report`` is their :func:`check_well_posed` report when the
@@ -307,20 +306,13 @@ def solve_functionals(
                 f"prior mismatch for {label!r} between yield table and sources"
             )
     factors = _svd_factor(design)
-    planar = len(sources) == 3
-    keys = ("id", "x", "z") if planar else ("id", "x", "y", "z")
+    keys = ("id", "x", "z") if len(sources) == 3 else ("id", "x", "y", "z")
     functionals = []
     for outcome in outcomes:
-        rhs = np.array(
-            [
-                yields.get(basis, outcome, label) / yields.weight(basis, label)
-                for label in sources.labels
-            ]
-        )
+        rhs = np.array([yields.get("x", outcome, label) / yields.weight("x", label)
+                        for label in sources.labels])
         coeffs = _svd_solve(design, factors, rhs)
-        functionals.append(
-            TransmissionFunctional(outcome=outcome, q=dict(zip(keys, coeffs)), planar=planar)
-        )
+        functionals.append(TransmissionFunctional(outcome=outcome, q=dict(zip(keys, coeffs))))
     return tuple(functionals)
 
 
@@ -328,16 +320,15 @@ def solve_functional(
     yields: YieldTable,
     sources: SourceSet,
     outcome: int,
-    basis: str = "x",
 ) -> TransmissionFunctional:
     """Solve the transmission rates for one of Bob's outcomes: the one-outcome
     case of :func:`solve_functionals`, with the same checks and errors."""
-    return solve_functionals(yields, sources, (outcome,), basis)[0]
+    return solve_functionals(yields, sources, (outcome,))[0]
 
 
 def predict_yield(
     functional: TransmissionFunctional,
-    state: QubitState | BlochVector,
+    state: QubitState,
     prior: float,
 ) -> float:
     """Joint detection probability ``prior * (q_id + p . q)`` for any state.
@@ -347,8 +338,7 @@ def predict_yield(
     """
     if not (0.0 <= prior <= 1.0):
         raise ValidationError(f"prior must be in [0, 1], got {prior!r}")
-    bloch = state.bloch() if isinstance(state, QubitState) else state
-    return prior * functional.evaluate(bloch)
+    return prior * functional.evaluate(state.bloch())
 
 
 def offdiag_share(table: np.ndarray) -> np.ndarray:
@@ -462,12 +452,10 @@ def phase_error_virtual(
     f0: TransmissionFunctional,
     f1: TransmissionFunctional,
     ensemble: VirtualEnsemble,
-    *,
-    negativity_tol: float = NEGATIVITY_TOL,
 ) -> float:
     """Phase error rate of an arbitrary virtual ensemble: :func:`error_rate`
     of its :func:`virtual_yields` (errors are outcome != virtual bit)."""
-    return error_rate(virtual_yields(f0, f1, ensemble), negativity_tol=negativity_tol)
+    return error_rate(virtual_yields(f0, f1, ensemble))
 
 
 def _pair_weight(label_a: str, label_b: str, gamma: float) -> float:
@@ -543,12 +531,8 @@ def mdi_phase_error(
     functional: TwoQubitFunctional,
     ensemble_a: VirtualEnsemble,
     ensemble_b: VirtualEnsemble,
-    *,
-    negativity_tol: float = NEGATIVITY_TOL,
 ) -> float:
     """Phase error rate of the relay scheme from the solved two-party rates:
     :func:`error_rate` of :func:`mdi_virtual_yields` (errors are the
     anti-correlated bit pairs)."""
-    return error_rate(
-        mdi_virtual_yields(functional, ensemble_a, ensemble_b), negativity_tol=negativity_tol
-    )
+    return error_rate(mdi_virtual_yields(functional, ensemble_a, ensemble_b))

@@ -34,7 +34,8 @@ from .qstate import (
     three_state_sources,
 )
 
-DEFAULT_BASIS_PROBS = {"x": 0.5, "z": 0.5}
+#: Bob's basis choice
+BASIS_PROBS = {"x": 0.5, "z": 0.5}
 #: largest pulse count of a run: the multinomial draw counts in a signed
 #: 64-bit integer
 MAX_PULSES = 2**63 - 1
@@ -59,8 +60,10 @@ class KrausChannel:
             if op.shape != (2, 2) or not np.all(np.isfinite(op)):
                 raise ValidationError("Kraus operators must be finite 2x2 matrices")
             op.setflags(write=False)
-        gram = sum(op.conj().T @ op for op in ops)
-        if np.linalg.eigvalsh(gram).max() > 1.0 + 1e-10:
+        # an entry above 1 puts a diagonal entry of A+ A above 1; tested first,
+        # it also keeps the Gram matrix from overflowing
+        if max(np.abs(op).max() for op in ops) > 1.0 + 1e-10 or np.linalg.eigvalsh(
+                sum(op.conj().T @ op for op in ops)).max() > 1.0 + 1e-10:
             raise ValidationError("channel is not trace-non-increasing")
         object.__setattr__(self, "operators", ops)
 
@@ -80,6 +83,18 @@ class KrausChannel:
         return KrausChannel(tuple(factor * op for op in self.operators))
 
 
+def _checked_element(name: str, op: np.ndarray) -> np.ndarray:
+    """A POVM element, checked to be a finite 2x2 positive semidefinite matrix."""
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValidationError(f"{name} must be 2x2")
+    if not np.all(np.isfinite(op)):
+        raise ValidationError(f"{name} must be finite")
+    if np.linalg.eigvalsh((op + op.conj().T) / 2.0).min() < -1e-10:
+        raise ValidationError(f"{name} is not positive semidefinite")
+    return op
+
+
 @dataclass(frozen=True)
 class BobPovm:
     """Bob's two-basis measurement with a shared inconclusive element.
@@ -93,16 +108,9 @@ class BobPovm:
     m_f: np.ndarray
 
     def __post_init__(self) -> None:
-        m_f = np.asarray(self.m_f, dtype=complex)
-        elements = {"x": self.x, "z": self.z}
-        for basis, (m0, m1) in elements.items():
-            m0 = np.asarray(m0, dtype=complex)
-            m1 = np.asarray(m1, dtype=complex)
-            for name, op in (("m0", m0), ("m1", m1), ("m_f", m_f)):
-                if op.shape != (2, 2):
-                    raise ValidationError(f"{name} must be 2x2")
-                if np.linalg.eigvalsh((op + op.conj().T) / 2.0).min() < -1e-10:
-                    raise ValidationError(f"{name} is not positive semidefinite")
+        m_f = _checked_element("m_f", self.m_f)
+        for basis, (m0, m1) in {"x": self.x, "z": self.z}.items():
+            m0, m1 = _checked_element("m0", m0), _checked_element("m1", m1)
             if np.abs(m0 + m1 + m_f - ID2).max() > 1e-10:
                 raise ValidationError(f"basis {basis!r} elements do not sum to identity")
         object.__setattr__(self, "x", (np.array(self.x[0]), np.array(self.x[1])))
@@ -131,6 +139,8 @@ class OutcomeMixer:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.shape != (3, 3):
             raise ValidationError("mixer must be 3x3")
+        if not np.all(np.isfinite(matrix)):
+            raise ValidationError("mixer entries must be finite")
         if np.abs(matrix.sum(axis=0) - 1.0).max() > 1e-12:
             raise ValidationError("mixer columns must sum to 1")
         matrix = np.array(matrix)
@@ -168,10 +178,11 @@ class TrialRecord:
 
     counts: Mapping[tuple[str, str, object], int]
     n_pulses: int
-    rng_seed: int
 
     def __post_init__(self) -> None:
         counts = dict(self.counts)
+        if not all(isinstance(c, (int, np.integer)) for c in (self.n_pulses, *counts.values())):
+            raise ValidationError("counts and n_pulses must be integers")
         if any(c < 0 for c in counts.values()):
             raise ValidationError("counts must be non-negative")
         if sum(counts.values()) != self.n_pulses:
@@ -205,16 +216,17 @@ def random_channel(seed: int) -> KrausChannel:
     return KrausChannel(tuple(scale * op for op in ops))
 
 
-def random_povm(seed: int, max_inconclusive: float = 0.8) -> BobPovm:
+def random_povm(seed: int) -> BobPovm:
     """Seeded random two-basis POVM with a shared inconclusive element.
 
-    The inconclusive element is drawn first; the remainder is split between
-    the two outcomes of each basis by a randomly rotated projective split,
-    so completeness and basis independence hold by construction.
+    The inconclusive element, of eigenvalues up to 0.8, is drawn first; the
+    remainder is split between the two outcomes of each basis by a randomly
+    rotated projective split, so completeness and basis independence hold by
+    construction.
     """
     rng = np.random.default_rng(seed)
     u = _random_unitary(rng)
-    m_f = u @ np.diag(rng.uniform(0.0, max_inconclusive, size=2)) @ u.conj().T
+    m_f = u @ np.diag(rng.uniform(0.0, 0.8, size=2)) @ u.conj().T
     evals, evecs = np.linalg.eigh(ID2 - m_f)
     root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
     elements = {}
@@ -229,7 +241,6 @@ def _joint_probs(
     sources: SourceSet,
     channel: KrausChannel,
     povm: BobPovm,
-    basis_probs: Mapping[str, float],
     mixer: OutcomeMixer | None,
 ) -> dict[tuple[str, str, object], float]:
     """``P(label) P(basis) P(outcome | label, basis)`` for every cell, with
@@ -237,7 +248,7 @@ def _joint_probs(
     probs = {}
     for label, state, prior in sources.entries:
         evolved = channel.apply(state)
-        for basis, bp in basis_probs.items():
+        for basis, bp in BASIS_PROBS.items():
             m0, m1 = povm.elements(basis)
             p0 = float(np.trace(evolved @ m0).real)
             p1 = float(np.trace(evolved @ m1).real)
@@ -253,7 +264,6 @@ def exact_yields(
     sources: SourceSet,
     channel: KrausChannel,
     povm: BobPovm,
-    basis_probs: Mapping[str, float] | None = None,
     mixer: OutcomeMixer | None = None,
 ) -> YieldTable:
     """Exact joint yields ``P(label) P(basis) Tr(channel(rho) M)``.
@@ -261,15 +271,14 @@ def exact_yields(
     Machine-precision; the oracle every estimator test is checked against.
     An optional mixer post-composes the conclusive-outcome probabilities.
     """
-    basis_probs = dict(DEFAULT_BASIS_PROBS if basis_probs is None else basis_probs)
-    cells = _joint_probs(sources, channel, povm, basis_probs, mixer)
+    cells = _joint_probs(sources, channel, povm, mixer)
     yields = {
         (basis, outcome, label): p
         for (label, basis, outcome), p in cells.items()
         if outcome != "f"
     }
     priors = {label: prior for label, _, prior in sources.entries}
-    return YieldTable(yields, priors, basis_probs)
+    return YieldTable(yields, priors, BASIS_PROBS)
 
 
 def run_protocol(
@@ -278,7 +287,6 @@ def run_protocol(
     channel: KrausChannel,
     povm: BobPovm,
     seed: int,
-    basis_probs: Mapping[str, float] | None = None,
     mixer: OutcomeMixer | None = None,
 ) -> TrialRecord:
     """Sample the cell counts of ``n_pulses`` i.i.d. protocol rounds.
@@ -291,26 +299,18 @@ def run_protocol(
     """
     if not 1 <= n_pulses <= MAX_PULSES:
         raise ValidationError(f"n_pulses must be in [1, 2**63 - 1], got {n_pulses!r}")
-    basis_probs = dict(DEFAULT_BASIS_PROBS if basis_probs is None else basis_probs)
-    if abs(sum(basis_probs.values()) - 1.0) > 1e-12:
-        raise ValidationError("basis probabilities must sum to 1")
-    cells = _joint_probs(sources, channel, povm, basis_probs, mixer)
+    cells = _joint_probs(sources, channel, povm, mixer)
     p = np.clip(list(cells.values()), 0.0, None)
     totals = np.random.default_rng(seed).multinomial(n_pulses, p / p.sum())
     counts = dict(zip(cells, totals.tolist()))
-    return TrialRecord(counts=counts, n_pulses=n_pulses, rng_seed=seed)
+    return TrialRecord(counts=counts, n_pulses=n_pulses)
 
 
-def empirical_yields(
-    trial: TrialRecord,
-    sources: SourceSet,
-    basis_probs: Mapping[str, float] | None = None,
-) -> YieldTable:
+def empirical_yields(trial: TrialRecord, sources: SourceSet) -> YieldTable:
     """Empirical joint yield table (count fractions) of a trial.
 
     Consistency checks get a ~6-sigma statistical slack.
     """
-    basis_probs = dict(DEFAULT_BASIS_PROBS if basis_probs is None else basis_probs)
     n = trial.n_pulses
     yields = {}
     for (label, basis, outcome), count in trial.counts.items():
@@ -319,14 +319,10 @@ def empirical_yields(
         yields[basis, outcome, label] = count / n
     priors = {label: sources.prior(label) for label in sources.labels}
     slack = 6.0 * math.sqrt(0.25 / n) + 1e-9
-    return YieldTable(yields, priors, basis_probs, consistency_tol=slack)
+    return YieldTable(yields, priors, BASIS_PROBS, consistency_tol=slack)
 
 
-def estimate_from_trial(
-    trial: TrialRecord,
-    sources: SourceSet,
-    basis_probs: Mapping[str, float] | None = None,
-) -> TrialEstimate:
+def estimate_from_trial(trial: TrialRecord, sources: SourceSet) -> TrialEstimate:
     """Three-state phase-error estimate from counts, with a delta-method error.
 
     Negative predicted virtual yields are clamped to zero at this layer (the
@@ -335,7 +331,7 @@ def estimate_from_trial(
     ratio, whose coefficients are the sums of the error cells and of all
     cells of :data:`estimator.THREE_STATE_MAP`.
     """
-    table = empirical_yields(trial, sources, basis_probs)
+    table = empirical_yields(trial, sources)
     e_x = estimator.phase_error_three_state(table, negativity_tol=math.inf)
 
     n = trial.n_pulses

@@ -25,6 +25,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -51,10 +52,10 @@ _KETS = {
 }
 
 
-def _fix_phase(vec: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Rephase ``vec`` so its first non-negligible component is real >= 0."""
+def _fix_phase(vec: np.ndarray) -> np.ndarray:
+    """Rephase ``vec`` so its first component above 1e-10 in modulus is real >= 0."""
     for comp in vec:
-        if abs(comp) > tol:
+        if abs(comp) > 1e-10:
             return vec * (comp.conjugate() / abs(comp))
     return vec
 
@@ -243,7 +244,7 @@ class SourceSet:
         if len(set(labels)) != len(labels):
             raise ValidationError("source labels must be unique")
         priors = [prior for _, _, prior in entries]
-        if any(p <= 0.0 for p in priors):
+        if not all(p > 0.0 for p in priors):  # written so NaN fails it
             raise ValidationError("every source prior must be > 0")
         if abs(sum(priors) - 1.0) > ATOL:
             raise ValidationError("source priors must sum to 1 within 1e-12")
@@ -271,19 +272,20 @@ class SourceSet:
         return [state.bloch() for _, state, _ in self.entries]
 
 
-def _canonical_sources(labels: tuple[str, ...]) -> SourceSet:
-    prior = 1.0 / len(labels)
-    return SourceSet(entries=tuple((label, basis_state(label), prior) for label in labels))
+def canonical_sources(labels: Sequence[str]) -> SourceSet:
+    """The canonical states of ``labels`` (see :func:`basis_state`), sent with
+    uniform priors; empty ``labels`` fail :class:`SourceSet`'s prior check."""
+    return SourceSet(tuple((label, basis_state(label), 1.0 / len(labels)) for label in labels))
 
 
 def three_state_sources() -> SourceSet:
     """Perfect three-state sources ``{|0z>, |1z>, |0x>}`` with uniform priors."""
-    return _canonical_sources(("0z", "1z", "0x"))
+    return canonical_sources(("0z", "1z", "0x"))
 
 
 def four_state_sources() -> SourceSet:
     """Perfect four-state sources whose Bloch points span a triangular pyramid."""
-    return _canonical_sources(("0z", "1z", "0x", "0y"))
+    return canonical_sources(("0z", "1z", "0x", "0y"))
 
 
 def modulated_three_state_sources(delta: float) -> SourceSet:
@@ -321,7 +323,7 @@ class VirtualEnsemble:
         entries = tuple(self.entries)
         object.__setattr__(self, "entries", entries)
         weights = [w for w, _ in entries]
-        if any(w < 0.0 for w in weights):
+        if not all(w >= 0.0 for w in weights):  # written so NaN fails it
             raise ValidationError("ensemble weights must be non-negative")
         if abs(sum(weights) - 1.0) > ATOL:
             raise ValidationError("ensemble weights must sum to 1 within 1e-12")

@@ -535,6 +535,10 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--pulses", "0"]) == 1
         assert "pulses" in capsys.readouterr().err
 
+    def test_zero_pulses_rejected_by_the_sampler(self, capsys):
+        assert cli.main(["simulate", "--pulses", "0"]) == 1
+        assert capsys.readouterr().err == "error: n_pulses must be in [1, 2**63 - 1], got 0\n"
+
     def test_empty_delta_list_rejected(self, tmp_path, capsys):
         # "delta =" in a config file is an empty list, not delta 0
         config = tmp_path / "run.cfg"
@@ -658,6 +662,55 @@ class TestMdiEstimateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "unphysical product yields" in captured.err
+
+    def test_party_of_four_labels_exits_one(self, tmp_path, capsys):
+        rows = self.bell_rows() + [[a, "1x", "0.01", repr(1.0 / 9.0)] for a in ("0z", "1z", "0x")]
+        path = tmp_path / "four.csv"
+        write_csv(path, PAIR_HEADER, rows)
+        assert cli.main(["mdi-estimate", str(path)]) == 1
+        assert capsys.readouterr().err == "error: each party needs exactly 3 source states\n"
+
+
+class TestErrorNumbers:
+    """Numbers in ``error:`` lines print as Python floats, not NumPy reprs."""
+
+    def test_identity_identity_rate(self, tmp_path, capsys):
+        rows = [row[:2] + ["5.0", row[3]] for row in TestMdiEstimateCommand.bell_rows()]
+        path = tmp_path / "fives.csv"
+        write_csv(path, PAIR_HEADER, rows)
+        assert cli.main(["mdi-estimate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: identity-identity rate 90.00000000000003 outside [0, 1]\n"
+
+    def test_identity_transmission_rate(self, tmp_path, capsys):
+        # outcome 0 of every source slightly above its prior weight, within the
+        # reader's slack of 1e-2
+        w = 1.0 / 6.0
+        rows = [[label, "x", s, repr(w + 0.009 if s == 0 else 0.0), repr(w)]
+                for label in ("0z", "1z", "0x") for s in (0, 1)]
+        path = tmp_path / "above.csv"
+        write_yield_csv(path, rows)
+        assert cli.main(["estimate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: identity transmission rate 1.0540000000000003 outside [0, 1]\n"
+
+    @settings(max_examples=60, deadline=2000)
+    @given(kind=st.sampled_from(["yield", "yield_px", "pairs"]),
+           value=st.sampled_from(["5.0", "0.5", "0.2", "1e-3", "0.0", "-1e-3", "0.1666"]),
+           cells=st.lists(st.integers(0, 20), min_size=1, max_size=6))
+    def test_no_numpy_repr_in_stderr(self, kind, value, cells):
+        command, header, rows = valid_inputs()[kind]
+        rows = [list(r) for r in rows]
+        column = header.index("probability")
+        for cell in cells:
+            rows[cell % len(rows)][column] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input.csv")
+            write_csv(path, header, rows)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                cli.main([command, path])
+        assert "np." not in err.getvalue()
 
 
 # (command, input, pinned stdout); inputs and outputs live in tests/data

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdkit import estimator
 from qkdkit.errors import (
     InconsistentYieldsError,
     PlanarityError,
@@ -37,6 +38,7 @@ from qkdkit.qstate import (
     SourceSet,
     VirtualEnsemble,
     basis_state,
+    canonical_sources,
     encode_single_photon,
     four_state_sources,
     three_state_sources,
@@ -84,10 +86,10 @@ class TestYieldTable:
 class TestFunctionalInvariants:
     def test_unphysical_coefficients_rejected(self):
         with pytest.raises(InconsistentYieldsError):
-            TransmissionFunctional(outcome=0, q={"id": 0.3, "x": 0.4, "z": 0.0}, planar=True)
+            TransmissionFunctional(outcome=0, q={"id": 0.3, "x": 0.4, "z": 0.0})
         with pytest.raises(InconsistentYieldsError):
             TransmissionFunctional(
-                outcome=0, q={"id": 1.2, "x": 0.0, "y": 0.0, "z": 0.0}, planar=False
+                outcome=0, q={"id": 1.2, "x": 0.0, "y": 0.0, "z": 0.0}
             )
 
 
@@ -121,6 +123,25 @@ class TestWellPosedness:
     def test_wrong_count_rejected(self):
         with pytest.raises(ValidationError):
             check_well_posed([basis_state("0z").bloch()] * 2)
+
+
+class TestSourceChecksRunOnce:
+    """The solvers count the sources in :func:`check_well_posed`, then test
+    planarity, then well-posedness."""
+
+    def test_five_sources_message(self):
+        sources = canonical_sources(("0z", "1z", "0x", "1x", "0y"))
+        table = x_table({(0, l): 0.5 for l in ("0z", "1z", "0x")})
+        with pytest.raises(ValidationError, match=r"^need 3 or 4 source states, got 5$"):
+            solve_functionals(table, sources)
+
+    def test_planarity_before_well_posedness(self):
+        # 0y sits on the identity row of the planar design: off-plane and ill-posed
+        sources = canonical_sources(("0z", "1z", "0y"))
+        table = x_table({(0, l): 0.5 for l in ("0z", "1z", "0y")},
+                        priors={l: 1 / 3 for l in ("0z", "1z", "0y")})
+        with pytest.raises(PlanarityError, match="source '0y' has p_y != 0"):
+            solve_functionals(table, sources)
 
 
 class TestSolveFunctional:
@@ -190,22 +211,46 @@ class TestSolveFunctional:
             solve_functional(table, sources, outcome=0)
 
 
+class TestFunctionalFields:
+    def test_planar_is_read_off_the_coefficients(self):
+        assert TransmissionFunctional(outcome=0, q={"id": 0.5, "x": 0.0, "z": 0.0}).planar
+        full = TransmissionFunctional(outcome=0, q={"id": 0.5, "x": 0.0, "y": 0.0, "z": 0.0})
+        assert not full.planar
+
+    def test_wrong_coefficients_named(self):
+        with pytest.raises(ValidationError, match=r"\('id', 'x', 'y', 'z'\)"):
+            TransmissionFunctional(outcome=0, q={"id": 0.5, "y": 0.0})
+
+    def test_messages_print_python_floats(self):
+        with pytest.raises(InconsistentYieldsError) as planar:
+            TransmissionFunctional(outcome=0, q={"id": np.float64(1.5), "x": 0.0, "z": 0.0})
+        with pytest.raises(InconsistentYieldsError) as pair:
+            TwoQubitFunctional(q=np.diag([1.5, 0.0, 0.0]))
+        # factors of 2 * identity applied to the identity leave half the rhs over
+        factors = np.linalg.svd(2.0 * np.eye(2))
+        with pytest.raises(InconsistentYieldsError) as solve:
+            estimator._svd_solve(np.eye(2), factors, np.array([1.0, 0.0]))
+        assert str(planar.value) == "identity transmission rate 1.5 outside [0, 1]"
+        assert str(pair.value) == "identity-identity rate 1.5 outside [0, 1]"
+        assert str(solve.value) == "linear solve residual 0.5 exceeds tolerance"
+
+
 class TestPredictYield:
     def test_constant_functional(self):
-        f = TransmissionFunctional(outcome=0, q={"id": 0.5, "x": 0.0, "z": 0.0}, planar=True)
+        f = TransmissionFunctional(outcome=0, q={"id": 0.5, "x": 0.0, "z": 0.0})
         for label in ("0z", "1z", "0x", "1x"):
             assert abs(predict_yield(f, basis_state(label), prior=1 / 6) - 1 / 12) <= 1e-12
         f_full = TransmissionFunctional(
-            outcome=0, q={"id": 0.5, "x": 0.0, "y": 0.0, "z": 0.0}, planar=False
+            outcome=0, q={"id": 0.5, "x": 0.0, "y": 0.0, "z": 0.0}
         )
         assert abs(predict_yield(f_full, basis_state("0y"), prior=1 / 6) - 1 / 12) <= 1e-12
 
     def test_orthogonal_state_yield_zero(self):
-        f = TransmissionFunctional(outcome=0, q={"id": 0.5, "x": 0.5, "z": 0.0}, planar=True)
+        f = TransmissionFunctional(outcome=0, q={"id": 0.5, "x": 0.5, "z": 0.0})
         assert abs(predict_yield(f, basis_state("1x"), prior=1 / 6)) <= 1e-12
 
     def test_planar_functional_rejects_off_plane(self):
-        f = TransmissionFunctional(outcome=0, q={"id": 0.5, "x": 0.1, "z": 0.1}, planar=True)
+        f = TransmissionFunctional(outcome=0, q={"id": 0.5, "x": 0.1, "z": 0.1})
         with pytest.raises(PlanarityError):
             predict_yield(f, basis_state("0y"), prior=1 / 6)
 
@@ -616,7 +661,7 @@ def random_functional(rng, outcome, planar):
     pauli = rng.normal(size=len(keys))
     pauli *= rng.uniform(0.0, 1.0) * q_id / np.linalg.norm(pauli)
     q = {"id": q_id, **dict(zip(keys, pauli.tolist()))}
-    return TransmissionFunctional(outcome=outcome, q=q, planar=planar)
+    return TransmissionFunctional(outcome=outcome, q=q)
 
 
 class TestVirtualTables:

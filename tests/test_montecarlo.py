@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qkdkit.montecarlo import (
     BobPovm,
     KrausChannel,
     OutcomeMixer,
+    TrialRecord,
     dark_count_mixer,
     empirical_yields,
     estimate_from_trial,
@@ -79,6 +81,52 @@ class TestGenerators:
                 z=(0.5 * ID2, 0.5 * ID2),
                 m_f=np.zeros((2, 2)),
             )
+
+
+class TestInputContract:
+    """Each constructor rejects a non-finite or non-integer input with a
+    :class:`ValidationError`, and warns of nothing."""
+
+    def test_kraus_entries_that_overflow_the_gram_matrix(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^channel is not trace-non-increasing$"):
+                KrausChannel((1e200 * ID2,))
+
+    @pytest.mark.parametrize("name", ["m0", "m1", "m_f"])
+    def test_povm_nan_element(self, name):
+        elements = {"m0": 0.5 * ID2, "m1": 0.5 * ID2, "m_f": np.zeros((2, 2))}
+        elements[name] = np.full((2, 2), np.nan)
+        with pytest.raises(ValidationError, match=f"^{name} must be finite$"):
+            BobPovm(x=(elements["m0"], elements["m1"]), z=(0.5 * ID2, 0.5 * ID2),
+                    m_f=elements["m_f"])
+
+    def test_povm_checks_each_element_once(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        ideal_povm()
+        assert len(calls) == 5  # m_f, then m0 and m1 of each basis
+
+    def test_mixer_nan(self):
+        matrix = np.eye(3)
+        matrix[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="^mixer entries must be finite$"):
+            OutcomeMixer(matrix)
+
+    @pytest.mark.parametrize("counts, n_pulses", [
+        ({("0z", "x", 0): 1.5, ("0z", "x", 1): 0.5}, 2),
+        ({("0z", "x", 0): 1, ("0z", "x", 1): 0.5}, 1.5),
+        ({("0z", "x", 0): 1}, 1.0),
+        ({("0z", "x", 0): math.nan}, 1),
+    ])
+    def test_trial_record_non_integers(self, counts, n_pulses):
+        with pytest.raises(ValidationError, match="^counts and n_pulses must be integers$"):
+            TrialRecord(counts=counts, n_pulses=n_pulses)
+
+    def test_trial_record_numpy_integers(self):
+        trial = TrialRecord(counts={("0z", "x", 0): np.int64(3)}, n_pulses=3)
+        assert trial.counts == {("0z", "x", 0): 3}
 
 
 class TestExactYields:

@@ -12,8 +12,10 @@ from qkdkit.qstate import (
     BlochVector,
     QubitState,
     SourceSet,
+    VirtualEnsemble,
     basis_state,
     bloch_to_density,
+    canonical_sources,
     encode_single_photon,
     four_state_sources,
     modulated_three_state_sources,
@@ -378,6 +380,14 @@ class TestStackedPurification:
         assert np.allclose(weights, 0.5, rtol=0.0, atol=1e-12)
 
 
+class TestEnsembleWeights:
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (1.0, math.nan), (-0.5, 1.5)])
+    def test_rejects_nan_or_negative(self, weights):
+        entries = tuple(zip(weights, (basis_state("0x"), basis_state("1x"))))
+        with pytest.raises(ValidationError, match="^ensemble weights must be non-negative$"):
+            VirtualEnsemble(basis="x", entries=entries)
+
+
 class TestSourceSets:
     def test_three_state_labels(self):
         sources = three_state_sources()
@@ -401,6 +411,19 @@ class TestSourceSets:
     def test_rejects_bad_priors(self):
         with pytest.raises(ValidationError):
             SourceSet(entries=(("a", basis_state("0z"), 0.5), ("b", basis_state("1z"), 0.6)))
+
+    @pytest.mark.parametrize("priors", [(math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan)])
+    def test_rejects_nan_prior(self, priors):
+        entries = tuple(zip(("a", "b"), (basis_state("0z"), basis_state("1z")), priors))
+        with pytest.raises(ValidationError, match="^every source prior must be > 0$"):
+            SourceSet(entries=entries)
+
+    def test_canonical_sources(self):
+        sources = canonical_sources(["0z", "1z", "0x"])
+        assert sources == three_state_sources()
+        assert all(state is basis_state(label) for label, state, _ in sources.entries)
+        with pytest.raises(ValidationError, match="priors must sum to 1"):
+            canonical_sources(())
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValidationError):
