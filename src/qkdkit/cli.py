@@ -7,10 +7,11 @@ Commands
 ``simulate``      Monte Carlo run of the fiber model plus an estimate report
 ``mdi-estimate``  solve a two-party pair-yield CSV
 
-Configuration is a flat ``key = value`` text file with ``#`` comments; any
-command-line flag overrides the file.  All outputs are deterministic
-functions of the configuration (plus seed) and are written atomically with
-17 significant digits so reruns are byte-identical.
+``estimate`` and ``mdi-estimate`` take an input path alone.  ``sweep`` and
+``simulate`` read a flat ``key = value`` text file with ``#`` comments given
+by ``--config``; any of their flags overrides the file.  All outputs are
+deterministic functions of the configuration (plus seed) and are written
+atomically with 17 significant digits so reruns are byte-identical.
 
 Exit codes: 0 success, 1 validation or I/O error, 2 ill-posed sources,
 3 undefined rate.
@@ -53,7 +54,9 @@ from .qstate import (
 from .estimator import YieldTable
 
 SWEEP_HEADER = ("delta", "distance_km", "alpha_opt", "Q_z", "e_z", "Q_z1", "e_x1", "R")
-COUNTS_HEADER = ("label", "basis", "outcome", "count")
+CSV_COLUMNS = {"counts": ("label", "basis", "outcome", "count"),
+               "yield": ("basis", "label", "outcome", "prior", "probability"),
+               "pair-yield": ("label_a", "label_b", "prior", "probability")}
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,18 +71,18 @@ _DISTANCE_FIELDS = ("distance_start", "distance_stop", "distance_step")
 class RunConfig:
     """Flattened run configuration; defaults reproduce the reference curves."""
 
-    dark_count: float = 0.5e-7
-    det_eff: float = 0.15
-    atten_db_per_km: float = 0.21
+    dark_count: float = ChannelParams.dark_count
+    det_eff: float = ChannelParams.det_eff
+    atten_db_per_km: float = ChannelParams.atten_db_per_km
     delta: tuple[float, ...] = (0.0, 0.063, 0.126)
     distance_start: float = 0.0
     distance_stop: float = 150.0
     distance_step: float = 5.0
-    f_ec: float = 1.22
+    f_ec: float = keyrate.DEFAULT_F_EC
     alpha: float | None = None
-    alpha_min: float = 1e-4
-    alpha_max: float = 1.0
-    alpha_tol: float = 1e-4
+    alpha_min: float = keyrate.DEFAULT_ALPHA_BOUNDS[0]
+    alpha_max: float = keyrate.DEFAULT_ALPHA_BOUNDS[1]
+    alpha_tol: float = keyrate.DEFAULT_ALPHA_TOL
     seed: int = 1
     pulses: int = 1_000_000
     out: str | None = None
@@ -114,7 +117,7 @@ class RunConfig:
             atten_db_per_km=self.atten_db_per_km,
             distance_km=distance_km,
             delta=delta,
-            alpha=self.alpha if self.alpha is not None else 0.5,
+            alpha=self.alpha if self.alpha is not None else ChannelParams.alpha,
         )
 
 
@@ -210,14 +213,19 @@ def cmd_sweep(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _csv_rows(path: str, required: tuple[str, ...], kind: str) -> list[tuple[dict, str]]:
-    """The rows of a CSV file that must have ``required`` columns, each with
-    its ``"<path>: row N"`` location for error messages."""
+def _csv_rows(path: str, kind: str | None = None) -> tuple[str, list[tuple[dict, str]]]:
+    """The kind and rows of a CSV file whose header has the ``CSV_COLUMNS`` of
+    ``kind``, each row with its ``"<path>: row N"`` location for error messages.
+    Without a ``kind``, a header naming ``count`` (spaces stripped) is counts, else yield."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
+        header = reader.fieldnames
+        if kind is None:
+            kind = "counts" if "count" in [col.strip() for col in header or ()] else "yield"
+        required = CSV_COLUMNS[kind]
+        if header is None or not set(required).issubset(header):
             raise ValidationError(f"{path}: {kind} CSV must have columns {list(required)}")
-        return [(row, f"{path}: row {reader.line_num}") for row in reader]
+        return kind, [(row, f"{path}: row {reader.line_num}") for row in reader]
 
 
 def _cell(row: dict, column: str, where: str, kind: type = float, default: object = None):
@@ -237,10 +245,10 @@ def _cell(row: dict, column: str, where: str, kind: type = float, default: objec
     return value
 
 
-def _read_counts_csv(path: str) -> montecarlo.TrialRecord:
-    """Parse a counts CSV (the ``simulate`` output schema) into a trial."""
+def _read_counts_csv(path: str, rows: list[tuple[dict, str]]) -> montecarlo.TrialRecord:
+    """Parse the rows of a counts CSV (the ``simulate`` output schema) into a trial."""
     counts: dict[tuple[str, str, object], int] = {}
-    for row, where in _csv_rows(path, COUNTS_HEADER, "counts"):
+    for row, where in rows:
         outcome: object = _cell(row, "outcome", where, str)
         if outcome in ("0", "1"):
             outcome = int(outcome)
@@ -253,8 +261,8 @@ def _read_counts_csv(path: str) -> montecarlo.TrialRecord:
     return montecarlo.TrialRecord(counts=counts, n_pulses=sum(counts.values()))
 
 
-def _read_yield_csv(path: str) -> tuple[YieldTable, SourceSet]:
-    """Parse a single-party yield CSV into a table plus source states.
+def _read_yield_csv(path: str, rows: list[tuple[dict, str]]) -> tuple[YieldTable, SourceSet]:
+    """Parse the rows of a single-party yield CSV into a table plus source states.
 
     Required columns: label, basis, outcome, probability, prior.  The prior
     column is the full per-(state, basis) prefactor (1/6 in the uniform
@@ -265,8 +273,7 @@ def _read_yield_csv(path: str) -> tuple[YieldTable, SourceSet]:
     yields: dict[tuple[str, int, str], float] = {}
     priors: dict[str, float] = {}
     states: dict[str, QubitState] = {}
-    for row, where in _csv_rows(
-            path, ("basis", "label", "outcome", "prior", "probability"), "yield"):
+    for row, where in rows:
         label = _cell(row, "label", where, str)
         basis = _cell(row, "basis", where, str)
         outcome = _cell(row, "outcome", where, int)
@@ -328,23 +335,18 @@ def _canonical_z_pair_ensemble() -> VirtualEnsemble:
     return virtual_states_from_purification(basis_state("0z"), basis_state("1z"))
 
 
-def _is_counts_file(path: str) -> bool:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        header = handle.readline()
-    return "count" in [col.strip() for col in header.split(",")]
-
-
-def cmd_estimate(config: RunConfig, yields_path: str) -> int:
-    if _is_counts_file(yields_path):
+def cmd_estimate(yields_path: str) -> int:
+    kind, rows = _csv_rows(yields_path)
+    if kind == "counts":
         # counts from a `simulate` run: statistical estimate with error bar
-        trial = _read_counts_csv(yields_path)
+        trial = _read_counts_csv(yields_path, rows)
         sources = three_state_sources()
         estimate = montecarlo.estimate_from_trial(trial, sources)
         print(f"pulses: {trial.n_pulses}")
         print(f"e_x_estimate: {_format(estimate.e_x)}")
         print(f"std_err: {_format(estimate.std_err)}")
         return EXIT_OK
-    table, sources = _read_yield_csv(yields_path)
+    table, sources = _read_yield_csv(yields_path, rows)
     missing = [
         ("x", s, label)
         for s in (0, 1)
@@ -407,7 +409,7 @@ def cmd_simulate(config: RunConfig) -> int:
         mixer=experiment.mixer,
     )
     if config.out is not None:
-        lines = [",".join(COUNTS_HEADER)]
+        lines = [",".join(CSV_COLUMNS["counts"])]
         for (label, basis, outcome), count in sorted(
             trial.counts.items(), key=lambda item: (item[0][0], item[0][1], str(item[0][2]))
         ):
@@ -438,8 +440,7 @@ def _read_pair_yield_csv(path: str) -> tuple[dict[tuple[str, str], float], float
     """
     pairs: dict[tuple[str, str], float] = {}
     gamma: float | None = None
-    for row, where in _csv_rows(
-            path, ("label_a", "label_b", "prior", "probability"), "pair-yield"):
+    for row, where in _csv_rows(path, "pair-yield")[1]:
         key = (_cell(row, "label_a", where, str), _cell(row, "label_b", where, str))
         if key in pairs:
             raise ValidationError(f"{path}: duplicate pair {key}")
@@ -459,7 +460,7 @@ def _read_pair_yield_csv(path: str) -> tuple[dict[tuple[str, str], float], float
     return pairs, gamma
 
 
-def cmd_mdi_estimate(config: RunConfig, yields_path: str) -> int:
+def cmd_mdi_estimate(yields_path: str) -> int:
     pairs, gamma = _read_pair_yield_csv(yields_path)
     labels_a = sorted({a for a, _ in pairs})
     labels_b = sorted({b for _, b in pairs})
@@ -488,56 +489,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Loss-tolerant phase-error estimation and key-rate simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_input in (
-        ("sweep", False),
-        ("estimate", True),
-        ("simulate", False),
-        ("mdi-estimate", True),
-    ):
-        cmd = sub.add_parser(name)
-        if needs_input:
-            cmd.add_argument("yields", help="input yield CSV")
+    sweep = sub.add_parser("sweep")
+    sub.add_parser("estimate").add_argument("yields", help="input yield CSV")
+    simulate = sub.add_parser("simulate")
+    sub.add_parser("mdi-estimate").add_argument("yields", help="input yield CSV")
+    for cmd in (sweep, simulate):
         cmd.add_argument("--config", metavar="PATH")
         cmd.add_argument("--out", metavar="PATH")
         cmd.add_argument("--delta", type=float, action="append", metavar="F")
         cmd.add_argument("--distance", metavar="START:STOP:STEP")
-        cmd.add_argument("--alpha", type=float, metavar="F")
-        cmd.add_argument("--optimize", action="store_true")
-        cmd.add_argument("--seed", type=int, metavar="U64")
-        cmd.add_argument("--pulses", type=int, metavar="U64")
-        cmd.add_argument("--f-ec", type=float, dest="f_ec", metavar="F")
+    sweep.add_argument("--alpha", type=float, metavar="F")
+    sweep.add_argument("--optimize", action="store_true")
+    sweep.add_argument("--f-ec", type=float, dest="f_ec", metavar="F")
+    simulate.add_argument("--seed", type=int, metavar="U64")
+    simulate.add_argument("--pulses", type=int, metavar="U64")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The ``RunConfig`` of a ``sweep`` or ``simulate`` command line."""
     kwargs: dict[str, object] = {}
     if args.config is not None:
         kwargs.update(load_config_file(args.config))
-    kwargs.update({name: getattr(args, name) for name in ("out", "alpha", "seed", "pulses", "f_ec")
-                   if getattr(args, name) is not None})
+    options = vars(args)
+    kwargs.update({name: options[name] for name in ("out", "alpha", "seed", "pulses", "f_ec")
+                   if options.get(name) is not None})
     if args.delta:
         kwargs["delta"] = tuple(args.delta)
     if args.distance is not None:
         kwargs.update(_parse_distance_range(args.distance))
-    if args.optimize:
+    if options.get("optimize"):
         kwargs["alpha"] = None
     return RunConfig(**kwargs)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.command == "sweep":
-            return cmd_sweep(config)
         if args.command == "estimate":
-            return cmd_estimate(config, args.yields)
-        if args.command == "simulate":
-            return cmd_simulate(config)
+            return cmd_estimate(args.yields)
         if args.command == "mdi-estimate":
-            return cmd_mdi_estimate(config, args.yields)
-        raise ValidationError(f"unknown command {args.command!r}")
+            return cmd_mdi_estimate(args.yields)
+        config = _config_from_args(args)
+        return cmd_sweep(config) if args.command == "sweep" else cmd_simulate(config)
     except WellPosednessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ILL_POSED

@@ -58,7 +58,7 @@ class TestConfig:
             "f_ec = 1.5  # trailing comment\n"
         )
         args = cli.build_parser().parse_args(
-            ["sweep", "--config", str(path), "--seed", "9", "--out", "x.csv"]
+            ["simulate", "--config", str(path), "--seed", "9", "--out", "x.csv"]
         )
         config = cli._config_from_args(args)
         assert config.delta == (0.1, 0.2)
@@ -155,7 +155,8 @@ class TestSweepCommand:
     )
     def test_non_finite_distance_range_rejected(self, tmp_path, capsys, command, distance, field):
         # a NaN or infinite stop used to make the distance loop run forever
-        argv = [command, f"--distance={distance}", "--pulses", "10", "--out", str(tmp_path / "x")]
+        argv = [command, f"--distance={distance}", "--out", str(tmp_path / "x")]
+        argv += ["--pulses", "10"] * (command == "simulate")
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
@@ -282,7 +283,7 @@ class TestParserReuse:
             if fresh:
                 cli.build_parser.cache_clear()
             out = tmp_path / f"{k}-{fresh}.out"
-            rc = cli.main(argv + ["--out", str(out)])
+            rc = cli.main(argv + ["--out", str(out)] * (argv[0] != "estimate"))
             captured = capsys.readouterr()
             return rc, captured.out, captured.err, out.read_bytes() if out.exists() else None
 
@@ -293,6 +294,40 @@ class TestParserReuse:
         assert all(rc == 0 for rc, *_ in reused)
         rows = reused[3][3].decode().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["0"] * 3 + ["0.063"] * 3 + ["0.126"] * 3
+
+
+# the options of each command that its handler does not read
+UNREAD_OPTIONS = [("sweep", "--seed"), ("sweep", "--pulses"), ("simulate", "--alpha"),
+                  ("simulate", "--optimize"), ("simulate", "--f-ec")] + [
+    (command, option) for command in ("estimate", "mdi-estimate")
+    for option in ("--config", "--out", "--delta", "--distance", "--alpha", "--optimize",
+                   "--seed", "--pulses", "--f-ec")]
+ESTIMATE_INPUTS = {"estimate": "estimate_canonical.csv", "mdi-estimate": "mdi_relay.csv"}
+
+
+class TestOptionsPerCommand:
+    """Each command takes only the options its handler reads."""
+
+    @pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
+    def test_unread_option_is_a_usage_error(self, capsys, command, option):
+        name = ESTIMATE_INPUTS.get(command)
+        argv = [command] if name is None else [command, str(DATA / name)]
+        argv += [option] + ["1"] * (option != "--optimize")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: qkdkit")
+        assert f"error: unrecognized arguments: {option}" in err
+
+    @pytest.mark.parametrize("command, name", ESTIMATE_INPUTS.items())
+    def test_estimate_commands_build_no_config(self, monkeypatch, capsys, command, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run configuration was built")
+
+        monkeypatch.setattr(cli, "RunConfig", refuse)
+        monkeypatch.setattr(cli, "load_config_file", refuse)
+        assert cli.main([command, str(DATA / name)]) == 0
 
 
 DISTANCE_PARTS = ["0", "5", "7.5", "150", "1e-300", "1e-12", "1e300", "1e308", "-1", "nan",
@@ -383,31 +418,29 @@ class TestRunArgvFuzz:
         data=st.data(),
         distance=st.one_of(st.none(), st.tuples(*[st.sampled_from(DISTANCE_PARTS)] * 3)),
         deltas=st.lists(st.sampled_from(DELTAS), max_size=2),
-        flags=st.lists(st.one_of(
-            st.tuples(st.sampled_from(["--seed", "--pulses"]), st.sampled_from(COUNTS)),
-            st.tuples(st.sampled_from(["--alpha", "--f-ec"]), st.sampled_from(EXTREMES))),
-            max_size=3),
-        optimize=st.booleans(),
+        # an empty slot keeps about half the flags off, so most examples get past the parser
+        flags=st.lists(st.one_of(st.none(), st.tuples(st.sampled_from(["--seed", "--pulses"]),
+                                                      st.sampled_from(COUNTS))), max_size=3),
         config=st.lists(st.sampled_from(RUN_LINES), max_size=4),
     )
-    def test_run_commands_never_escape(self, command, data, distance, deltas, flags, optimize,
-                                       config):
+    def test_run_commands_never_escape(self, command, data, distance, deltas, flags, config):
         name = data.draw(st.sampled_from(INPUTS[command]))
         with tempfile.TemporaryDirectory() as tmp:
-            argv = [command, f"--out={tmp}/x.csv"]
-            if name is not None:
-                argv.append(str(DATA / name))
-            if distance is not None:
-                argv.append(f"--distance={':'.join(distance)}")
-            argv += [f"--delta={d}" for d in deltas] + ["--optimize"] * optimize
-            argv += [f"{flag}={value}" for flag, value in flags]
-            if command == "simulate" and not any(flag == "--pulses" for flag, _ in flags):
-                argv.append("--pulses=1000")  # not the default 10^6, to keep examples fast
-            if config:
-                path = os.path.join(tmp, "run.cfg")
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write("\n".join(config) + "\n")
-                argv += ["--config", path]
+            argv = [command] if name is None else [command, str(DATA / name)]
+            if command == "simulate":  # the estimate commands take their input alone
+                argv.append(f"--out={tmp}/x.csv")
+                if distance is not None:
+                    argv.append(f"--distance={':'.join(distance)}")
+                argv += [f"--delta={d}" for d in deltas]
+                flags = [flag for flag in flags if flag is not None]
+                argv += [f"{flag}={value}" for flag, value in flags]
+                if not any(flag == "--pulses" for flag, _ in flags):
+                    argv.append("--pulses=1000")  # not the default 10^6, to keep examples fast
+                if config:
+                    path = os.path.join(tmp, "run.cfg")
+                    with open(path, "w", encoding="utf-8") as handle:
+                        handle.write("\n".join(config) + "\n")
+                    argv += ["--config", path]
             first, second = run_cli(argv), run_cli(argv)
         assert first == second
         rc, out, err, caught = first
@@ -493,6 +526,28 @@ class TestEstimateCommand:
         assert abs(float(coeffs["x"]) - 0.5) <= 1e-10
         assert abs(float(coeffs["y"])) <= 1e-10
         assert "e_x: 0" in out
+
+    def test_no_z_pair_uses_the_perfect_x_ensemble(self, tmp_path, capsys):
+        # without 0z and 1z the virtual states are the perfect |0x>, |1x>, and
+        # their Z pair weight is 1/len(sources)
+        w = 1.0 / 6.0
+        conditionals = {"0z": (0.5, 0.5), "0x": (0.9, 0.1), "1x": (0.1, 0.9)}
+        rows = [[label, "x", s, repr(w * p[s]), repr(w)]
+                for s in (0, 1) for label, p in conditionals.items()]
+        path = tmp_path / "no_z_pair.csv"
+        write_yield_csv(path, rows)
+        assert cli.main(["estimate", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "condition_number: 2.4142135623730949\n"
+            "q[outcome=0]: id=0.50000000000000011 x=0.40000000000000008 "
+            "z=-2.1785500798489733e-16\n"
+            "q[outcome=1]: id=0.50000000000000011 x=-0.40000000000000008 "
+            "z=-2.1785500798489733e-16\n"
+            "virtual_yield[outcome=0,0x]: 0.15000000000000002\n"
+            "virtual_yield[outcome=1,0x]: 0.016666666666666691\n"
+            "virtual_yield[outcome=0,1x]: 0.016666666666666691\n"
+            "virtual_yield[outcome=1,1x]: 0.15000000000000002\n"
+            "e_x: 0.10000000000000012\n")
 
     def test_undefined_rate_exit_three(self, tmp_path, capsys):
         w = 1.0 / 6.0
@@ -844,6 +899,15 @@ class TestMalformedCells:
         assert cli.main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"bad.csv: {message}" in err
+
+    def test_spaced_count_column_read_as_counts(self, tmp_path, capsys):
+        # a header naming " count " makes a counts file, whose columns must match exactly
+        path = tmp_path / "spaced.csv"
+        path.write_text("label,basis,outcome, count \n0z,x,0,5\n")
+        assert cli.main(["estimate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: counts CSV must have columns "
+            "['label', 'basis', 'outcome', 'count']\n")
 
     def test_undecodable_bytes_exit_one(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"

@@ -34,10 +34,12 @@ from qkdkit.estimator import (
 from qkdkit.montecarlo import exact_yields, random_channel, random_povm
 from qkdkit.qstate import (
     PAULI,
+    BlochVector,
     QubitState,
     SourceSet,
     VirtualEnsemble,
     basis_state,
+    bloch_to_density,
     canonical_sources,
     encode_single_photon,
     four_state_sources,
@@ -579,6 +581,19 @@ class TestMdi:
         pairs = mdi_pair_yields(0.2 * np.eye(4), bad, good, gamma=0.5)
         with pytest.raises(WellPosednessError):
             mdi_solve(pairs, bad, good, gamma=0.5)
+
+    def test_singular_product_design_rejected(self):
+        # each party is well-posed (condition number 8.5e4), but the relay's
+        # 9x9 design is their Kronecker product, whose condition number is the
+        # square and passes the singularity threshold
+        parties = [SourceSet(entries=tuple(
+            (label, bloch_to_density(BlochVector(1.0, math.sin(t), 0.0, math.cos(t))), 1 / 3)
+            for label, t in (("0z", 0.0), ("1z", 0.01), ("0x", 0.02)))) for _ in range(2)]
+        report = estimator.check_well_posed(parties[0].blochs())
+        assert report.well_posed and 8e4 < report.condition_number < 9e4
+        pairs = mdi_pair_yields(0.2 * np.eye(4), *parties, gamma=0.5)
+        with pytest.raises(WellPosednessError, match="design matrix is numerically singular"):
+            mdi_solve(pairs, *parties, gamma=0.5)
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_unphysical_product_yield_rejected(self, shared):
