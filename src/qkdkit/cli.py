@@ -111,13 +111,14 @@ class RunConfig:
         return [start + i * step for i in range(count)]
 
     def channel_params(self, distance_km: float, delta: float) -> ChannelParams:
+        """The link at one point, with the default intensity: ``sweep`` takes
+        ``alpha`` as its own argument, and ``simulate`` has no intensity."""
         return ChannelParams(
             dark_count=self.dark_count,
             det_eff=self.det_eff,
             atten_db_per_km=self.atten_db_per_km,
             distance_km=distance_km,
             delta=delta,
-            alpha=self.alpha if self.alpha is not None else ChannelParams.alpha,
         )
 
 

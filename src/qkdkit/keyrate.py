@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .channel import (ArrayLike, ChannelParams, ZStats, check_ranges, single_photon_gain,
                       single_photon_stats, single_photon_terms, transmittance,
@@ -43,7 +42,14 @@ def binary_entropy(x):
 
     Accepts scalars or arrays in [0, 1].
     """
-    arr = np.asarray(x, dtype=float)
+    # SciPy takes most of a process's start-up, and only the entropy needs it;
+    # xlogy is kept because np.log differs from libm's log in the last bit
+    from scipy.special import xlogy
+
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("binary_entropy argument must be numeric") from None
     if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):  # NaN fails too
         raise ValidationError("binary_entropy argument must lie in [0, 1]")
     h = -(xlogy(arr, arr) + xlogy(1.0 - arr, 1.0 - arr)) / _LN2
@@ -189,6 +195,17 @@ class SweepTable:
         check_ranges(self, rate=self.rate >= 0.0, alpha_opt=self.alpha_opt > 0.0)
 
 
+def _vector(values: Sequence[float], name: str) -> np.ndarray:
+    """``values`` as a 1-D float array; any other input raises ValidationError."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a sequence of numbers") from None
+    if arr.ndim != 1:
+        raise ValidationError(f"{name} must be 1-D, got shape {arr.shape}")
+    return arr
+
+
 def sweep(
     distances: Sequence[float],
     deltas: Sequence[float],
@@ -204,11 +221,13 @@ def sweep(
     the leading axis; each point's result depends on that point alone, so a
     row does not depend on the other deltas or distances or their order.
     Passing ``alpha`` skips optimization and evaluates at that fixed intensity.
+    ``distances`` and ``deltas`` are 1-D sequences of numbers.
     """
-    distances = np.asarray(distances, dtype=float)
+    params = params.at(alpha=params.alpha if alpha is None else float(alpha))
+    distances = _vector(distances, "distances")
     if not np.all(np.isfinite(distances) & (distances >= 0.0)):
         raise ValidationError("distances must be finite and non-negative")
-    params = params.at(alpha=params.alpha if alpha is None else float(alpha))
+    deltas = _vector(deltas, "deltas")
     # ChannelParams checks each delta
     delta = np.array([params.at(delta=float(d)).delta for d in deltas], dtype=float)[:, None, None]
     t = transmittance(params, distances)[:, None]

@@ -1,8 +1,11 @@
 import contextlib
 import csv
 import io
+import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from collections import Counter
@@ -624,6 +627,28 @@ class TestSimulateCommand:
         assert cli.main(argv + ["--delta", "0.063"]) == 0
         assert capsys.readouterr().out != default.out
 
+    @pytest.mark.parametrize("line", ["alpha = 0", "alpha = -1", "alpha = nan", "alpha = 0.9"])
+    def test_config_alpha_is_ignored(self, tmp_path, capsys, line):
+        # alpha is a sweep key; simulate's experiment has no intensity
+        argv = ["simulate", "--pulses", "1000"]
+        assert cli.main(argv) == 0
+        default = capsys.readouterr()
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        assert cli.main(argv + ["--config", str(config)]) == 0
+        assert capsys.readouterr() == default
+
+    @pytest.mark.parametrize("line, message", [
+        ("alpha = x", "invalid field alpha: cannot parse 'x'"),
+        ("det_eff = 0", "det_eff must be in (0, 1], got 0.0"),
+        ("speed = 1", "unknown config field 'speed'"),
+    ])
+    def test_config_errors_still_fail(self, tmp_path, capsys, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        assert cli.main(["simulate", "--pulses", "1000", "--config", str(config)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_negative_seed_rejected(self, capsys):
         assert cli.main(["simulate", "--seed", "-1", "--pulses", "10"]) == 1
         err = capsys.readouterr().err
@@ -804,6 +829,30 @@ class TestPinnedStdout:
         assert cli.main(PINNED_SIMULATE + ["--out", str(out)]) == 0
         assert capsys.readouterr().out == (DATA / "simulate_counts.out").read_text()
         assert out.read_bytes() == (DATA / "simulate_counts.csv").read_bytes()
+
+
+COLD_START = """
+import contextlib, io, json, os, sys, tempfile
+import qkdkit, qkdkit.cli
+data = sys.argv[1]
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    codes = [qkdkit.cli.main(["estimate", os.path.join(data, "estimate_canonical.csv")]),
+             qkdkit.cli.main(["mdi-estimate", os.path.join(data, "mdi_relay.csv")]),
+             qkdkit.cli.main(["simulate", "--pulses", "1000", "--out", os.path.join(tmp, "c.csv")])]
+loaded = "scipy" in sys.modules
+qkdkit.sweep([0.0], [0.0], qkdkit.ChannelParams())
+print(json.dumps([codes, loaded, "scipy" in sys.modules]))
+"""
+
+
+def test_scipy_stays_out_of_cold_start():
+    # importing SciPy was most of a fresh process's start-up; only the entropy needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(DATA)], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    # the sweep loads SciPy, so the probe sees an import when there is one
+    assert json.loads(proc.stdout) == [[0, 0, 0], False, True]
 
 
 class TestFixedObjectsBuiltOnce:

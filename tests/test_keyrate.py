@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from mpmath import mp
+from scipy.special import xlogy
 
 from qkdkit import keyrate
 from qkdkit.channel import (
@@ -111,6 +112,23 @@ class TestBinaryEntropy:
             binary_entropy(math.nan)
         with pytest.raises(ValidationError):
             binary_entropy(np.array([0.2, math.nan]))
+
+    @pytest.mark.parametrize("x", ["x", [0.1, "x"], [[0.1], [0.1, 0.2]], 1j])
+    def test_non_numeric_rejected(self, x):
+        with pytest.raises(ValidationError, match="binary_entropy argument must be numeric"):
+            binary_entropy(x)
+
+    def test_xlogy_bit_for_bit(self):
+        # np.log differs from libm's log in the last bit on about 0.35% of draws,
+        # which would move sweep bytes
+        tiny = np.nextafter(0.0, 1.0)
+        half = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
+        edges = [0.0, tiny, 2 * tiny, 1e-310, 2.2250738585072014e-308, *half,
+                 1.0 - 2.0**-53, 1.0]
+        x = np.concatenate([edges, np.random.default_rng(0).random(20_000)])
+        expected = -(xlogy(x, x) + xlogy(1.0 - x, 1.0 - x)) / math.log(2.0)
+        assert binary_entropy(x).tolist() == expected.tolist()
+        assert [binary_entropy(float(v)) for v in edges] == expected[:len(edges)].tolist()
 
 
 class TestSecretKeyRate:
@@ -260,6 +278,18 @@ class TestSweep:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValidationError):
             sweep([-1.0], [0.0], DEFAULTS)
+
+    @pytest.mark.parametrize("distances, deltas, message", [
+        (5.0, [0.0], r"distances must be 1-D, got shape \(\)"),
+        ([[1.0, 2.0]], [0.0], r"distances must be 1-D, got shape \(1, 2\)"),
+        ([1.0], [[0.0, 0.1]], r"deltas must be 1-D, got shape \(1, 2\)"),
+        ([1.0], 0.0, r"deltas must be 1-D, got shape \(\)"),
+        (["x"], [0.0], "distances must be a sequence of numbers"),
+        ([1.0], [[0.0], [0.0, 0.1]], "deltas must be a sequence of numbers"),
+    ])
+    def test_malformed_sequence_rejected(self, distances, deltas, message):
+        with pytest.raises(ValidationError, match=message):
+            sweep(distances, deltas, DEFAULTS)
 
     @pytest.mark.parametrize("distance", [math.nan, math.inf])
     def test_non_finite_distance_rejected(self, distance):
