@@ -111,16 +111,35 @@ def check_ranges(record, **tests) -> None:
         raise ValidationError("single-photon gain exceeds the overall gain")
 
 
+def real_array(values, name: str, numeric: str) -> np.ndarray:
+    """``values`` as a float array.  An array or NumPy scalar of complex dtype
+    raises ValidationError, so NumPy never drops an imaginary part, and so does
+    input NumPy cannot convert (``name`` and the ``numeric`` message), such as a
+    string or a Python complex."""
+    dtype = getattr(values, "dtype", None)
+    if dtype is not None and dtype.kind == "c":
+        raise ValidationError(f"{name} must be real, got complex values")
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} {numeric}") from None
+
+
 def transmittance(params: ChannelParams, distance_km: ArrayLike | None = None) -> ArrayLike:
     """Transmittance ``T = det_eff * 10^(-atten*distance/10)`` of fiber and detector.
 
     Vectorized over ``distance_km`` (default ``params.distance_km``), with
     Python's ``**`` per element: NumPy's SIMD power can differ in the last place.
+    A distance must be a real number ``>= 0`` (``inf`` gives 0).
     """
     if distance_km is None:
         distance_km = params.distance_km
+    distance_km = real_array(distance_km, "distance_km", "must be numeric")
+    ok = distance_km >= 0.0  # NaN fails it
+    if not ok.all():
+        raise ValidationError(f"distance_km must be >= 0, got {float(distance_km[~ok][0])!r}")
     with np.errstate(over="ignore"):  # a loss past 1.8e308 dB is -inf, where T is 0
-        exponents = -params.atten_db_per_km * np.asarray(distance_km, dtype=float) / 10.0
+        exponents = -params.atten_db_per_km * distance_km / 10.0
     powers = [10.0 ** x for x in exponents.ravel().tolist()]
     return params.det_eff * np.reshape(powers, exponents.shape)
 

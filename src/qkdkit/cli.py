@@ -183,20 +183,17 @@ def _format(value: float) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=directory, delete=False, encoding="utf-8", newline=""
-    )
+    """Write ``text`` as UTF-8 to a private (mode 0600) temporary file beside
+    ``path``, fsync it, then rename it over ``path``; on failure, remove it."""
+    fd, temp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
     try:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-        handle.close()
-        os.replace(handle.name, path)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
     except BaseException:
-        handle.close()
-        if os.path.exists(handle.name):
-            os.unlink(handle.name)
+        os.unlink(temp)
         raise
 
 

@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (ArrayLike, ChannelParams, ZStats, check_ranges, single_photon_gain,
-                      single_photon_stats, single_photon_terms, transmittance,
-                      zbasis_gain_error_weight, zbasis_overlaps, zbasis_stats)
+from .channel import (ArrayLike, ChannelParams, ZStats, check_ranges, real_array,
+                      single_photon_gain, single_photon_stats, single_photon_terms,
+                      transmittance, zbasis_gain_error_weight, zbasis_overlaps, zbasis_stats)
 from .errors import ValidationError
 
 _LN2 = math.log(2.0)
@@ -46,10 +46,7 @@ def binary_entropy(x):
     # xlogy is kept because np.log differs from libm's log in the last bit
     from scipy.special import xlogy
 
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError("binary_entropy argument must be numeric") from None
+    arr = real_array(x, "binary_entropy argument", "must be numeric")
     if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):  # NaN fails too
         raise ValidationError("binary_entropy argument must lie in [0, 1]")
     h = -(xlogy(arr, arr) + xlogy(1.0 - arr, 1.0 - arr)) / _LN2
@@ -197,10 +194,7 @@ class SweepTable:
 
 def _vector(values: Sequence[float], name: str) -> np.ndarray:
     """``values`` as a 1-D float array; any other input raises ValidationError."""
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a sequence of numbers") from None
+    arr = real_array(values, name, "must be a sequence of numbers")
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be 1-D, got shape {arr.shape}")
     return arr

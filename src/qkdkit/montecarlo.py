@@ -28,7 +28,6 @@ from .errors import ValidationError
 from .estimator import YieldTable
 from .qstate import (
     ID2,
-    QubitState,
     SourceSet,
     _KETS,
     three_state_sources,
@@ -67,9 +66,9 @@ class KrausChannel:
             raise ValidationError("channel is not trace-non-increasing")
         object.__setattr__(self, "operators", ops)
 
-    def apply(self, state: QubitState) -> np.ndarray:
-        """Sub-normalized output matrix; its trace is the arrival probability."""
-        rho = state.density
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """Sub-normalized output matrices of the densities ``rho``, of shape
+        ``(..., 2, 2)``; each trace is an arrival probability."""
         return sum(op @ rho @ op.conj().T for op in self.operators)
 
     def deficit(self) -> np.ndarray:
@@ -81,18 +80,6 @@ class KrausChannel:
             raise ValidationError(f"loss fraction must be in [0, 1), got {ell!r}")
         factor = math.sqrt(1.0 - ell)
         return KrausChannel(tuple(factor * op for op in self.operators))
-
-
-def _checked_element(name: str, op: np.ndarray) -> np.ndarray:
-    """A POVM element, checked to be a finite 2x2 positive semidefinite matrix."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValidationError(f"{name} must be 2x2")
-    if not np.all(np.isfinite(op)):
-        raise ValidationError(f"{name} must be finite")
-    if np.linalg.eigvalsh((op + op.conj().T) / 2.0).min() < -1e-10:
-        raise ValidationError(f"{name} is not positive semidefinite")
-    return op
 
 
 @dataclass(frozen=True)
@@ -108,14 +95,34 @@ class BobPovm:
     m_f: np.ndarray
 
     def __post_init__(self) -> None:
-        m_f = _checked_element("m_f", self.m_f)
-        for basis, (m0, m1) in {"x": self.x, "z": self.z}.items():
-            m0, m1 = _checked_element("m0", m0), _checked_element("m1", m1)
-            if np.abs(m0 + m1 + m_f - ID2).max() > 1e-10:
-                raise ValidationError(f"basis {basis!r} elements do not sum to identity")
-        object.__setattr__(self, "x", (np.array(self.x[0]), np.array(self.x[1])))
-        object.__setattr__(self, "z", (np.array(self.z[0]), np.array(self.z[1])))
-        object.__setattr__(self, "m_f", np.array(m_f))
+        # m_f, then m0 and m1 of each basis: the first element that is not a
+        # finite 2x2 PSD matrix, or the first basis whose m1 ends a sum other
+        # than the identity, is reported
+        (x0, x1), (z0, z1) = self.x, self.z
+        ops = [np.asarray(op, dtype=complex) for op in (self.m_f, x0, x1, z0, z1)]
+        shaped = next((i for i, op in enumerate(ops) if op.shape != (2, 2)), len(ops))
+        stack = np.array(ops[:shaped]).reshape(-1, 2, 2)
+        finite = np.isfinite(stack).all(axis=(1, 2)).tolist()
+        valid = finite.index(False) if False in finite else shaped
+        # the elements up to the first malformed one, each test in one stacked pass
+        stack = stack[:valid]
+        hermitian = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
+        low = np.linalg.eigvalsh(hermitian).min(axis=1).tolist()
+        sums = stack[1:valid - 1:2] + stack[2:valid:2] + stack[:1]
+        off = np.abs(sums - ID2).max(axis=(1, 2)).tolist()
+        names = (("m_f", None), ("m0", None), ("m1", "x"), ("m0", None), ("m1", "z"))
+        for i, (name, completes) in enumerate(names):
+            if i == shaped:
+                raise ValidationError(f"{name} must be 2x2")
+            if i == valid:
+                raise ValidationError(f"{name} must be finite")
+            if low[i] < -1e-10:
+                raise ValidationError(f"{name} is not positive semidefinite")
+            if completes and off[i // 2 - 1] > 1e-10:
+                raise ValidationError(f"basis {completes!r} elements do not sum to identity")
+        object.__setattr__(self, "x", (stack[1], stack[2]))
+        object.__setattr__(self, "z", (stack[3], stack[4]))
+        object.__setattr__(self, "m_f", stack[0])
 
     def elements(self, basis: str) -> tuple[np.ndarray, np.ndarray]:
         if basis == "x":
@@ -148,7 +155,8 @@ class OutcomeMixer:
         object.__setattr__(self, "matrix", matrix)
 
     def apply(self, probs: np.ndarray) -> np.ndarray:
-        return self.matrix @ probs
+        """The mixed outcome probabilities of ``probs``, of shape ``(..., 3)``."""
+        return (self.matrix @ probs[..., None])[..., 0]
 
 
 def dark_count_mixer(e_d: float) -> OutcomeMixer:
@@ -198,6 +206,13 @@ class TrialEstimate:
     std_err: float
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """The seeded PCG64 generator of a non-negative integer ``seed``."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def _random_unitary(rng: np.random.Generator) -> np.ndarray:
     raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(raw)
@@ -206,7 +221,7 @@ def _random_unitary(rng: np.random.Generator) -> np.ndarray:
 
 def random_channel(seed: int) -> KrausChannel:
     """Seeded random qubit channel with loss weight up to 0.9."""
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     n_ops = int(rng.integers(1, 5))
     ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n_ops)]
     loss = float(rng.uniform(0.0, 0.9))
@@ -224,7 +239,7 @@ def random_povm(seed: int) -> BobPovm:
     rotated projective split, so completeness and basis independence hold by
     construction.
     """
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     u = _random_unitary(rng)
     m_f = u @ np.diag(rng.uniform(0.0, 0.8, size=2)) @ u.conj().T
     evals, evecs = np.linalg.eigh(ID2 - m_f)
@@ -244,20 +259,20 @@ def _joint_probs(
     mixer: OutcomeMixer | None,
 ) -> dict[tuple[str, str, object], float]:
     """``P(label) P(basis) P(outcome | label, basis)`` for every cell, with
-    outcomes 0, 1 and ``"f"``; a mixer post-composes the outcome probabilities."""
-    probs = {}
-    for label, state, prior in sources.entries:
-        evolved = channel.apply(state)
-        for basis, bp in BASIS_PROBS.items():
-            m0, m1 = povm.elements(basis)
-            p0 = float(np.trace(evolved @ m0).real)
-            p1 = float(np.trace(evolved @ m1).real)
-            cell = np.array([p0, p1, 1.0 - p0 - p1])
-            if mixer is not None:
-                cell = mixer.apply(cell)
-            for outcome, p in zip(_OUTCOMES, cell.tolist()):
-                probs[label, basis, outcome] = prior * bp * p
-    return probs
+    outcomes 0, 1 and ``"f"``; a mixer post-composes the outcome probabilities.
+
+    All cells are computed at once, from the stacked source densities and
+    the stacked conclusive POVM elements (label, basis, outcome axes)."""
+    evolved = channel.apply(np.array([state.density for _, state, _ in sources.entries]))
+    products = evolved[:, None, None] @ np.array([povm.x, povm.z])
+    p0, p1 = (products[..., 0, 0] + products[..., 1, 1]).real.transpose(2, 0, 1)
+    cells = np.stack([p0, p1, 1.0 - p0 - p1], axis=-1)
+    if mixer is not None:
+        cells = mixer.apply(cells)
+    weights = [[prior * bp for bp in BASIS_PROBS.values()] for _, _, prior in sources.entries]
+    keys = [(label, basis, outcome) for label in sources.labels
+            for basis in BASIS_PROBS for outcome in _OUTCOMES]
+    return dict(zip(keys, (np.array(weights)[..., None] * cells).ravel().tolist()))
 
 
 def exact_yields(
@@ -301,7 +316,7 @@ def run_protocol(
         raise ValidationError(f"n_pulses must be in [1, 2**63 - 1], got {n_pulses!r}")
     cells = _joint_probs(sources, channel, povm, mixer)
     p = np.clip(list(cells.values()), 0.0, None)
-    totals = np.random.default_rng(seed).multinomial(n_pulses, p / p.sum())
+    totals = _generator(seed).multinomial(n_pulses, p / p.sum())
     counts = dict(zip(cells, totals.tolist()))
     return TrialRecord(counts=counts, n_pulses=n_pulses)
 
@@ -322,26 +337,29 @@ def empirical_yields(trial: TrialRecord, sources: SourceSet) -> YieldTable:
     return YieldTable(yields, priors, BASIS_PROBS, consistency_tol=slack)
 
 
+#: the three-state phase error as ``(_ERROR_COEFF @ y) / (_TOTAL_COEFF @ y)`` in
+#: the yields ``y`` of :func:`estimator.three_state_yields`: the sums of the
+#: error cells and of all cells of :data:`estimator.THREE_STATE_MAP`
+_ERROR_COEFF = estimator.THREE_STATE_MAP[0, 1] + estimator.THREE_STATE_MAP[1, 0]
+_TOTAL_COEFF = estimator.THREE_STATE_MAP.sum(axis=(0, 1))
+
+
 def estimate_from_trial(trial: TrialRecord, sources: SourceSet) -> TrialEstimate:
     """Three-state phase-error estimate from counts, with a delta-method error.
 
     Negative predicted virtual yields are clamped to zero at this layer (the
     exact-arithmetic estimator stays strict).  The standard error propagates
     the multinomial covariance of the count fractions through the unclamped
-    ratio, whose coefficients are the sums of the error cells and of all
-    cells of :data:`estimator.THREE_STATE_MAP`.
+    ratio ``(_ERROR_COEFF @ y) / (_TOTAL_COEFF @ y)``.
     """
     table = empirical_yields(trial, sources)
     e_x = estimator.phase_error_three_state(table, negativity_tol=math.inf)
 
     n = trial.n_pulses
     fractions = estimator.three_state_yields(table)
-    cells = estimator.THREE_STATE_MAP
-    num_coeff = cells[0, 1] + cells[1, 0]
-    den_coeff = cells.sum(axis=(0, 1))
-    numerator = float(num_coeff @ fractions)
-    denominator = float(den_coeff @ fractions)
-    grad = (num_coeff * denominator - numerator * den_coeff) / denominator**2
+    numerator = float(_ERROR_COEFF @ fractions)
+    denominator = float(_TOTAL_COEFF @ fractions)
+    grad = (_ERROR_COEFF * denominator - numerator * _TOTAL_COEFF) / denominator**2
     cov = (np.diag(fractions) - np.outer(fractions, fractions)) / n
     variance = float(grad @ cov @ grad)
     return TrialEstimate(e_x=e_x, std_err=math.sqrt(max(variance, 0.0)))

@@ -41,6 +41,33 @@ class TestTransmittance:
         p = DEFAULTS.at(distance_km=50.0)
         assert abs(transmittance(p) - 0.0133687640720062) <= 1e-12
 
+    @pytest.mark.parametrize("distance", [-1e300, -1.0, -5e-324, math.nan, -math.inf,
+                                          np.array([1.0, math.nan]), np.array([[2.0, -3.0]])])
+    def test_negative_or_nan_distance_rejected(self, distance):
+        # -1e300 km used to overflow 10 ** x with a raw OverflowError
+        with pytest.raises(ValidationError, match="^distance_km must be >= 0, got "):
+            transmittance(DEFAULTS, distance)
+
+    @pytest.mark.parametrize("distance, message", [
+        (np.array([1.0 + 1j]), "^distance_km must be real, got complex values$"),
+        (np.complex128(2.0), "^distance_km must be real, got complex values$"),
+        ("x", "^distance_km must be numeric$"),
+        (1j, "^distance_km must be numeric$"),
+    ])
+    def test_non_real_distance_rejected(self, distance, message):
+        with pytest.raises(ValidationError, match=message):
+            transmittance(DEFAULTS, distance)
+
+    def test_non_negative_distances_keep_their_bits(self):
+        # each point as the one formula in Python floats; inf km transmits nothing
+        rng = np.random.default_rng(3)
+        distances = [0.0, -0.0, 5e-324, 1e-300, 0.5, 50.0, 1e5, 1e300, 1.7e308, math.inf,
+                     *rng.uniform(0.0, 500.0, 200).tolist()]
+        expected = [DEFAULTS.det_eff * 10.0 ** (-DEFAULTS.atten_db_per_km * d / 10.0)
+                    for d in distances]
+        assert transmittance(DEFAULTS, np.array(distances)).tolist() == expected
+        assert [float(transmittance(DEFAULTS, d)) for d in distances] == expected
+
     def test_param_validation(self):
         with pytest.raises(ValidationError):
             ChannelParams(det_eff=0.0)

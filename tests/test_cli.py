@@ -589,6 +589,16 @@ class TestSimulateCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError(f"cannot rename to {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "counts.csv"
+        assert cli.main(["simulate", "--pulses", "100", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot rename to {out}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_pulses_rejected(self, capsys):
         assert cli.main(["simulate", "--pulses", "0"]) == 1
         assert "pulses" in capsys.readouterr().err
@@ -875,10 +885,9 @@ class TestFixedObjectsBuiltOnce:
              "estimate_four_state.csv": (2, 6, 1), "mdi_relay.csv": (2, 0, 0),
              "mdi_relay_mixed_labels.csv": (3, 0, 0), "simulate_counts.csv": (0, 0, 0)}
 
-    @pytest.mark.parametrize("command, name, expected", PINNED_STDOUT)
-    def test_linear_algebra_calls(self, monkeypatch, capsys, command, name, expected):
-        argv = [command, str(DATA / name)]
-        assert cli.main(argv) == 0  # builds what is built once per process
+    @staticmethod
+    def counted_calls(monkeypatch):
+        """A counter of the SVD, ``eigvalsh`` and ``eigh`` calls made from now on."""
         counts = Counter()
 
         def counting(fn):
@@ -889,11 +898,30 @@ class TestFixedObjectsBuiltOnce:
 
         for fn in (np.linalg.svd, np.linalg.eigvalsh, np.linalg.eigh):
             monkeypatch.setattr(np.linalg, fn.__name__, counting(fn))
+        return counts
+
+    @pytest.mark.parametrize("command, name, expected", PINNED_STDOUT)
+    def test_linear_algebra_calls(self, monkeypatch, capsys, command, name, expected):
+        argv = [command, str(DATA / name)]
+        assert cli.main(argv) == 0  # builds what is built once per process
+        counts = self.counted_calls(monkeypatch)
         for _ in range(2):
             counts.clear()
             assert cli.main(argv) == 0
             assert (counts["svd"], counts["eigvalsh"], counts["eigh"]) == self.CALLS[name]
         assert capsys.readouterr().out == (DATA / expected).read_text() * 3
+
+    def test_simulate_linear_algebra_calls(self, monkeypatch, capsys):
+        # the channel's completeness check and the POVM's one stacked PSD check
+        argv = ["simulate", "--pulses", "1000", "--delta", "0.3", "--distance", "5:5:1"]
+        assert cli.main(argv) == 0
+        counts = self.counted_calls(monkeypatch)
+        for _ in range(2):
+            counts.clear()
+            assert cli.main(argv) == 0
+            assert (counts["svd"], counts["eigvalsh"], counts["eigh"]) == (0, 2, 0)
+        out = capsys.readouterr().out
+        assert out == out[:len(out) // 3] * 3
 
 
 def write_csv(path, header, rows):

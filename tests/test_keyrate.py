@@ -118,6 +118,14 @@ class TestBinaryEntropy:
         with pytest.raises(ValidationError, match="binary_entropy argument must be numeric"):
             binary_entropy(x)
 
+    @pytest.mark.parametrize("x", [np.array([0.5 + 1j]), np.array([0.5 + 0j]),
+                                   np.complex128(0.25)])
+    def test_complex_rejected(self, x):
+        # NumPy would drop the imaginary part with a ComplexWarning
+        with pytest.raises(ValidationError,
+                           match="^binary_entropy argument must be real, got complex values$"):
+            binary_entropy(x)
+
     def test_xlogy_bit_for_bit(self):
         # np.log differs from libm's log in the last bit on about 0.35% of draws,
         # which would move sweep bytes
@@ -286,6 +294,8 @@ class TestSweep:
         ([1.0], 0.0, r"deltas must be 1-D, got shape \(\)"),
         (["x"], [0.0], "distances must be a sequence of numbers"),
         ([1.0], [[0.0], [0.0, 0.1]], "deltas must be a sequence of numbers"),
+        (np.array([1.0 + 2j]), [0.0], "distances must be real, got complex values"),
+        ([1.0], np.array([0.0j]), "deltas must be real, got complex values"),
     ])
     def test_malformed_sequence_rejected(self, distances, deltas, message):
         with pytest.raises(ValidationError, match=message):

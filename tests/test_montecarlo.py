@@ -17,6 +17,7 @@ from qkdkit.montecarlo import (
     KrausChannel,
     OutcomeMixer,
     TrialRecord,
+    _joint_probs,
     dark_count_mixer,
     empirical_yields,
     estimate_from_trial,
@@ -26,7 +27,13 @@ from qkdkit.montecarlo import (
     random_povm,
     run_protocol,
 )
-from qkdkit.qstate import ID2, basis_state, three_state_sources
+from qkdkit.qstate import (
+    ID2,
+    basis_state,
+    four_state_sources,
+    modulated_three_state_sources,
+    three_state_sources,
+)
 
 
 def ideal_povm():
@@ -102,11 +109,36 @@ class TestInputContract:
                     m_f=elements["m_f"])
 
     def test_povm_checks_each_element_once(self, monkeypatch):
+        elements = [0.2 * ID2, *(0.8 * basis_state(label).density
+                                 for label in ("0x", "1x", "0z", "1z"))]
         calls = []
         eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
-        ideal_povm()
-        assert len(calls) == 5  # m_f, then m0 and m1 of each basis
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        BobPovm(x=tuple(elements[1:3]), z=tuple(elements[3:]), m_f=elements[0])
+        # one stacked call: m_f, then m0 and m1 of each basis
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.array(elements))
+
+    @pytest.mark.parametrize("bad, message", [
+        # an earlier element's failure wins over a later malformed element
+        ({"x0": np.diag([1.2, -0.2]), "x1": np.diag([-0.2, 1.2]), "z1": np.eye(3)},
+         "^m0 is not positive semidefinite$"),
+        ({"m_f": np.diag([-0.1, 0.0]), "x1": np.full((2, 2), np.nan)},
+         "^m_f is not positive semidefinite$"),
+        ({"x0": np.diag([1.0, 0.2]), "z0": np.full((2, 2), np.inf)},
+         "^basis 'x' elements do not sum to identity$"),
+        ({"x1": np.eye(3), "z0": np.diag([1.2, -0.2])}, "^m1 must be 2x2$"),
+        ({"z0": np.full((2, 2), np.nan), "z1": np.zeros(2)}, "^m0 must be finite$"),
+        ({"z0": np.diag([1.2, -0.2]), "z1": np.diag([-0.2, 1.2])},
+         "^m0 is not positive semidefinite$"),
+    ])
+    def test_povm_reports_its_first_bad_element(self, bad, message):
+        elements = {"m_f": np.zeros((2, 2)), "x0": basis_state("0x").density,
+                    "x1": basis_state("1x").density, "z0": basis_state("0z").density,
+                    "z1": basis_state("1z").density, **bad}
+        with pytest.raises(ValidationError, match=message):
+            BobPovm(x=(elements["x0"], elements["x1"]), z=(elements["z0"], elements["z1"]),
+                    m_f=elements["m_f"])
 
     def test_mixer_nan(self):
         matrix = np.eye(3)
@@ -123,6 +155,21 @@ class TestInputContract:
     def test_trial_record_non_integers(self, counts, n_pulses):
         with pytest.raises(ValidationError, match="^counts and n_pulses must be integers$"):
             TrialRecord(counts=counts, n_pulses=n_pulses)
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, -1, None, "1"])
+    @pytest.mark.parametrize("draw", ["random_channel", "random_povm", "run_protocol"])
+    def test_seed_must_be_a_non_negative_integer(self, draw, seed):
+        calls = {"random_channel": random_channel, "random_povm": random_povm,
+                 "run_protocol": lambda s: run_protocol(
+                     10, three_state_sources(), KrausChannel((ID2,)), ideal_povm(), seed=s)}
+        with pytest.raises(ValidationError,
+                           match=rf"^seed must be a non-negative integer, got {seed!r}$"):
+            calls[draw](seed)
+
+    def test_numpy_integer_seed(self):
+        args = (three_state_sources(), KrausChannel((ID2,)), ideal_povm())
+        assert (run_protocol(1_000, *args, seed=np.uint64(7)).counts
+                == run_protocol(1_000, *args, seed=7).counts)
 
     def test_trial_record_numpy_integers(self):
         trial = TrialRecord(counts={("0z", "x", 0): np.int64(3)}, n_pulses=3)
@@ -146,7 +193,7 @@ class TestExactYields:
         sources = three_state_sources()
         table = exact_yields(sources, channel, povm)
         for label in sources.labels:
-            evolved = channel.apply(sources.state(label))
+            evolved = channel.apply(sources.state(label).density)
             lost = 1.0 - float(np.trace(evolved).real)
             for basis in ("x", "z"):
                 weight = table.weight(basis, label)
@@ -172,6 +219,54 @@ class TestExactYields:
         amplitude = fiber_experiment(params).channel.operators[0][0, 0].real
         t = transmittance(params)
         assert abs(amplitude**2 - t) <= 1e-15 * t
+
+
+def per_cell_probs(sources, channel, povm, mixer=None):
+    """The joint cell probabilities one cell at a time: the reference for the
+    stacked pass of ``_joint_probs``."""
+    probs = {}
+    for label, state, prior in sources.entries:
+        rho = state.density
+        evolved = sum(op @ rho @ op.conj().T for op in channel.operators)
+        for basis in ("x", "z"):
+            m0, m1 = povm.elements(basis)
+            p0 = float(np.trace(evolved @ m0).real)
+            p1 = float(np.trace(evolved @ m1).real)
+            cell = np.array([p0, p1, 1.0 - p0 - p1])
+            if mixer is not None:
+                cell = mixer.matrix @ cell
+            for outcome, p in zip((0, 1, "f"), cell.tolist()):
+                probs[label, basis, outcome] = prior * 0.5 * p
+    return probs
+
+
+class TestStackedPass:
+    """``_joint_probs`` computes every cell in one stacked pass, bit for bit
+    as the per-cell reference, in the same cell order."""
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        assert list(got) == list(expected)
+        got_bits, expected_bits = (np.array(list(d.values())).tobytes() for d in (got, expected))
+        assert got_bits == expected_bits
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_channels_and_povms(self, seed):
+        rng = np.random.default_rng(seed)
+        shift = rng.uniform(-0.05, 0.05, (3, 3))
+        mixer = OutcomeMixer(np.eye(3) + shift - shift.mean(axis=0))  # columns sum to 1
+        for sources in (three_state_sources(), four_state_sources(),
+                        modulated_three_state_sources(rng.uniform(0.0, 0.6))):
+            args = (sources, random_channel(seed), random_povm(seed + 1000))
+            for mix in (None, dark_count_mixer(rng.uniform(0.0, 0.5)), mixer):
+                self.assert_same_bits(_joint_probs(*args, mix), per_cell_probs(*args, mix))
+
+    @pytest.mark.parametrize("delta", [0.0, 0.063, 0.126, 0.5, 2.0])
+    def test_fiber_experiments(self, delta):
+        for distance in (0.0, 1.0, 10.0, 50.0, 150.0, 400.0):
+            exp = fiber_experiment(ChannelParams(distance_km=distance, delta=delta))
+            args = (exp.sources, exp.channel, exp.povm, exp.mixer)
+            self.assert_same_bits(_joint_probs(*args), per_cell_probs(*args))
 
 
 class TestMixer:

@@ -14,6 +14,11 @@ exit code, stdout and stderr of one CLI call.  A change that moves any byte
 of any report fails the test, which names the first input that differs.  To
 repin after a change that means to move bytes (and says so), write the
 output of ``digests(path)`` for an empty directory ``path`` to that file.
+
+``tests/data/simulate_digests.txt`` holds, per ``simulate`` call of the
+first round of seed 1 of the benchmark's ``simulate_small`` and
+``simulate_large`` workloads, the sha256 of its exit code, stdout and counts
+file; it is repinned the same way from ``simulate_digests(path)``.
 """
 
 import contextlib
@@ -21,6 +26,8 @@ import csv
 import hashlib
 import io
 import math
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +45,8 @@ from qkdkit.qstate import (
 )
 
 PINNED = Path(__file__).parent / "data" / "estimator_digests.txt"
+SIMULATE_PINNED = Path(__file__).parent / "data" / "simulate_digests.txt"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TABLES_PER_KIND = 12
 SCALES = (0.5, 0.125, 1e-3)
 _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
@@ -135,3 +144,39 @@ def test_estimator_output_digests(tmp_path):
     assert len(lines) == len(pinned)
     for line, expected in zip(lines, pinned):
         assert line == expected, f"first input whose output moved: {expected.split()[0]}"
+
+
+def simulate_digests(directory):
+    """``name sha256`` lines of (exit code, stdout, counts file) per call of the
+    first round of seed 1 of the ``simulate_small`` and ``simulate_large``
+    workloads, whose calls ``perfbench/workloads.py`` builds; a call without a
+    counts file gets one."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    lines = []
+    for name in ("simulate_small", "simulate_large"):
+        workload = workloads.WORKLOADS[name](1, str(directory))
+        workload.prepare()
+        for i, call in enumerate(workload.next_round()):
+            argv = list(call.argv)
+            if "--out" not in argv:
+                argv += ["--out", os.path.join(directory, "counts.csv")]
+            out = Path(argv[argv.index("--out") + 1])
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                rc = cli.main(argv)
+            counts = out.read_bytes()
+            out.unlink()
+            record = repr((rc, stdout.getvalue(), counts))
+            lines.append(f"{name}-{i} {hashlib.sha256(record.encode()).hexdigest()}")
+    return lines
+
+
+def test_simulate_output_digests(tmp_path):
+    pinned = SIMULATE_PINNED.read_text().splitlines()
+    lines = simulate_digests(tmp_path)
+    assert len(lines) == len(pinned)
+    for line, expected in zip(lines, pinned):
+        assert line == expected, f"first call whose output moved: {expected.split()[0]}"
