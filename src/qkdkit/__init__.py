@@ -73,22 +73,6 @@ from .qstate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochVector", "BobPovm", "ChannelParams", "ConditioningReport",
-    "FiberExperiment", "InconsistentYieldsError", "KrausChannel",
-    "OptimizeResult", "OutcomeMixer", "PlanarityError", "QubitState",
-    "SourceSet", "SweepTable", "TransmissionFunctional", "TrialEstimate",
-    "TrialRecord", "TwoQubitFunctional", "UndefinedRateError",
-    "ValidationError", "VirtualEnsemble", "WellPosednessError", "YieldTable",
-    "ZStats", "basis_state", "binary_entropy", "bloch_to_density",
-    "check_well_posed", "conditional_virtual_yields",
-    "dark_count_mixer", "encode_single_photon", "estimate_from_trial",
-    "exact_yields", "fiber_experiment", "four_state_sources",
-    "mdi_phase_error", "mdi_solve", "modulated_three_state_sources",
-    "optimize_alpha", "pauli_decompose", "phase_error_three_state",
-    "phase_error_virtual", "predict_yield", "random_channel", "random_povm",
-    "run_protocol", "secret_key_rate", "single_photon_stats",
-    "solve_functional", "solve_functionals", "sweep", "three_state_sources", "transmittance",
-    "virtual_amplitudes", "virtual_states_from_purification",
-    "virtual_states_planar", "zbasis_stats",
-]
+#: every class and function imported above, sorted
+__all__ = sorted(name for name, value in globals().items()
+                 if getattr(value, "__module__", "").startswith(__name__ + "."))

@@ -112,17 +112,40 @@ def check_ranges(record, **tests) -> None:
 
 
 def real_array(values, name: str, numeric: str) -> np.ndarray:
-    """``values`` as a float array.  An array or NumPy scalar of complex dtype
-    raises ValidationError, so NumPy never drops an imaginary part, and so does
-    input NumPy cannot convert (``name`` and the ``numeric`` message), such as a
-    string or a Python complex."""
-    dtype = getattr(values, "dtype", None)
-    if dtype is not None and dtype.kind == "c":
-        raise ValidationError(f"{name} must be real, got complex values")
+    """``values`` as a float array.  Input of complex dtype (a NumPy complex
+    array or scalar, or a sequence holding one) raises ValidationError, so NumPy
+    never drops an imaginary part, and so does input NumPy cannot convert
+    (``name`` and the ``numeric`` message), such as a string or a Python complex."""
     try:
-        return np.asarray(values, dtype=float)
+        # a Python complex fails the float conversion, as a string does
+        arr = np.asarray(values, dtype=float if type(values) is complex else None)
+        if arr.dtype.kind != "c":
+            return arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} {numeric}") from None
+    raise ValidationError(f"{name} must be real, got complex values")
+
+
+def _require(ok: ArrayLike, values: ArrayLike, name: str, rule: str) -> None:
+    """Raise ValidationError naming the first of ``values`` where ``ok`` fails;
+    ``ok`` is a test written so that NaN fails it."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        bad = float(np.asarray(values)[~ok][0])
+        raise ValidationError(f"{name} must be {rule}, got {bad!r}")
+
+
+def _checked_alpha(alpha: ArrayLike) -> ArrayLike:
+    """A caller's ``alpha``, each element checked to be finite and > 0."""
+    _require((alpha > 0.0) & (alpha < math.inf), alpha, "alpha", "finite and > 0")
+    return alpha
+
+
+def _checked_t(t: ArrayLike) -> np.ndarray:
+    """A caller's transmittance ``t`` as an array, each element checked to lie in [0, 1]."""
+    t = np.asarray(t)
+    _require((t >= 0.0) & (t <= 1.0), t, "t", "in [0, 1]")
+    return t
 
 
 def transmittance(params: ChannelParams, distance_km: ArrayLike | None = None) -> ArrayLike:
@@ -135,9 +158,7 @@ def transmittance(params: ChannelParams, distance_km: ArrayLike | None = None) -
     if distance_km is None:
         distance_km = params.distance_km
     distance_km = real_array(distance_km, "distance_km", "must be numeric")
-    ok = distance_km >= 0.0  # NaN fails it
-    if not ok.all():
-        raise ValidationError(f"distance_km must be >= 0, got {float(distance_km[~ok][0])!r}")
+    _require(distance_km >= 0.0, distance_km, "distance_km", ">= 0")
     with np.errstate(over="ignore"):  # a loss past 1.8e308 dB is -inf, where T is 0
         exponents = -params.atten_db_per_km * distance_km / 10.0
     powers = [10.0 ** x for x in exponents.ravel().tolist()]
@@ -162,7 +183,7 @@ def conditional_virtual_yields(params: ChannelParams, t: ArrayLike | None = None
     ``params``): the result has their broadcast shape followed by ``(2, 2)``.
     """
     e_d = params.dark_count
-    t = np.asarray(transmittance(params) if t is None else t)
+    t = np.asarray(transmittance(params) if t is None else _checked_t(t))
     arrived = t[..., None, None] * _per_delta(lambda d: virtual_amplitudes(1.5 * d) ** 2,
                                               params, delta, (2, 2))
     return arrived * (1.0 - e_d / 2.0) + e_d * (1.0 - e_d / 2.0) + arrived[..., ::-1, :] * e_d
@@ -187,11 +208,14 @@ def single_photon_gain(alpha: ArrayLike, weighted: ArrayLike) -> ArrayLike:
 
 def single_photon_stats(params: ChannelParams, alpha: ArrayLike | None = None,
                         t: ArrayLike | None = None, delta: ArrayLike | None = None) -> tuple:
-    """Return ``(Q_z1, e_x1)``; vectorized over ``alpha``, the transmittance ``t`` and ``delta``."""
+    """Return ``(Q_z1, e_x1)``; vectorized over ``alpha``, the transmittance ``t`` and ``delta``.
+
+    Each ``alpha`` must be finite and > 0, and each ``t`` in [0, 1]."""
+    alpha = params.alpha if alpha is None else _checked_alpha(alpha)
     weighted, e_x1 = single_photon_terms(params, t, delta)
     if np.any(np.isnan(e_x1)):
         raise UndefinedRateError("no single-photon detections (total loss, no darks)")
-    return single_photon_gain(params.alpha if alpha is None else alpha, weighted), e_x1
+    return single_photon_gain(alpha, weighted), e_x1
 
 
 def zbasis_overlaps(params: ChannelParams, delta: ArrayLike | None = None) -> tuple:
@@ -227,9 +251,11 @@ def zbasis_gain_error_weight(params: ChannelParams, alpha: ArrayLike, t: ArrayLi
 
 def zbasis_stats(params: ChannelParams, alpha: ArrayLike | None = None,
                  t: ArrayLike | None = None, delta: ArrayLike | None = None) -> tuple:
-    """Return ``(Q_z, e_z)`` for the key basis; vectorized over ``alpha``, ``t`` and ``delta``."""
-    alpha = params.alpha if alpha is None else alpha
-    t = transmittance(params) if t is None else t
+    """Return ``(Q_z, e_z)`` for the key basis; vectorized over ``alpha``, ``t`` and ``delta``.
+
+    Each ``alpha`` must be finite and > 0, and each ``t`` in [0, 1]."""
+    alpha = params.alpha if alpha is None else _checked_alpha(alpha)
+    t = transmittance(params) if t is None else _checked_t(t)
     q_z, w_z = zbasis_gain_error_weight(params, alpha, t, zbasis_overlaps(params, delta))
     if np.any(q_z <= 0.0):
         raise UndefinedRateError("Z-basis gain is zero; bit error rate undefined")

@@ -40,6 +40,9 @@ from .errors import (
     WellPosednessError,
 )
 from .qstate import (
+    ATOL,
+    PLANAR_AXES,
+    THREE_STATE_LABELS,
     BlochVector,
     QubitState,
     SourceSet,
@@ -368,16 +371,16 @@ def cmd_estimate(yields_path: str) -> int:
             ensemble = _canonical_z_pair_ensemble()
         else:
             ensemble = virtual_states_from_purification(rho_0z, rho_1z)
-        z_pair_weight = (sources.prior("0z") + sources.prior("1z")) * 0.5
+        z_pair_weight = table.weight("x", "0z") + table.weight("x", "1z")
     else:
         ensemble, z_pair_weight = _perfect_x_ensemble(), 1.0 / len(sources)
     virtual = estimator.virtual_yields(*functionals, ensemble, z_pair_weight)
     for (j, s), value in np.ndenumerate(virtual):
         print(f"virtual_yield[outcome={s},{j}x]: {_format(value)}")
     # a label without Bloch columns is the shared canonical state itself
-    if set(sources.labels) == {"0z", "1z", "0x"} and all(
+    if set(sources.labels) == set(THREE_STATE_LABELS) and all(
         sources.state(lab) is basis_state(lab)
-        or np.allclose(sources.state(lab).density, basis_state(lab).density, atol=1e-12)
+        or np.allclose(sources.state(lab).density, basis_state(lab).density, rtol=0.0, atol=ATOL)
         for lab in sources.labels
     ):
         # exact canonical sources: the closed form keeps an ideal table's 0 exact
@@ -466,9 +469,8 @@ def cmd_mdi_estimate(yields_path: str) -> int:
     # one source set for both parties is checked once
     sources_b = sources_a if labels_b == labels_a else canonical_sources(labels_b)
     functional = estimator.mdi_solve(pairs, sources_a, sources_b, gamma)
-    axes = ("id", "x", "z")
-    for i, s in enumerate(axes):
-        for j, t in enumerate(axes):
+    for i, s in enumerate(PLANAR_AXES):
+        for j, t in enumerate(PLANAR_AXES):
             print(f"q[{s},{t}]: {_format(functional.q[i, j])}")
     ensemble = _perfect_x_ensemble()
     table = estimator.mdi_virtual_yields(functional, ensemble, ensemble)

@@ -36,7 +36,8 @@ from .errors import (
     ValidationError,
     WellPosednessError,
 )
-from .qstate import BlochVector, QubitState, SourceSet, VirtualEnsemble, basis_state
+from .qstate import (PAULI_AXES, PLANAR_AXES, THREE_STATE_LABELS, BlochVector, QubitState,
+                     SourceSet, VirtualEnsemble, basis_state)
 
 #: smallest/largest singular value below this ratio means ill-posed sources.
 SINGULARITY_THRESHOLD = 1e-9
@@ -142,7 +143,7 @@ class TransmissionFunctional:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", dict(self.q))
-        keys = ("id", "x", "z") if self.planar else ("id", "x", "y", "z")
+        keys = PLANAR_AXES if self.planar else PAULI_AXES
         if set(self.q.keys()) != set(keys):
             raise ValidationError(f"functional must have coefficients {keys}")
         q_id = self.q["id"]
@@ -306,7 +307,7 @@ def solve_functionals(
                 f"prior mismatch for {label!r} between yield table and sources"
             )
     factors = _svd_factor(design)
-    keys = ("id", "x", "z") if len(sources) == 3 else ("id", "x", "y", "z")
+    keys = PLANAR_AXES if len(sources) == 3 else PAULI_AXES
     functionals = []
     for outcome in outcomes:
         rhs = np.array([yields.get("x", outcome, label) / yields.weight("x", label)
@@ -395,7 +396,7 @@ THREE_STATE_MAP.setflags(write=False)
 
 def three_state_yields(yields: YieldTable) -> np.ndarray:
     """The X-basis yields of labels ``0z, 1z, 0x``, outcome 0 then outcome 1."""
-    return np.array([yields.get("x", s, label) for s in (0, 1) for label in ("0z", "1z", "0x")])
+    return np.array([yields.get("x", s, label) for s in (0, 1) for label in THREE_STATE_LABELS])
 
 
 def phase_error_three_state(
@@ -433,7 +434,7 @@ def virtual_yields(
             raise ValidationError(f"prior must be in [0, 1], got {value!r}")
     rows = _bloch_rows(ensemble, f0.planar)
     rows[:, 0] = 1.0  # the identity coefficient exactly, as TransmissionFunctional.evaluate
-    keys = ("id", "x", "z") if f0.planar else ("id", "x", "y", "z")
+    keys = PLANAR_AXES if f0.planar else PAULI_AXES
     q = np.array([[f.q[k] for k in keys] for f in (f0, f1)])
     # summed left to right, so each cell rounds as TransmissionFunctional.evaluate
     return joint[:, None] * (rows[:, None, :] * q).sum(axis=-1)

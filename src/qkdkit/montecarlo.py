@@ -165,7 +165,8 @@ def dark_count_mixer(e_d: float) -> OutcomeMixer:
     Mixed(p_s) = p_s*(1 - e_d/2) + e_d*(1 - e_d/2) + p_{s^1}*e_d, with the
     constant distributed over (p0, p1, pf) using p0 + p1 + pf = 1.
     """
-    if not (0.0 <= e_d < 1.0):
+    # a NumPy complex would pass the range test and lose its imaginary part
+    if isinstance(e_d, complex) or not (0.0 <= e_d < 1.0):
         raise ValidationError(f"dark count rate must be in [0, 1), got {e_d!r}")
     keep = (1.0 - e_d / 2.0) * (1.0 + e_d)
     cross = e_d * (2.0 - e_d / 2.0)
@@ -286,14 +287,17 @@ def exact_yields(
     Machine-precision; the oracle every estimator test is checked against.
     An optional mixer post-composes the conclusive-outcome probabilities.
     """
-    cells = _joint_probs(sources, channel, povm, mixer)
-    yields = {
-        (basis, outcome, label): p
-        for (label, basis, outcome), p in cells.items()
-        if outcome != "f"
-    }
+    return _yield_table(_joint_probs(sources, channel, povm, mixer), sources)
+
+
+def _yield_table(cells: Mapping[tuple[str, str, object], float], sources: SourceSet,
+                 consistency_tol: float = YieldTable.consistency_tol) -> YieldTable:
+    """The conclusive cells of a ``(label, basis, outcome)`` mapping, re-keyed
+    ``(basis, outcome, label)``, as a table with the priors of ``sources``."""
+    yields = {(basis, outcome, label): p
+              for (label, basis, outcome), p in cells.items() if outcome != "f"}
     priors = {label: prior for label, _, prior in sources.entries}
-    return YieldTable(yields, priors, BASIS_PROBS)
+    return YieldTable(yields, priors, BASIS_PROBS, consistency_tol=consistency_tol)
 
 
 def run_protocol(
@@ -327,14 +331,8 @@ def empirical_yields(trial: TrialRecord, sources: SourceSet) -> YieldTable:
     Consistency checks get a ~6-sigma statistical slack.
     """
     n = trial.n_pulses
-    yields = {}
-    for (label, basis, outcome), count in trial.counts.items():
-        if outcome == "f":
-            continue
-        yields[basis, outcome, label] = count / n
-    priors = {label: sources.prior(label) for label in sources.labels}
-    slack = 6.0 * math.sqrt(0.25 / n) + 1e-9
-    return YieldTable(yields, priors, BASIS_PROBS, consistency_tol=slack)
+    fractions = {key: count / n for key, count in trial.counts.items()}
+    return _yield_table(fractions, sources, consistency_tol=6.0 * math.sqrt(0.25 / n) + 1e-9)
 
 
 #: the three-state phase error as ``(_ERROR_COEFF @ y) / (_TOTAL_COEFF @ y)`` in

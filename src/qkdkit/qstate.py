@@ -38,8 +38,14 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-#: Pauli operators keyed by the coefficient names used throughout.
-PAULI = {"id": ID2, "x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+#: The Pauli-expansion axes, in the order of :meth:`BlochVector.as_array`; the
+#: planar (X-Z plane) solvers drop ``y``.
+PAULI_AXES = ("id", "x", "y", "z")
+PLANAR_AXES = ("id", "x", "z")
+#: Pauli operators keyed by their axes.
+PAULI = dict(zip(PAULI_AXES, (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)))
+#: The labels of the three-state protocol: the Z pair and the X test state.
+THREE_STATE_LABELS = ("0z", "1z", "0x")
 
 _SQ2 = math.sqrt(2.0)
 _KETS = {
@@ -280,12 +286,12 @@ def canonical_sources(labels: Sequence[str]) -> SourceSet:
 
 def three_state_sources() -> SourceSet:
     """Perfect three-state sources ``{|0z>, |1z>, |0x>}`` with uniform priors."""
-    return canonical_sources(("0z", "1z", "0x"))
+    return canonical_sources(THREE_STATE_LABELS)
 
 
 def four_state_sources() -> SourceSet:
     """Perfect four-state sources whose Bloch points span a triangular pyramid."""
-    return canonical_sources(("0z", "1z", "0x", "0y"))
+    return canonical_sources(THREE_STATE_LABELS + ("0y",))
 
 
 def modulated_three_state_sources(delta: float) -> SourceSet:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ class TestTransmittance:
     @pytest.mark.parametrize("distance, message", [
         (np.array([1.0 + 1j]), "^distance_km must be real, got complex values$"),
         (np.complex128(2.0), "^distance_km must be real, got complex values$"),
+        ([np.complex128(1.0)], "^distance_km must be real, got complex values$"),
         ("x", "^distance_km must be numeric$"),
         (1j, "^distance_km must be numeric$"),
     ])
@@ -83,6 +85,38 @@ class TestTransmittance:
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValidationError, match=name):
             ChannelParams(**{name: value})
+
+
+class TestHelperInputContract:
+    """The vectorized helpers take each ``alpha`` finite and > 0, and each
+    transmittance ``t`` in [0, 1]; outside, they raise instead of warning."""
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, -1e300])
+    def test_zbasis_alpha_rejected(self, alpha):
+        with pytest.raises(ValidationError,
+                           match=f"^alpha must be finite and > 0, got {re.escape(repr(alpha))}$"):
+            zbasis_stats(DEFAULTS, alpha)
+
+    def test_single_photon_infinite_alpha_rejected(self):
+        with pytest.raises(ValidationError, match="^alpha must be finite and > 0, got inf$"):
+            single_photon_stats(DEFAULTS, math.inf)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_infinite_transmittance_rejected(self, t):
+        with pytest.raises(ValidationError, match=f"^t must be in \\[0, 1\\], got {t!r}$"):
+            conditional_virtual_yields(DEFAULTS, t=t)
+
+    def test_first_bad_element_named(self):
+        with pytest.raises(ValidationError, match="^alpha must be finite and > 0, got nan$"):
+            zbasis_stats(DEFAULTS, np.array([0.5, math.nan, -1.0]))
+
+    def test_domain_edges_accepted(self):
+        alpha = np.array([5e-324, 1e-300, 0.5, 1e300])
+        t = np.array([[0.0], [1.0]])
+        q_z, e_z = zbasis_stats(DEFAULTS, alpha, t)
+        q_z1, e_x1 = single_photon_stats(DEFAULTS, alpha, t)
+        assert np.isfinite(q_z).all() and np.isfinite(e_z).all()
+        assert np.isfinite(q_z1).all() and np.isfinite(e_x1).all()
 
 
 class TestConditionalVirtualYields:

@@ -563,6 +563,81 @@ class TestEstimateCommand:
         assert cli.main(["estimate", str(path)]) == 3
 
 
+class TestCanonicalSourceTest:
+    """The closed form applies only when each of ``0z, 1z, 0x`` equals its
+    canonical state within 1e-12 absolute."""
+
+    BLOCH = {"0z": (0.0, 1.0), "1z": (0.0, -1.0), "0x": (1.0, 0.0)}
+
+    def estimate(self, tmp_path, px_0x):
+        """The estimate report of exact yields through ``random_channel(3)`` and
+        ``random_povm(4)`` from sources at ``BLOCH``, with ``0x`` at ``px_0x``,
+        and the yield table and sources."""
+        from qkdkit.montecarlo import exact_yields, random_channel, random_povm
+        from qkdkit.qstate import BlochVector, SourceSet, bloch_to_density
+
+        bloch = {**self.BLOCH, "0x": (px_0x, 0.0)}
+        sources = SourceSet(tuple((label, bloch_to_density(BlochVector(1.0, px, 0.0, pz)), 1 / 3)
+                                  for label, (px, pz) in bloch.items()))
+        table = exact_yields(sources, random_channel(3), random_povm(4))
+        rows = [[label, basis, s, repr(table.get(basis, s, label)),
+                 repr(table.weight(basis, label)), repr(px), repr(pz)]
+                for label, (px, pz) in bloch.items() for basis in ("x", "z") for s in (0, 1)]
+        path = tmp_path / "near_canonical.csv"
+        write_yield_csv(path, rows, extra_cols=("px", "pz"))
+        rc, out, err, caught = run_cli(["estimate", str(path)])
+        assert (rc, err, caught) == (0, "", [])
+        return out, table, sources
+
+    def test_near_canonical_test_state_takes_the_general_path(self, tmp_path):
+        # px = 0.99999 is within NumPy's default rtol=1e-5 of |0x>; it used to
+        # get the closed form's e_x, 0.49837631876516603
+        from qkdkit.estimator import phase_error_virtual, solve_functionals
+        from qkdkit.qstate import virtual_states_from_purification
+
+        out, table, sources = self.estimate(tmp_path, 0.99999)
+        ensemble = virtual_states_from_purification(sources.state("0z"), sources.state("1z"))
+        expected = phase_error_virtual(*solve_functionals(table, sources), ensemble)
+        e_x = float(out.splitlines()[-1].removeprefix("e_x: "))
+        assert abs(e_x - expected) <= 1e-12
+
+    def test_exactly_canonical_columns_keep_the_closed_form(self, tmp_path):
+        # the columns give densities within 1e-12 of, but not identical to, the
+        # canonical ones
+        from qkdkit.estimator import phase_error_three_state
+
+        out, table, sources = self.estimate(tmp_path, 1.0)
+        assert not np.array_equal(sources.state("0x").density, basis_state("0x").density)
+        assert out.splitlines()[-1] == f"e_x: {cli._format(phase_error_three_state(table))}"
+
+
+def test_virtual_yields_carry_the_tables_own_basis_probability(tmp_path):
+    # the prior column scaled by 0.6 sums to 0.3 per basis, so P(X) is 0.3 and
+    # each virtual yield scales by 0.6; the rates and e_x do not move
+    with open(DATA / "estimate_canonical.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    for row in rows:
+        for column in ("probability", "prior"):
+            row[column] = repr(float(row[column]) * 0.6)
+    path = tmp_path / "scaled.csv"
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    rc, out, err, _ = run_cli(["estimate", str(path)])
+    assert (rc, err) == (0, "")
+    pinned = (DATA / "estimate_canonical.out").read_text().splitlines()
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [line.split(":")[0] for line in pinned]
+    for line, original in zip(lines, pinned):
+        key, _, text = line.partition(": ")
+        values = [float(part.rpartition("=")[2]) for part in text.split()]
+        expected = [float(part.rpartition("=")[2]) for part in original.partition(": ")[2].split()]
+        scale = 0.6 if key.startswith("virtual_yield") else 1.0
+        for value, reference in zip(values, expected):
+            assert abs(value - scale * reference) <= 1e-12 * abs(scale * reference), line
+
+
 class TestSimulateCommand:
     def test_report_and_counts(self, tmp_path, capsys):
         out = tmp_path / "counts.csv"

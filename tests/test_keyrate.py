@@ -119,7 +119,7 @@ class TestBinaryEntropy:
             binary_entropy(x)
 
     @pytest.mark.parametrize("x", [np.array([0.5 + 1j]), np.array([0.5 + 0j]),
-                                   np.complex128(0.25)])
+                                   np.complex128(0.25), [np.complex128(0.5)]])
     def test_complex_rejected(self, x):
         # NumPy would drop the imaginary part with a ComplexWarning
         with pytest.raises(ValidationError,

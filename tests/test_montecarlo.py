@@ -140,6 +140,12 @@ class TestInputContract:
             BobPovm(x=(elements["x0"], elements["x1"]), z=(elements["z0"], elements["z1"]),
                     m_f=elements["m_f"])
 
+    @pytest.mark.parametrize("e_d", [np.complex128(1e-7), 1e-7j])
+    def test_complex_dark_count_rejected(self, e_d):
+        # NumPy would drop the imaginary part of a NumPy complex with a ComplexWarning
+        with pytest.raises(ValidationError, match="^dark count rate must be in \\[0, 1\\), got "):
+            dark_count_mixer(e_d)
+
     def test_mixer_nan(self):
         matrix = np.eye(3)
         matrix[0, 1] = np.nan

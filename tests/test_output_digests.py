@@ -19,6 +19,12 @@ output of ``digests(path)`` for an empty directory ``path`` to that file.
 first round of seed 1 of the benchmark's ``simulate_small`` and
 ``simulate_large`` workloads, the sha256 of its exit code, stdout and counts
 file; it is repinned the same way from ``simulate_digests(path)``.
+
+``tests/data/workload_digests.txt`` holds, per call of the first round of
+seed 1 of the benchmark's ``estimate_mix`` and ``sweep_dense`` workloads,
+the sha256 of its exit code, stdout, stderr and written file (``None`` for
+a call that writes none); it is repinned the same way from
+``workload_digests(path)``.
 """
 
 import contextlib
@@ -32,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+import qkdkit
 from qkdkit import cli
 from qkdkit.montecarlo import exact_yields, random_channel, random_povm
 from qkdkit.qstate import (
@@ -46,6 +53,7 @@ from qkdkit.qstate import (
 
 PINNED = Path(__file__).parent / "data" / "estimator_digests.txt"
 SIMULATE_PINNED = Path(__file__).parent / "data" / "simulate_digests.txt"
+WORKLOAD_PINNED = Path(__file__).parent / "data" / "workload_digests.txt"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TABLES_PER_KIND = 12
 SCALES = (0.5, 0.125, 1e-3)
@@ -146,20 +154,26 @@ def test_estimator_output_digests(tmp_path):
         assert line == expected, f"first input whose output moved: {expected.split()[0]}"
 
 
+def _first_round(name, directory):
+    """The calls of the first round of seed 1 of the benchmark workload ``name``,
+    as ``perfbench/workloads.py`` builds them, with inputs under ``directory``."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    workload = workloads.WORKLOADS[name](1, str(directory))
+    workload.prepare()
+    return workload.next_round()
+
+
 def simulate_digests(directory):
     """``name sha256`` lines of (exit code, stdout, counts file) per call of the
     first round of seed 1 of the ``simulate_small`` and ``simulate_large``
     workloads, whose calls ``perfbench/workloads.py`` builds; a call without a
     counts file gets one."""
-    if str(PERFBENCH) not in sys.path:
-        sys.path.insert(0, str(PERFBENCH))
-    import workloads
-
     lines = []
     for name in ("simulate_small", "simulate_large"):
-        workload = workloads.WORKLOADS[name](1, str(directory))
-        workload.prepare()
-        for i, call in enumerate(workload.next_round()):
+        for i, call in enumerate(_first_round(name, directory)):
             argv = list(call.argv)
             if "--out" not in argv:
                 argv += ["--out", os.path.join(directory, "counts.csv")]
@@ -180,3 +194,39 @@ def test_simulate_output_digests(tmp_path):
     assert len(lines) == len(pinned)
     for line, expected in zip(lines, pinned):
         assert line == expected, f"first call whose output moved: {expected.split()[0]}"
+
+
+def workload_digests(directory):
+    """``name sha256`` lines of (exit code, stdout, stderr, written file) per call
+    of the first round of seed 1 of the ``estimate_mix`` and ``sweep_dense``
+    workloads."""
+    lines = []
+    for name in ("estimate_mix", "sweep_dense"):
+        for i, call in enumerate(_first_round(name, directory)):
+            argv = list(call.argv)
+            out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = cli.main(argv)
+            written = None
+            if out is not None and out.exists():
+                written = out.read_bytes()
+                out.unlink()
+            record = repr((rc, stdout.getvalue(),
+                           stderr.getvalue().replace(str(directory), "<dir>"), written))
+            lines.append(f"{name}-{i} {hashlib.sha256(record.encode()).hexdigest()}")
+    return lines
+
+
+def test_workload_output_digests(tmp_path):
+    pinned = WORKLOAD_PINNED.read_text().splitlines()
+    lines = workload_digests(tmp_path)
+    assert len(lines) == len(pinned)
+    for line, expected in zip(lines, pinned):
+        assert line == expected, f"first call whose output moved: {expected.split()[0]}"
+
+
+def test_public_names_pinned():
+    # the sha256 of qkdkit.__all__ joined by commas: its 56 names, sorted
+    digest = hashlib.sha256(",".join(qkdkit.__all__).encode()).hexdigest()
+    assert digest == "5716d5337f635a4d78a782f86f68d1ffa27d8e114352eabc9aa01b0d93069b49"
