@@ -112,14 +112,17 @@ def check_ranges(record, **tests) -> None:
 
 
 def real_array(values, name: str, numeric: str) -> np.ndarray:
-    """``values`` as a float array.  Input of complex dtype (a NumPy complex
-    array or scalar, or a sequence holding one) raises ValidationError, so NumPy
-    never drops an imaginary part, and so does input NumPy cannot convert
-    (``name`` and the ``numeric`` message), such as a string or a Python complex."""
+    """``values`` as a float array.  Complex input (a NumPy complex array or
+    scalar, or a sequence or object array holding a NumPy complex scalar) raises
+    ValidationError, so NumPy never drops an imaginary part, and so does input
+    NumPy cannot convert (``name`` and the ``numeric`` message), such as a
+    string or a Python complex."""
     try:
         # a Python complex fails the float conversion, as a string does
         arr = np.asarray(values, dtype=float if type(values) is complex else None)
-        if arr.dtype.kind != "c":
+        if arr.dtype.kind != "c" and not (
+                arr.dtype == object
+                and any(isinstance(v, np.complexfloating) for v in arr.flat)):
             return arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} {numeric}") from None

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import estimator, keyrate, montecarlo
-from .channel import ChannelParams, single_photon_stats
+from .channel import ChannelParams, single_photon_stats, transmittance
 from .errors import (
     InconsistentYieldsError,
     UndefinedRateError,
@@ -373,7 +373,9 @@ def cmd_estimate(yields_path: str) -> int:
             ensemble = virtual_states_from_purification(rho_0z, rho_1z)
         z_pair_weight = table.weight("x", "0z") + table.weight("x", "1z")
     else:
-        ensemble, z_pair_weight = _perfect_x_ensemble(), 1.0 / len(sources)
+        # two labels at the mean prior, in the table's own X basis
+        ensemble = _perfect_x_ensemble()
+        z_pair_weight = 2.0 * table.basis_probs["x"] / len(sources)
     virtual = estimator.virtual_yields(*functionals, ensemble, z_pair_weight)
     for (j, s), value in np.ndenumerate(virtual):
         print(f"virtual_yield[outcome={s},{j}x]: {_format(value)}")
@@ -400,7 +402,8 @@ def cmd_simulate(config: RunConfig) -> int:
             f"invalid field delta: simulate takes one delta, got {len(config.delta)}")
     delta = config.delta[0]
     params = config.channel_params(config.distance_start, delta)
-    experiment = montecarlo.fiber_experiment(params)
+    t = transmittance(params)
+    experiment = montecarlo.fiber_experiment(params, t)
     trial = montecarlo.run_protocol(
         config.pulses,
         experiment.sources,
@@ -417,7 +420,7 @@ def cmd_simulate(config: RunConfig) -> int:
             lines.append(f"{label},{basis},{outcome},{count}")
         _atomic_write(config.out, "\n".join(lines) + "\n")
     estimate = montecarlo.estimate_from_trial(trial, experiment.sources)
-    _, analytic = single_photon_stats(params)
+    _, analytic = single_photon_stats(params, t=t)
     if estimate.std_err > 0.0:
         z_score = (estimate.e_x - analytic) / estimate.std_err
     else:

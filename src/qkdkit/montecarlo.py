@@ -16,6 +16,7 @@ analytic fiber model term by term.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -23,13 +24,15 @@ from typing import Mapping
 import numpy as np
 
 from . import estimator
-from .channel import ChannelParams, transmittance
+from .channel import ChannelParams, _checked_t, transmittance
 from .errors import ValidationError
 from .estimator import YieldTable
 from .qstate import (
     ID2,
     SourceSet,
     _KETS,
+    _eigvalsh_2x2,
+    _frozen,
     three_state_sources,
 )
 
@@ -61,8 +64,8 @@ class KrausChannel:
             op.setflags(write=False)
         # an entry above 1 puts a diagonal entry of A+ A above 1; tested first,
         # it also keeps the Gram matrix from overflowing
-        if max(np.abs(op).max() for op in ops) > 1.0 + 1e-10 or np.linalg.eigvalsh(
-                sum(op.conj().T @ op for op in ops)).max() > 1.0 + 1e-10:
+        if max(np.abs(op).max() for op in ops) > 1.0 + 1e-10 or _eigvalsh_2x2(
+                [sum(op.conj().T @ op for op in ops).tolist()])[0][1] > 1.0 + 1e-10:
             raise ValidationError("channel is not trace-non-increasing")
         object.__setattr__(self, "operators", ops)
 
@@ -107,7 +110,7 @@ class BobPovm:
         # the elements up to the first malformed one, each test in one stacked pass
         stack = stack[:valid]
         hermitian = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
-        low = np.linalg.eigvalsh(hermitian).min(axis=1).tolist()
+        low = [lowest for lowest, _ in _eigvalsh_2x2(hermitian.tolist())]
         sums = stack[1:valid - 1:2] + stack[2:valid:2] + stack[:1]
         off = np.abs(sums - ID2).max(axis=(1, 2)).tolist()
         names = (("m_f", None), ("m0", None), ("m1", "x"), ("m0", None), ("m1", "z"))
@@ -163,7 +166,10 @@ def dark_count_mixer(e_d: float) -> OutcomeMixer:
     """Dark-count/double-click mixing of the conclusive outcome probabilities.
 
     Mixed(p_s) = p_s*(1 - e_d/2) + e_d*(1 - e_d/2) + p_{s^1}*e_d, with the
-    constant distributed over (p0, p1, pf) using p0 + p1 + pf = 1.
+    constant distributed over (p0, p1, pf) using p0 + p1 + pf = 1.  Each
+    matrix gets one mixer, built on first use and then shared (a mixer is
+    immutable); rates that compare equal but give other entries, such as
+    -0.0 and 0.0, get mixers of their own.
     """
     # a NumPy complex would pass the range test and lose its imaginary part
     if isinstance(e_d, complex) or not (0.0 <= e_d < 1.0):
@@ -176,9 +182,16 @@ def dark_count_mixer(e_d: float) -> OutcomeMixer:
             [keep, cross, from_f],
             [cross, keep, from_f],
             [1.0 - keep - cross, 1.0 - keep - cross, 1.0 - 2.0 * from_f],
-        ]
+        ],
+        dtype=float,
     )
-    return OutcomeMixer(matrix=matrix)
+    return _shared_mixer(matrix.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_mixer(entries: bytes) -> OutcomeMixer:
+    """The checked mixer of a 3x3 float64 matrix given by its bytes."""
+    return OutcomeMixer(matrix=np.frombuffer(entries).reshape(3, 3))
 
 
 @dataclass(frozen=True)
@@ -373,7 +386,13 @@ class FiberExperiment:
     mixer: OutcomeMixer
 
 
-def fiber_experiment(params: ChannelParams) -> FiberExperiment:
+#: the fiber model's Z-basis projectors and its zero inconclusive element
+_Z_PROJECTORS = tuple(_frozen(np.outer(_KETS[label], _KETS[label].conj()))
+                      for label in ("0z", "1z"))
+_NO_INCONCLUSIVE = _frozen(np.zeros((2, 2), dtype=complex))
+
+
+def fiber_experiment(params: ChannelParams, t: float | None = None) -> FiberExperiment:
     """Single-photon equivalent of the analytic fiber model.
 
     Perfect three-state sources, a uniform-loss channel, and an X
@@ -383,18 +402,21 @@ def fiber_experiment(params: ChannelParams) -> FiberExperiment:
     outcome mixer.  With these pieces the closed-form three-state estimator
     applied to the observed counts converges to the analytic single-photon
     phase error rate.
+
+    ``t`` is the transmittance (default that of ``params``), checked to lie in
+    [0, 1].  The sources, the Z-basis elements, the zero inconclusive element
+    and the mixer of each dark count are built once per process and shared;
+    the channel and the X elements are built per call.
     """
-    channel = KrausChannel((math.sqrt(transmittance(params)) * ID2,))
+    t = transmittance(params) if t is None else _checked_t(t)
+    channel = KrausChannel((math.sqrt(t) * ID2,))
     angle = 3.0 * params.delta / 8.0
     m0 = math.cos(angle) * _KETS["0x"] + math.sin(angle) * _KETS["1x"]
     m1 = -math.sin(angle) * _KETS["0x"] + math.cos(angle) * _KETS["1x"]
     povm = BobPovm(
         x=(np.outer(m0, m0.conj()), np.outer(m1, m1.conj())),
-        z=(
-            np.outer(_KETS["0z"], _KETS["0z"].conj()),
-            np.outer(_KETS["1z"], _KETS["1z"].conj()),
-        ),
-        m_f=np.zeros((2, 2), dtype=complex),
+        z=_Z_PROJECTORS,
+        m_f=_NO_INCONCLUSIVE,
     )
     return FiberExperiment(
         sources=three_state_sources(),

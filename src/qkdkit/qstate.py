@@ -66,6 +66,26 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _eigvalsh_2x2(matrices) -> list[tuple[float, float]]:
+    """The ``(low, high)`` eigenvalues of each 2x2 Hermitian matrix of ``matrices``,
+    given as nested Python scalars (``.tolist()``), in closed form.
+
+    Reads the lower triangle and the real diagonal, as ``np.linalg.eigvalsh``
+    does, without NumPy's per-call cost.  Halving before summing keeps entries
+    near the float limit from overflowing the mean.
+    """
+    pairs = []
+    for (a, _), (b, d) in matrices:
+        a, d = a.real, d.real
+        try:
+            off = abs(b)
+        except OverflowError:  # abs() of a complex raises where NumPy's gives inf
+            off = math.inf
+        mean, radius = a / 2.0 + d / 2.0, math.hypot(a / 2.0 - d / 2.0, off)
+        pairs.append((mean - radius, mean + radius))
+    return pairs
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr)
     out.setflags(write=False)
@@ -90,7 +110,8 @@ class QubitState:
         if rho.shape != (2, 2):
             raise ValidationError(f"density must be 2x2, got {rho.shape}")
         # the entries as Python scalars: NumPy's per-call cost dwarfs 2x2 arithmetic
-        (r00, r01), (r10, r11) = rho.tolist()
+        entries = rho.tolist()
+        (r00, r01), (r10, r11) = entries
         if not all(map(cmath.isfinite, (r00, r01, r10, r11))):
             raise ValidationError("density contains non-finite entries")
         # max |rho - rho^H|; the (1, 0) entry mirrors the (0, 1) one
@@ -104,8 +125,8 @@ class QubitState:
         trace = r00 + r11
         if abs(trace.real - 1.0) > ATOL or abs(trace.imag) > ATOL:
             raise ValidationError("density trace differs from 1 by more than 1e-12")
-        evals = np.linalg.eigvalsh(rho)  # ascending
-        if evals[0] < -ATOL or evals[-1] > 1.0 + ATOL:
+        ((low, high),) = _eigvalsh_2x2([entries])
+        if low < -ATOL or high > 1.0 + ATOL:
             raise ValidationError("density eigenvalues outside [0, 1] beyond 1e-12")
         object.__setattr__(self, "density", _frozen(rho))
         if self.ket is not None:
@@ -284,8 +305,11 @@ def canonical_sources(labels: Sequence[str]) -> SourceSet:
     return SourceSet(tuple((label, basis_state(label), 1.0 / len(labels)) for label in labels))
 
 
+@functools.cache
 def three_state_sources() -> SourceSet:
-    """Perfect three-state sources ``{|0z>, |1z>, |0x>}`` with uniform priors."""
+    """Perfect three-state sources ``{|0z>, |1z>, |0x>}`` with uniform priors.
+
+    Built on first use and then shared: a :class:`SourceSet` is immutable."""
     return canonical_sources(THREE_STATE_LABELS)
 
 

@@ -53,6 +53,9 @@ class TestTransmittance:
         (np.array([1.0 + 1j]), "^distance_km must be real, got complex values$"),
         (np.complex128(2.0), "^distance_km must be real, got complex values$"),
         ([np.complex128(1.0)], "^distance_km must be real, got complex values$"),
+        (np.array([np.complex128(1.0)], dtype=object),
+         "^distance_km must be real, got complex values$"),
+        (np.array([1j], dtype=object), "^distance_km must be numeric$"),
         ("x", "^distance_km must be numeric$"),
         (1j, "^distance_km must be numeric$"),
     ])

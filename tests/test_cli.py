@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdkit import cli
+from qkdkit import channel, cli, montecarlo, qstate
 from qkdkit.qstate import basis_state
 
 DATA = Path(__file__).parent / "data"
@@ -532,7 +532,7 @@ class TestEstimateCommand:
 
     def test_no_z_pair_uses_the_perfect_x_ensemble(self, tmp_path, capsys):
         # without 0z and 1z the virtual states are the perfect |0x>, |1x>, and
-        # their Z pair weight is 1/len(sources)
+        # their Z pair weight is two labels at the mean prior: 2 P(X) / len(sources)
         w = 1.0 / 6.0
         conditionals = {"0z": (0.5, 0.5), "0x": (0.9, 0.1), "1x": (0.1, 0.9)}
         rows = [[label, "x", s, repr(w * p[s]), repr(w)]
@@ -551,6 +551,28 @@ class TestEstimateCommand:
             "virtual_yield[outcome=0,1x]: 0.016666666666666691\n"
             "virtual_yield[outcome=1,1x]: 0.15000000000000002\n"
             "e_x: 0.10000000000000012\n")
+
+    def test_no_z_pair_weighs_by_the_tables_x_probability(self, tmp_path, capsys):
+        # the probability and prior columns times 0.6: P(X) = 0.3, so each virtual
+        # yield scales by 0.6 while the functionals and the ratio stay
+        w = 1.0 / 6.0
+        conditionals = {"0z": (0.5, 0.5), "0x": (0.9, 0.1), "1x": (0.1, 0.9)}
+        reports = []
+        for scale in (1.0, 0.6):
+            rows = [[label, "x", s, repr(scale * w * p[s]), repr(scale * w)]
+                    for s in (0, 1) for label, p in conditionals.items()]
+            path = tmp_path / f"no_z_pair_{scale}.csv"
+            write_yield_csv(path, rows)
+            assert cli.main(["estimate", str(path)]) == 0
+            reports.append(dict(line.split(": ") for line in
+                                capsys.readouterr().out.splitlines()))
+        plain, scaled = reports
+        virtual = [key for key in plain if key.startswith("virtual_yield")]
+        assert len(virtual) == 4
+        for key in virtual:
+            assert float(scaled[key]) == pytest.approx(0.6 * float(plain[key]), rel=1e-12)
+        for key in ("q[outcome=0]", "q[outcome=1]", "e_x"):
+            assert scaled[key] == plain[key]
 
     def test_undefined_rate_exit_three(self, tmp_path, capsys):
         w = 1.0 / 6.0
@@ -941,28 +963,30 @@ def test_scipy_stays_out_of_cold_start():
 
 
 class TestFixedObjectsBuiltOnce:
-    """SVD, ``eigvalsh`` and ``eigh`` calls per call on the pinned inputs.
+    """SVD, 2x2 eigenvalue and ``eigh`` calls per call on the pinned inputs.
 
     The canonical states, their Bloch vectors, the perfect virtual ensemble
     and the purified ensemble of the canonical Z pair are built once per
     process, and an ``estimate`` factorizes its sources once for both
     outcomes after one well-posedness check.  A source set shared by both
     relay parties is checked once, so the relay table whose parties send the
-    same labels makes one SVD fewer than the other.  The ``eigvalsh`` calls
-    left are the state checks of the Bloch-column sources and of the purified
-    virtual states, which differ per input; a Z pair from Bloch columns is
-    purified with one ``eigh``.  A change that rebuilds a fixed object on
-    every call changes these counts.
+    same labels makes one SVD fewer than the other.  The eigenvalue tests
+    (``qstate._eigvalsh_2x2``) left are the state checks of the Bloch-column
+    sources and of the purified virtual states, which differ per input; a Z
+    pair from Bloch columns is purified with one ``eigh``.  No check calls
+    ``np.linalg.eigvalsh``.  A change that rebuilds a fixed object on every
+    call changes these counts.
     """
 
-    # (svd, eigvalsh, eigh) calls of one call on each pinned input
+    # (svd, 2x2 eigenvalue test, eigh) calls of one call on each pinned input
     CALLS = {"estimate_canonical.csv": (2, 0, 0), "estimate_planar.csv": (2, 5, 1),
              "estimate_four_state.csv": (2, 6, 1), "mdi_relay.csv": (2, 0, 0),
              "mdi_relay_mixed_labels.csv": (3, 0, 0), "simulate_counts.csv": (0, 0, 0)}
 
     @staticmethod
     def counted_calls(monkeypatch):
-        """A counter of the SVD, ``eigvalsh`` and ``eigh`` calls made from now on."""
+        """A counter of the SVD, ``eigvalsh``, ``eigh`` and 2x2 eigenvalue-test
+        calls made from now on, keyed by function name."""
         counts = Counter()
 
         def counting(fn):
@@ -973,7 +997,17 @@ class TestFixedObjectsBuiltOnce:
 
         for fn in (np.linalg.svd, np.linalg.eigvalsh, np.linalg.eigh):
             monkeypatch.setattr(np.linalg, fn.__name__, counting(fn))
+        helper = counting(qstate._eigvalsh_2x2)
+        for module in (qstate, montecarlo):  # each module that binds the test
+            monkeypatch.setattr(module, "_eigvalsh_2x2", helper)
         return counts
+
+    @staticmethod
+    def calls(counts):
+        """``(svd, 2x2 eigenvalue test, eigh)`` of ``counts``, after checking that no
+        ``eigvalsh`` call was made."""
+        assert counts["eigvalsh"] == 0
+        return counts["svd"], counts["_eigvalsh_2x2"], counts["eigh"]
 
     @pytest.mark.parametrize("command, name, expected", PINNED_STDOUT)
     def test_linear_algebra_calls(self, monkeypatch, capsys, command, name, expected):
@@ -983,18 +1017,43 @@ class TestFixedObjectsBuiltOnce:
         for _ in range(2):
             counts.clear()
             assert cli.main(argv) == 0
-            assert (counts["svd"], counts["eigvalsh"], counts["eigh"]) == self.CALLS[name]
+            assert self.calls(counts) == self.CALLS[name]
         assert capsys.readouterr().out == (DATA / expected).read_text() * 3
+
+    SIMULATE = ["simulate", "--pulses", "1000", "--delta", "0.3", "--distance", "5:5:1"]
 
     def test_simulate_linear_algebra_calls(self, monkeypatch, capsys):
         # the channel's completeness check and the POVM's one stacked PSD check
-        argv = ["simulate", "--pulses", "1000", "--delta", "0.3", "--distance", "5:5:1"]
-        assert cli.main(argv) == 0
+        assert cli.main(self.SIMULATE) == 0
         counts = self.counted_calls(monkeypatch)
         for _ in range(2):
             counts.clear()
-            assert cli.main(argv) == 0
-            assert (counts["svd"], counts["eigvalsh"], counts["eigh"]) == (0, 2, 0)
+            assert cli.main(self.SIMULATE) == 0
+            assert self.calls(counts) == (0, 2, 0)
+        out = capsys.readouterr().out
+        assert out == out[:len(out) // 3] * 3
+
+    def test_simulate_builds_its_fixed_objects_once(self, monkeypatch, capsys):
+        # the sources and the dark-count mixer are shared, and the transmittance
+        # is computed once for the channel and the analytic rate alike
+        assert cli.main(self.SIMULATE) == 0
+        counts = Counter()
+        for cls in (montecarlo.OutcomeMixer, qstate.SourceSet):
+            def counted(obj, post_init=cls.__post_init__, name=cls.__name__):
+                counts[name] += 1
+                post_init(obj)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+
+        def counted_transmittance(*args, transmittance=channel.transmittance, **kwargs):
+            counts["transmittance"] += 1
+            return transmittance(*args, **kwargs)
+
+        for module in (channel, montecarlo, cli):  # each module that binds it
+            monkeypatch.setattr(module, "transmittance", counted_transmittance)
+        for _ in range(2):
+            counts.clear()
+            assert cli.main(self.SIMULATE) == 0
+            assert counts == {"transmittance": 1}
         out = capsys.readouterr().out
         assert out == out[:len(out) // 3] * 3
 

@@ -119,7 +119,9 @@ class TestBinaryEntropy:
             binary_entropy(x)
 
     @pytest.mark.parametrize("x", [np.array([0.5 + 1j]), np.array([0.5 + 0j]),
-                                   np.complex128(0.25), [np.complex128(0.5)]])
+                                   np.complex128(0.25), [np.complex128(0.5)],
+                                   np.array([np.complex128(0.5)], dtype=object),
+                                   np.array([0.5, np.complex64(0.5)], dtype=object)])
     def test_complex_rejected(self, x):
         # NumPy would drop the imaginary part with a ComplexWarning
         with pytest.raises(ValidationError,
@@ -296,6 +298,10 @@ class TestSweep:
         ([1.0], [[0.0], [0.0, 0.1]], "deltas must be a sequence of numbers"),
         (np.array([1.0 + 2j]), [0.0], "distances must be real, got complex values"),
         ([1.0], np.array([0.0j]), "deltas must be real, got complex values"),
+        (np.array([np.complex128(1.0)], dtype=object), [0.0],
+         "distances must be real, got complex values"),
+        ([1.0], np.array([np.complex128(0.0)], dtype=object),
+         "deltas must be real, got complex values"),
     ])
     def test_malformed_sequence_rejected(self, distances, deltas, message):
         with pytest.raises(ValidationError, match=message):

@@ -10,6 +10,7 @@ from qkdkit.channel import (
     single_photon_stats,
     transmittance,
 )
+from qkdkit import montecarlo
 from qkdkit.errors import ValidationError
 from qkdkit.montecarlo import (
     MAX_PULSES,
@@ -112,12 +113,37 @@ class TestInputContract:
         elements = [0.2 * ID2, *(0.8 * basis_state(label).density
                                  for label in ("0x", "1x", "0z", "1z"))]
         calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        helper = montecarlo._eigvalsh_2x2
+        monkeypatch.setattr(montecarlo, "_eigvalsh_2x2", lambda a: calls.append(a) or helper(a))
         BobPovm(x=tuple(elements[1:3]), z=tuple(elements[3:]), m_f=elements[0])
         # one stacked call: m_f, then m0 and m1 of each basis
         assert len(calls) == 1
         assert np.array_equal(calls[0], np.array(elements))
+
+    @pytest.mark.parametrize("top, accepted", [(1.0 + 0.8e-10, True), (1.0 + 1.2e-10, False)])
+    def test_kraus_decides_at_its_tolerance(self, top, accepted):
+        # a rotated operator whose Gram matrix has eigenvalues 0.3 and ``top``
+        rotation = np.array([[0.6, -0.8j], [-0.8j, 0.6]])
+        op = rotation @ np.diag([math.sqrt(0.3), math.sqrt(top)]) @ rotation.conj().T
+        if accepted:
+            KrausChannel((op,))
+        else:
+            with pytest.raises(ValidationError, match="^channel is not trace-non-increasing$"):
+                KrausChannel((op,))
+
+    @pytest.mark.parametrize("low, accepted", [(-0.8e-10, True), (-1.2e-10, False)])
+    def test_povm_decides_at_its_tolerance(self, low, accepted):
+        # m_f with eigenvalues ``low`` and 0.2 in a rotated frame; each basis still
+        # sums to the identity
+        rotation = np.array([[0.6, -0.8j], [-0.8j, 0.6]])
+        m_f = rotation @ np.diag([low, 0.2]) @ rotation.conj().T
+        rest = ID2 - m_f
+        args = dict(x=(rest / 2.0, rest / 2.0), z=(rest / 2.0, rest / 2.0), m_f=m_f)
+        if accepted:
+            BobPovm(**args)
+        else:
+            with pytest.raises(ValidationError, match="^m_f is not positive semidefinite$"):
+                BobPovm(**args)
 
     @pytest.mark.parametrize("bad, message", [
         # an earlier element's failure wins over a later malformed element
@@ -297,6 +323,37 @@ class TestMixer:
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValidationError):
             OutcomeMixer(matrix=np.eye(3) * 2.0)
+
+    def test_one_shared_mixer_per_matrix(self):
+        mixer = dark_count_mixer(1e-7)
+        assert dark_count_mixer(1e-7) is mixer
+        assert not mixer.matrix.flags.writeable
+        # -0.0 equals 0.0 but gives -0.0 entries, so it gets a mixer of its own
+        negative, positive = dark_count_mixer(-0.0), dark_count_mixer(0.0)
+        assert negative is not positive
+        assert np.signbit(negative.matrix[0, 1]) and not np.signbit(positive.matrix[0, 1])
+        # a float32 rate computes in float32, as it did before the mixers were shared
+        narrow = dark_count_mixer(np.float32(0.1))
+        assert narrow is not dark_count_mixer(0.1)
+        assert narrow.matrix[0, 0] == np.float32((1.0 - np.float32(0.1) / 2.0) * 1.1)
+
+
+class TestFiberExperiment:
+    def test_shared_pieces(self):
+        a, b = (fiber_experiment(ChannelParams(distance_km=d, delta=0.1)) for d in (5.0, 50.0))
+        assert a.sources is b.sources is three_state_sources()
+        assert a.mixer is b.mixer
+
+    def test_given_transmittance_keeps_the_bits(self):
+        params = ChannelParams(distance_km=80.0, delta=0.126)
+        given = fiber_experiment(params, transmittance(params))
+        assert given.channel.operators[0].tobytes() == (
+            fiber_experiment(params).channel.operators[0].tobytes())
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
+    def test_transmittance_outside_the_unit_interval(self, t):
+        with pytest.raises(ValidationError, match="^t must be in \\[0, 1\\], got "):
+            fiber_experiment(ChannelParams(), t)
 
 
 class TestRunProtocol:

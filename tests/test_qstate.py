@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from qkdkit.qstate import (
     virtual_amplitudes,
     virtual_states_from_purification,
     virtual_states_planar,
+    _eigvalsh_2x2,
     _fix_phase,
 )
 
@@ -163,6 +165,54 @@ class TestStateChecks:
         state = QubitState.from_density(np.asarray(rho))
         assert np.array_equal(state.density, np.asarray(rho, dtype=complex))
         assert not state.density.flags.writeable
+
+
+#: a float in [-1, 1] on a grid of 2**-53, scaled by a power of two: exact and normal
+SCALED = st.builds(lambda m, k: m / 2.0**53 * 2.0**k,
+                   st.integers(-2**53, 2**53), st.integers(-40, 40))
+
+
+class TestEigenvalues2x2:
+    """The closed-form eigenvalues that every 2x2 check uses, against ``eigvalsh``
+    and a 40-digit reference."""
+
+    @settings(max_examples=300)
+    @given(a=SCALED, d=SCALED, re=SCALED, im=SCALED,
+           skew=st.tuples(*[st.floats(-1e-12, 1e-12)] * 4))
+    def test_agrees_with_eigvalsh(self, a, d, re, im, skew):
+        # Hermitian when ``skew`` is 0, else Hermitian only within 1e-12 of the
+        # largest entry; each reads the lower triangle and the real diagonal
+        big = max(abs(a), abs(d), abs(complex(re, im)))
+        with mpmath.workdps(40):
+            exact = mpmath.eighe(mpmath.matrix([[a, mpmath.mpc(re, -im)],
+                                                [mpmath.mpc(re, im), d]]))[0]
+            exact = sorted(float(x) for x in exact)
+        up, imag_a, imag_d = complex(skew[0], skew[1]) * big, skew[2] * big, skew[3] * big
+        for rho in ([[a, complex(re, -im)], [complex(re, im), d]],
+                    [[complex(a, imag_a), complex(re, -im) + up],
+                     [complex(re, im), complex(d, imag_d)]]):
+            ((low, high),) = _eigvalsh_2x2([rho])
+            expected = np.linalg.eigvalsh(np.array(rho, dtype=complex))
+            # ulps of the largest entry: the helper within 2 of the exact values,
+            # eigvalsh within 16 of the helper (it was 9 off the exact value
+            # at a = 0, d = 0.002645871320964943)
+            assert max(abs(low - exact[0]), abs(high - exact[1])) <= 2 * np.spacing(big)
+            assert max(abs(low - expected[0]), abs(high - expected[1])) <= 16 * np.spacing(big)
+
+    def test_stack_in_order(self):
+        assert _eigvalsh_2x2([[[0.5, 0.5], [0.5, 0.5]], np.diag([0.25, -1.0]).tolist(),
+                              [[0.0, -1j], [1j, 0.0]]]) == [(0.0, 1.0), (-1.0, 0.25), (-1.0, 1.0)]
+
+    def test_off_diagonal_past_the_float_range(self):
+        # |b| overflows from finite parts, as the eigenvalues themselves do
+        ((low, high),) = _eigvalsh_2x2([[[0.5, 1.5e308 - 1.5e308j], [1.5e308 + 1.5e308j, 0.5]]])
+        assert (low, high) == (-math.inf, math.inf)
+
+    def test_density_past_the_float_range_rejected(self):
+        # eigvalsh gives NaN here, which passed both bounds
+        with pytest.raises(ValidationError, match=BAD_EIGENVALUES):
+            QubitState.from_density(np.array([[0.5, 1.5e308 - 1.5e308j],
+                                              [1.5e308 + 1.5e308j, 0.5]]))
 
 
 class TestBasisState:
