@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+from qkdkit import montecarlo
 from qkdkit.channel import (
     ChannelParams,
     conditional_virtual_yields,
     single_photon_stats,
     transmittance,
 )
-from qkdkit import montecarlo
 from qkdkit.errors import ValidationError
 from qkdkit.montecarlo import (
     MAX_PULSES,
