@@ -97,10 +97,6 @@ class RunConfig:
                 raise ValidationError(f"invalid field {name}: must be finite, got {value!r}")
         if self.distance_step <= 0.0:
             raise ValidationError("invalid field distance_step: must be > 0")
-        if self.seed < 0:
-            raise ValidationError(f"invalid field seed: must be >= 0, got {self.seed}")
-        if not 0 <= self.pulses <= montecarlo.MAX_PULSES:
-            raise ValidationError("invalid field pulses: must be in [0, 2**63 - 1]")
 
     def distances(self) -> list[float]:
         """``start + i*step`` for each ``i`` with ``start + i*step <= stop + 1e-9``."""
@@ -535,16 +531,12 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_mdi_estimate(args.yields)
         config = _config_from_args(args)
         return cmd_sweep(config) if args.command == "sweep" else cmd_simulate(config)
-    except WellPosednessError as exc:
+    except (WellPosednessError, UndefinedRateError, ValidationError, InconsistentYieldsError,
+            OSError, UnicodeDecodeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ILL_POSED
-    except UndefinedRateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDEFINED
-    except (ValidationError, InconsistentYieldsError, OSError, UnicodeDecodeError,
-            csv.Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        if isinstance(exc, WellPosednessError):
+            return EXIT_ILL_POSED
+        return EXIT_UNDEFINED if isinstance(exc, UndefinedRateError) else EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ analytic fiber model term by term.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .qstate import (
     _KETS,
     _eigvalsh_2x2,
     _frozen,
+    _max_abs,
     three_state_sources,
 )
 
@@ -65,7 +67,7 @@ class KrausChannel:
         # an entry above 1 puts a diagonal entry of A+ A above 1; tested first,
         # it also keeps the Gram matrix from overflowing
         if max(np.abs(op).max() for op in ops) > 1.0 + 1e-10 or _eigvalsh_2x2(
-                [sum(op.conj().T @ op for op in ops).tolist()])[0][1] > 1.0 + 1e-10:
+                sum(op.conj().T @ op for op in ops).tolist())[1] > 1.0 + 1e-10:
             raise ValidationError("channel is not trace-non-increasing")
         object.__setattr__(self, "operators", ops)
 
@@ -98,34 +100,31 @@ class BobPovm:
     m_f: np.ndarray
 
     def __post_init__(self) -> None:
-        # m_f, then m0 and m1 of each basis: the first element that is not a
-        # finite 2x2 PSD matrix, or the first basis whose m1 ends a sum other
-        # than the identity, is reported
+        # m_f, then m0 and m1 of each basis, each in full before the next: 2x2,
+        # finite, a PSD Hermitian part, and for m1 a sum (m0 + m1) + m_f within
+        # 1e-10 of the identity.  On Python scalars, entry by entry as NumPy
+        # computes them: NumPy's per-call cost dwarfs 2x2 arithmetic
         (x0, x1), (z0, z1) = self.x, self.z
-        ops = [np.asarray(op, dtype=complex) for op in (self.m_f, x0, x1, z0, z1)]
-        shaped = next((i for i, op in enumerate(ops) if op.shape != (2, 2)), len(ops))
-        stack = np.array(ops[:shaped]).reshape(-1, 2, 2)
-        finite = np.isfinite(stack).all(axis=(1, 2)).tolist()
-        valid = finite.index(False) if False in finite else shaped
-        # the elements up to the first malformed one, each test in one stacked pass
-        stack = stack[:valid]
-        hermitian = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
-        low = [lowest for lowest, _ in _eigvalsh_2x2(hermitian.tolist())]
-        sums = stack[1:valid - 1:2] + stack[2:valid:2] + stack[:1]
-        off = np.abs(sums - ID2).max(axis=(1, 2)).tolist()
+        ops = [np.array(op, dtype=complex) for op in (self.m_f, x0, x1, z0, z1)]  # copies
         names = (("m_f", None), ("m0", None), ("m1", "x"), ("m0", None), ("m1", "z"))
-        for i, (name, completes) in enumerate(names):
-            if i == shaped:
+        flat: list[list[complex]] = []  # the entries of each element checked so far
+        for op, (name, completes) in zip(ops, names):
+            op.setflags(write=False)
+            if op.shape != (2, 2):
                 raise ValidationError(f"{name} must be 2x2")
-            if i == valid:
+            a, b, c, d = entries = op.ravel().tolist()
+            if not all(map(cmath.isfinite, entries)):
                 raise ValidationError(f"{name} must be finite")
-            if low[i] < -1e-10:
+            if _eigvalsh_2x2([[(a + a.conjugate()) / 2.0, (b + c.conjugate()) / 2.0],
+                              [(c + b.conjugate()) / 2.0, (d + d.conjugate()) / 2.0]])[0] < -1e-10:
                 raise ValidationError(f"{name} is not positive semidefinite")
-            if completes and off[i // 2 - 1] > 1e-10:
+            if completes and _max_abs(*[(m0 + m1) + m_f - one for m0, m1, m_f, one in zip(
+                    flat[-1], entries, flat[0], (1.0, 0.0, 0.0, 1.0))]) > 1e-10:
                 raise ValidationError(f"basis {completes!r} elements do not sum to identity")
-        object.__setattr__(self, "x", (stack[1], stack[2]))
-        object.__setattr__(self, "z", (stack[3], stack[4]))
-        object.__setattr__(self, "m_f", stack[0])
+            flat.append(entries)
+        object.__setattr__(self, "x", (ops[1], ops[2]))
+        object.__setattr__(self, "z", (ops[3], ops[4]))
+        object.__setattr__(self, "m_f", ops[0])
 
     def elements(self, basis: str) -> tuple[np.ndarray, np.ndarray]:
         if basis == "x":

@@ -66,24 +66,27 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _eigvalsh_2x2(matrices) -> list[tuple[float, float]]:
-    """The ``(low, high)`` eigenvalues of each 2x2 Hermitian matrix of ``matrices``,
-    given as nested Python scalars (``.tolist()``), in closed form.
+def _max_abs(*values: complex) -> float:
+    """The largest ``abs()`` of Python complex scalars, inf where one overflows:
+    ``abs()`` raises there, where NumPy's gives inf."""
+    try:
+        return max(map(abs, values))
+    except OverflowError:
+        return math.inf
+
+
+def _eigvalsh_2x2(matrix) -> tuple[float, float]:
+    """The ``(low, high)`` eigenvalues of a 2x2 Hermitian ``matrix`` given as
+    nested Python scalars (``.tolist()``), in closed form.
 
     Reads the lower triangle and the real diagonal, as ``np.linalg.eigvalsh``
     does, without NumPy's per-call cost.  Halving before summing keeps entries
     near the float limit from overflowing the mean.
     """
-    pairs = []
-    for (a, _), (b, d) in matrices:
-        a, d = a.real, d.real
-        try:
-            off = abs(b)
-        except OverflowError:  # abs() of a complex raises where NumPy's gives inf
-            off = math.inf
-        mean, radius = a / 2.0 + d / 2.0, math.hypot(a / 2.0 - d / 2.0, off)
-        pairs.append((mean - radius, mean + radius))
-    return pairs
+    (a, _), (b, d) = matrix
+    a, d = a.real, d.real
+    mean, radius = a / 2.0 + d / 2.0, math.hypot(a / 2.0 - d / 2.0, _max_abs(b))
+    return mean - radius, mean + radius
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -115,17 +118,13 @@ class QubitState:
         if not all(map(cmath.isfinite, (r00, r01, r10, r11))):
             raise ValidationError("density contains non-finite entries")
         # max |rho - rho^H|; the (1, 0) entry mirrors the (0, 1) one
-        try:
-            skew = max(abs(r00 - r00.conjugate()), abs(r01 - r10.conjugate()),
-                       abs(r11 - r11.conjugate()))
-        except OverflowError:  # abs() of a complex raises where NumPy's gives inf
-            skew = math.inf
-        if skew > ATOL:
+        if _max_abs(r00 - r00.conjugate(), r01 - r10.conjugate(),
+                    r11 - r11.conjugate()) > ATOL:
             raise ValidationError("density is not Hermitian within 1e-12")
         trace = r00 + r11
         if abs(trace.real - 1.0) > ATOL or abs(trace.imag) > ATOL:
             raise ValidationError("density trace differs from 1 by more than 1e-12")
-        ((low, high),) = _eigvalsh_2x2([entries])
+        low, high = _eigvalsh_2x2(entries)
         if low < -ATOL or high > 1.0 + ATOL:
             raise ValidationError("density eigenvalues outside [0, 1] beyond 1e-12")
         object.__setattr__(self, "density", _frozen(rho))

@@ -164,6 +164,16 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 
+    @pytest.mark.parametrize("line", ["seed = -3", "pulses = -5"])
+    def test_config_seed_and_pulses_are_ignored(self, tmp_path, line):
+        # seed and pulses are simulate keys; a sweep draws nothing
+        argv = ["sweep", "--delta", "0.126", "--distance", "0:20:10"]
+        plain, configured, config = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        assert cli.main(argv + ["--out", str(plain)]) == 0
+        assert cli.main(argv + ["--config", str(config), "--out", str(configured)]) == 0
+        assert configured.read_bytes() == plain.read_bytes()
+
     @pytest.mark.parametrize(
         "line,field",
         [("alpha = inf", "alpha"), ("atten_db_per_km = nan", "atten_db_per_km"),
@@ -757,15 +767,21 @@ class TestSimulateCommand:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_negative_seed_rejected(self, capsys):
+        # the sampler's rule and message: the config does not restate it
         assert cli.main(["simulate", "--seed", "-1", "--pulses", "10"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "seed" in err
+        assert capsys.readouterr() == ("", "error: seed must be a non-negative integer, got -1\n")
 
-    def test_pulses_beyond_int64_rejected(self, capsys):
+    @pytest.mark.parametrize("pulses", [-1, 2**63])
+    def test_pulses_out_of_range_rejected(self, capsys, pulses):
         # the multinomial draw would raise a raw OverflowError at 2**63
-        assert cli.main(["simulate", "--pulses", str(2**63)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "pulses" in err
+        assert cli.main(["simulate", "--pulses", str(pulses)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: n_pulses must be in [1, 2**63 - 1], got {pulses}\n")
+
+    def test_first_bad_value_read_is_reported(self, capsys):
+        # the sampler reads the pulse count before the seed
+        assert cli.main(["simulate", "--seed", "-1", "--pulses", "-1"]) == 1
+        assert capsys.readouterr().err == "error: n_pulses must be in [1, 2**63 - 1], got -1\n"
 
     def test_million_pulse_z_score_within_five(self, capsys):
         argv = ["simulate", "--pulses", "1000000", "--seed", "42",
@@ -1023,13 +1039,13 @@ class TestFixedObjectsBuiltOnce:
     SIMULATE = ["simulate", "--pulses", "1000", "--delta", "0.3", "--distance", "5:5:1"]
 
     def test_simulate_linear_algebra_calls(self, monkeypatch, capsys):
-        # the channel's completeness check and the POVM's one stacked PSD check
+        # the channel's completeness check and one PSD check per POVM element
         assert cli.main(self.SIMULATE) == 0
         counts = self.counted_calls(monkeypatch)
         for _ in range(2):
             counts.clear()
             assert cli.main(self.SIMULATE) == 0
-            assert self.calls(counts) == (0, 2, 0)
+            assert self.calls(counts) == (0, 6, 0)
         out = capsys.readouterr().out
         assert out == out[:len(out) // 3] * 3
 

@@ -115,10 +115,14 @@ class TestInputContract:
         calls = []
         helper = montecarlo._eigvalsh_2x2
         monkeypatch.setattr(montecarlo, "_eigvalsh_2x2", lambda a: calls.append(a) or helper(a))
+        # opposite skew-Hermitian parts keep the X basis complete
+        skew = np.array([[0.0, 0.1j], [0.1j, 0.0]])
+        elements[1], elements[2] = elements[1] + skew, elements[2] - skew
         BobPovm(x=tuple(elements[1:3]), z=tuple(elements[3:]), m_f=elements[0])
-        # one stacked call: m_f, then m0 and m1 of each basis
-        assert len(calls) == 1
-        assert np.array_equal(calls[0], np.array(elements))
+        # one call per element, on its Hermitian part: m_f, then m0 and m1 of each basis
+        assert len(calls) == 5
+        for matrix, element in zip(calls, elements):
+            assert np.array_equal(matrix, (element + element.conj().T) / 2.0)
 
     @pytest.mark.parametrize("top, accepted", [(1.0 + 0.8e-10, True), (1.0 + 1.2e-10, False)])
     def test_kraus_decides_at_its_tolerance(self, top, accepted):

@@ -191,7 +191,7 @@ class TestEigenvalues2x2:
         for rho in ([[a, complex(re, -im)], [complex(re, im), d]],
                     [[complex(a, imag_a), complex(re, -im) + up],
                      [complex(re, im), complex(d, imag_d)]]):
-            ((low, high),) = _eigvalsh_2x2([rho])
+            low, high = _eigvalsh_2x2(rho)
             expected = np.linalg.eigvalsh(np.array(rho, dtype=complex))
             # ulps of the largest entry: the helper within 2 of the exact values,
             # eigvalsh within 16 of the helper (eigvalsh itself was 9 off the
@@ -199,9 +199,13 @@ class TestEigenvalues2x2:
             assert max(abs(low - exact[0]), abs(high - exact[1])) <= 2 * np.spacing(big)
             assert max(abs(low - expected[0]), abs(high - expected[1])) <= 16 * np.spacing(big)
 
-    def test_stack_in_order(self):
-        assert _eigvalsh_2x2([[[0.5, 0.5], [0.5, 0.5]], np.diag([0.25, -1.0]).tolist(),
-                              [[0.0, -1j], [1j, 0.0]]]) == [(0.0, 1.0), (-1.0, 0.25), (-1.0, 1.0)]
+    @pytest.mark.parametrize("matrix, expected", [
+        ([[0.5, 0.5], [0.5, 0.5]], (0.0, 1.0)),
+        (np.diag([0.25, -1.0]).tolist(), (-1.0, 0.25)),
+        ([[0.0, -1j], [1j, 0.0]], (-1.0, 1.0)),
+    ])
+    def test_low_then_high(self, matrix, expected):
+        assert _eigvalsh_2x2(matrix) == expected
 
     def test_density_past_the_float_range_rejected(self):
         # |b| overflows from finite parts and is read as inf; eigvalsh gave NaN
