@@ -112,17 +112,15 @@ def check_ranges(record, **tests) -> None:
 
 
 def real_array(values, name: str, numeric: str) -> np.ndarray:
-    """``values`` as a float array.  Complex input (a NumPy complex array or
-    scalar, or a sequence or object array holding a NumPy complex scalar) raises
-    ValidationError, so NumPy never drops an imaginary part, and so does input
-    NumPy cannot convert (``name`` and the ``numeric`` message), such as a
-    string or a Python complex."""
+    """``values`` as a float array.  Complex input (a Python or NumPy complex,
+    an array of them, or an object array holding one) raises ValidationError,
+    so NumPy never drops an imaginary part, and so does input NumPy cannot
+    convert (``name`` and the ``numeric`` message), such as a string."""
     try:
-        # a Python complex fails the float conversion, as a string does
-        arr = np.asarray(values, dtype=float if type(values) is complex else None)
+        arr = np.asarray(values)
         if arr.dtype.kind != "c" and not (
                 arr.dtype == object
-                and any(isinstance(v, np.complexfloating) for v in arr.flat)):
+                and any(isinstance(v, (complex, np.complexfloating)) for v in arr.flat)):
             return arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} {numeric}") from None

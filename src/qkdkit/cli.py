@@ -265,11 +265,14 @@ def _read_yield_csv(path: str, rows: list[tuple[dict, str]]) -> tuple[YieldTable
     column is the full per-(state, basis) prefactor (1/6 in the uniform
     three-state protocol).  Optional px, py, pz columns override the
     canonical state for a label; otherwise labels must be canonical
-    (0z, 1z, 0x, 1x, 0y, 1y).
+    (0z, 1z, 0x, 1x, 0y, 1y).  A label's state is built on its first row, and
+    every later row must repeat its Bloch columns, within 1e-12, or leave
+    ``px`` blank as that row did.
     """
     yields: dict[tuple[str, int, str], float] = {}
     priors: dict[str, float] = {}
     states: dict[str, QubitState] = {}
+    blochs: dict[str, tuple[float, ...]] = {}  # each label's first row; () without px
     for row, where in rows:
         label = _cell(row, "label", where, str)
         basis = _cell(row, "basis", where, str)
@@ -283,17 +286,16 @@ def _read_yield_csv(path: str, rows: list[tuple[dict, str]]) -> tuple[YieldTable
         if label in priors and abs(priors[label] - prior) > 1e-12:
             raise ValidationError(f"{path}: inconsistent priors for label {label!r}")
         priors[label] = prior
+        bloch = ((_cell(row, "px", where), _cell(row, "py", where, default=0.0),
+                  _cell(row, "pz", where, default=0.0))
+                 if (row.get("px") or "").strip() else ())
         if label not in states:
-            if (row.get("px") or "").strip():
-                bloch = BlochVector(
-                    v0=1.0,
-                    px=_cell(row, "px", where),
-                    py=_cell(row, "py", where, default=0.0),
-                    pz=_cell(row, "pz", where, default=0.0),
-                )
-                states[label] = bloch_to_density(bloch)
-            else:
-                states[label] = basis_state(label)
+            blochs[label] = bloch
+            states[label] = (bloch_to_density(BlochVector(1.0, *bloch)) if bloch
+                             else basis_state(label))
+        elif len(bloch) != len(blochs[label]) or any(
+                abs(p - q) > 1e-12 for p, q in zip(bloch, blochs[label])):
+            raise ValidationError(f"{path}: inconsistent Bloch columns for label {label!r}")
     if not yields:
         raise ValidationError(f"{path}: no yield rows found")
     # The prior column is the joint prefactor P(label) * P(basis); factorize it

@@ -55,9 +55,12 @@ class TestTransmittance:
         ([np.complex128(1.0)], "^distance_km must be real, got complex values$"),
         (np.array([np.complex128(1.0)], dtype=object),
          "^distance_km must be real, got complex values$"),
-        (np.array([1j], dtype=object), "^distance_km must be numeric$"),
+        # a Python complex, alone or in an object array, as a NumPy one
+        (np.array([1j], dtype=object), "^distance_km must be real, got complex values$"),
+        (1j, "^distance_km must be real, got complex values$"),
+        (np.array([np.complex64(1.0)], dtype=object),
+         "^distance_km must be real, got complex values$"),
         ("x", "^distance_km must be numeric$"),
-        (1j, "^distance_km must be numeric$"),
     ])
     def test_non_real_distance_rejected(self, distance, message):
         with pytest.raises(ValidationError, match=message):
@@ -78,6 +81,10 @@ class TestTransmittance:
             ChannelParams(det_eff=0.0)
         with pytest.raises(ValidationError):
             ChannelParams(dark_count=1.0)
+
+    def test_negative_attenuation_rejected(self):
+        with pytest.raises(ValidationError, match="^atten_db_per_km must be >= 0$"):
+            ChannelParams(atten_db_per_km=-0.1)
         with pytest.raises(ValidationError):
             ChannelParams(alpha=0.0)
         with pytest.raises(ValidationError):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdkit import channel, cli, montecarlo, qstate
-from qkdkit.qstate import basis_state
+from qkdkit.qstate import THREE_STATE_LABELS, basis_state
 
 DATA = Path(__file__).parent / "data"
 
@@ -1101,6 +1101,57 @@ def valid_inputs():
     }
 
 
+YIELD_ROW = ["0z", "x", "0", "0.05", repr(1 / 6)]
+COUNTS_HEADER = ["label", "basis", "outcome", "count"]
+
+
+class TestEveryInputRejection:
+    """Each rejection of a config file or CSV table that its own row cannot show:
+    exit 1 and the exact ``error:`` line."""
+
+    @pytest.mark.parametrize("command, header, rows, message", [
+        ("estimate", COUNTS_HEADER, [["0z", "x", "0", "5"], ["0z", "x", "0", "6"]],
+         "duplicate counts row ('0z', 'x', 0)"),
+        ("estimate", COUNTS_HEADER, [], "no count rows found"),
+        ("estimate", YIELD_HEADER, [YIELD_ROW, YIELD_ROW], "duplicate cell ('x', 0, '0z')"),
+        ("estimate", YIELD_HEADER, [YIELD_ROW, ["0z", "x", "1", "0.05", "0.2"]],
+         "inconsistent priors for label '0z'"),
+        ("estimate", YIELD_HEADER, [], "no yield rows found"),
+        ("estimate", YIELD_HEADER,
+         [[label, "x", "0", "0.1", "0.5"] for label in THREE_STATE_LABELS],
+         "prior column sums to 1.5 per basis"),
+        ("mdi-estimate", PAIR_HEADER, [*TestMdiEstimateCommand.bell_rows()[:2],
+                                       TestMdiEstimateCommand.bell_rows()[0]],
+         "duplicate pair ('0z', '0z')"),
+        ("mdi-estimate", PAIR_HEADER, [row for row in TestMdiEstimateCommand.bell_rows()
+                                       if "0x" in row[:2]], "no Z-Z pair rows found"),
+    ], ids=["duplicate-count", "no-counts", "duplicate-cell", "inconsistent-priors",
+            "no-yields", "prior-sum", "duplicate-pair", "no-z-pair"])
+    def test_table_rejected(self, tmp_path, capsys, command, header, rows, message):
+        path = tmp_path / "table.csv"
+        write_csv(path, header, rows)
+        assert cli.main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    def test_config_line_without_equals_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("# seeds\nseed 3\n")
+        assert cli.main(["simulate", "--pulses", "10", "--config", str(config)]) == 1
+        assert capsys.readouterr() == ("", f"error: {config}:2: expected 'key = value'\n")
+
+    def test_config_out_key_names_the_output(self, tmp_path):
+        # the config file's out, as --out; a flag overrides it
+        argv = ["sweep", "--delta", "0.126", "--distance", "0:20:10"]
+        by_flag, by_config, config = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "run.cfg"
+        config.write_text(f"out = {by_config}\n")
+        assert cli.main(argv + ["--out", str(by_flag)]) == 0
+        assert cli.main(argv + ["--config", str(config)]) == 0
+        assert by_config.read_bytes() == by_flag.read_bytes()
+        by_config.unlink()
+        assert cli.main(argv + ["--config", str(config), "--out", str(by_flag)]) == 0
+        assert not by_config.exists()
+
+
 class TestMalformedCells:
     """A bad cell ends in an ``error:`` line naming its row and column."""
 
@@ -1113,6 +1164,13 @@ class TestMalformedCells:
         ("pairs", 2, 3, "nan", "row 4: column prior must be finite"),  # an X pair
         ("pairs", 0, 3, "nan", "row 2: column prior must be finite"),  # first Z-Z pair
         ("yield", 0, 3, "inf", "row 2: column probability must be finite"),
+        # the first rows of labels 1z and 0z, then a later row of 0z
+        ("yield_px", 1, 5, "oops", "row 3: column px: cannot parse 'oops'"),
+        ("yield_px", 3, 5, "oops", "row 5: column px: cannot parse 'oops'"),
+        ("yield_px", 3, 7, "nan", "row 5: column pz must be finite"),
+        ("yield_px", 3, 5, "0.5", "inconsistent Bloch columns for label '0z'"),
+        ("yield_px", 3, 5, "", "inconsistent Bloch columns for label '0z'"),
+        ("yield_px", 0, 5, "", "inconsistent Bloch columns for label '0z'"),
     ])
     def test_bad_cell_exits_one(self, tmp_path, capsys, kind, row, column, text, message):
         command, header, rows = valid_inputs()[kind]
@@ -1126,6 +1184,20 @@ class TestMalformedCells:
         assert cli.main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"bad.csv: {message}" in err
+
+    @pytest.mark.parametrize("row, column, text", [(3, 5, "1e-12"), (3, 7, "0.999999999999")])
+    def test_bloch_columns_agree_within_tolerance(self, tmp_path, capsys, row, column, text):
+        # a later row may differ from its label's first row by up to 1e-12; the
+        # state is the first row's
+        command, header, rows = valid_inputs()["yield_px"]
+        path = tmp_path / "ok.csv"
+        write_csv(path, header, rows)
+        assert cli.main([command, str(path)]) == 0
+        expected = capsys.readouterr()
+        rows[row][column] = text
+        write_csv(path, header, rows)
+        assert cli.main([command, str(path)]) == 0
+        assert capsys.readouterr() == expected
 
     def test_spaced_count_column_read_as_counts(self, tmp_path, capsys):
         # a header naming " count " makes a counts file, whose columns must match exactly

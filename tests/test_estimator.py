@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -733,3 +734,50 @@ class TestVirtualTables:
         for ensembles in ((Y_STATES, x_ensemble), (x_ensemble, Y_STATES)):
             with pytest.raises(PlanarityError):
                 mdi_virtual_yields(functional, *ensembles)
+
+
+F0 = TransmissionFunctional(outcome=0, q={"id": 0.5, "x": 0.25, "z": 0.0})
+F1 = TransmissionFunctional(outcome=1, q={"id": 0.5, "x": -0.25, "z": 0.0})
+TABLE = x_table({(0, "0z"): 0.5})
+#: the canonical three states with a label that carries no basis
+UNLABELLED_X = SourceSet((("0z", basis_state("0z"), 1 / 3), ("1z", basis_state("1z"), 1 / 3),
+                          ("a", basis_state("0x"), 1 / 3)))
+
+
+class TestEveryRejection:
+    """Each rejection of the estimator's inputs, with its class and its exact message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: YieldTable({("x", 2, "0z"): 0.1}, {"0z": 1.0}, {"x": 1.0}),
+         "outcome must be 0 or 1, got 2"),
+        (lambda: YieldTable({}, {"0z": 1.5}, {"x": 1.0}), "prior for '0z' must be in (0, 1]"),
+        (lambda: YieldTable({}, {"0z": 0.5}, {"x": 1.0}), "priors must sum to 1"),
+        (lambda: YieldTable({}, {"0z": 1.0}, {"x": 0.0}),
+         "basis probability for 'x' must be in (0, 1]"),
+        (lambda: TABLE.weight("x", "1y"), "no prior recorded for label '1y'"),
+        (lambda: TABLE.weight("y", "0z"), "no probability recorded for basis 'y'"),
+        (lambda: TwoQubitFunctional(q=np.zeros((2, 2))),
+         "two-qubit functional must be 3x3 over (id, x, z)"),
+        (lambda: solve_functionals(x_table({}, priors={"0z": 0.5, "1z": 0.25, "0x": 0.25}),
+                                   three_state_sources()),
+         "prior mismatch for '0z' between yield table and sources"),
+        (lambda: predict_yield(F0, basis_state("0z"), 1.5), "prior must be in [0, 1], got 1.5"),
+        (lambda: error_rate(np.zeros(3)), "virtual-yield table must be 2x2, got shape (3,)"),
+        (lambda: virtual_yields(F1, F0, virtual_states_planar(0.0)),
+         "functionals must be for outcomes 0 and 1, in order"),
+        (lambda: virtual_yields(F0, F1, virtual_states_planar(0.0), 3.0),
+         "prior must be in [0, 1], got 1.5"),
+        (lambda: mdi_solve({(a, b): 0.01 for a in UNLABELLED_X.labels
+                            for b in UNLABELLED_X.labels}, UNLABELLED_X, UNLABELLED_X, 0.5),
+         "label 'a' must end in 'z' or 'x' to carry its basis"),
+        (lambda: mdi_virtual_yields(TwoQubitFunctional(q=np.zeros((3, 3))),
+                                    virtual_states_planar(0.0),
+                                    VirtualEnsemble("y", virtual_states_planar(0.0).entries)),
+         "relay phase error uses X-basis virtual ensembles"),
+    ], ids=["outcome", "prior-range", "prior-sum", "basis-range", "weight-label",
+            "weight-basis", "two-qubit-shape", "prior-mismatch", "predict-prior",
+            "table-shape", "outcome-order", "virtual-prior", "pair-label", "relay-basis"])
+    def test_rejected_with_its_message(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as info:
+            call()
+        assert type(info.value) is ValidationError

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -467,3 +468,27 @@ class TestEstimateFromTrial:
         for (label, basis, outcome), count in trial.counts.items():
             if outcome != "f":
                 assert table.get(basis, outcome, label) == count / 1_000
+
+
+class TestEveryRejection:
+    """Each rejection of the sampler's inputs, with its class and its exact message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: KrausChannel(()), "channel needs at least one Kraus operator"),
+        (lambda: KrausChannel((np.eye(3),)), "Kraus operators must be finite 2x2 matrices"),
+        (lambda: KrausChannel((ID2, np.full((2, 2), np.inf))),
+         "Kraus operators must be finite 2x2 matrices"),
+        (lambda: KrausChannel((ID2,)).with_extra_loss(1.0),
+         "loss fraction must be in [0, 1), got 1.0"),
+        (lambda: ideal_povm().elements("y"), "unknown basis 'y'"),
+        (lambda: OutcomeMixer(np.eye(2)), "mixer must be 3x3"),
+        (lambda: TrialRecord(counts={("0z", "x", 0): -1, ("0z", "x", 1): 2}, n_pulses=1),
+         "counts must be non-negative"),
+        (lambda: TrialRecord(counts={("0z", "x", 0): 1}, n_pulses=2),
+         "counts must sum to n_pulses"),
+    ], ids=["no-operator", "kraus-shape", "kraus-finite", "extra-loss", "povm-basis",
+            "mixer-shape", "negative-count", "count-sum"])
+    def test_rejected_with_its_message(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as info:
+            call()
+        assert type(info.value) is ValidationError

@@ -1,0 +1,62 @@
+"""The transmission rates of the pinned ``estimate`` and ``mdi-estimate``
+outputs against the 40-digit references of ``tests/mpref.py``.
+
+Each ``q[...]`` line of a pinned ``.out`` file must lie within ``MAX_ULPS``
+of its input's reference, counted in ulps of the largest coefficient on the
+line.  The bounds are the worst distance measured when they were set,
+rounded up; a change may lower them, never raise them.
+"""
+
+from pathlib import Path
+
+import mpmath
+import numpy as np
+import pytest
+
+import mpref
+
+DATA = Path(__file__).parent / "data"
+#: per pinned input, the largest distance allowed, in ulps
+MAX_ULPS = {"estimate_canonical": 4, "estimate_planar": 3, "estimate_four_state": 3,
+            "mdi_relay": 21, "mdi_relay_mixed_labels": 119}
+
+
+def printed_rates(name: str) -> list[list[float]]:
+    """The coefficients of each ``q[...]`` line of a pinned output, in order."""
+    lines = (DATA / f"{name}.out").read_text().splitlines()
+    return [[float(value.rpartition("=")[2]) for value in line.partition(":")[2].split()]
+            for line in lines if line.startswith("q[")]
+
+
+def ulps_off(values: list[float], exact: list) -> float:
+    """The largest distance of ``values`` from ``exact``, in ulps of the largest value."""
+    scale = float(np.spacing(max(abs(v) for v in values)))
+    with mpmath.workdps(mpref.DIGITS):
+        return max(float(abs(mpmath.mpf(v) - e)) for v, e in zip(values, exact)) / scale
+
+
+@pytest.mark.parametrize("name", ["estimate_canonical", "estimate_planar",
+                                  "estimate_four_state"])
+def test_single_party_rates_near_the_reference(name):
+    reference = mpref.single_party_rates(DATA / f"{name}.csv")
+    lines = printed_rates(name)
+    assert [len(values) for values in lines] == [len(reference[0])] * 2
+    for outcome, values in enumerate(lines):
+        assert ulps_off(values, reference[outcome]) <= MAX_ULPS[name]
+
+
+@pytest.mark.parametrize("name", ["mdi_relay", "mdi_relay_mixed_labels"])
+def test_relay_rates_near_the_reference(name):
+    reference = mpref.relay_rates(DATA / f"{name}.csv")
+    lines = printed_rates(name)
+    assert [len(values) for values in lines] == [1] * 9
+    for values, exact in zip(lines, reference):
+        assert ulps_off(values, [exact]) <= MAX_ULPS[name]
+
+
+def test_reference_tells_a_one_ulp_error():
+    # the canonical table's identity rate, moved by one ulp of itself at a time
+    exact = mpref.single_party_rates(DATA / "estimate_canonical.csv")[0][0]
+    value = float(exact)
+    assert ulps_off([value], [exact]) <= 0.5
+    assert 0.5 <= ulps_off([np.nextafter(value, 1.0)], [exact]) <= 1.5

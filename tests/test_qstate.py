@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -497,3 +498,25 @@ class TestSourceSets:
         else:
             with pytest.raises(ValidationError, match="outside the unit ball"):
                 BlochVector(v0=1.0, px=px, py=0.0, pz=0.0)
+
+
+class TestEveryRejection:
+    """Each rejection of a state-level input, with its class and its exact message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: BlochVector(1.0, 0.0, math.nan, 0.0), "Bloch components must be finite"),
+        (lambda: encode_single_photon(math.inf, 0.0), "theta_a must be finite"),
+        (lambda: three_state_sources().state("1x"), "no source labelled '1x'"),
+        (lambda: three_state_sources().prior("1x"), "no source labelled '1x'"),
+        (lambda: VirtualEnsemble("z", virtual_states_planar(0.0).entries),
+         "ensemble basis must be 'x' or 'y', got 'z'"),
+        (lambda: VirtualEnsemble("x", ((0.5, basis_state("0x")), (0.4, basis_state("1x")))),
+         "ensemble weights must sum to 1 within 1e-12"),
+        (lambda: virtual_states_from_purification(basis_state("0z"), basis_state("1z"), "z"),
+         "basis must be 'x' or 'y', got 'z'"),
+    ], ids=["bloch-finite", "theta-finite", "state-label", "prior-label", "ensemble-basis",
+            "ensemble-weights", "purification-basis"])
+    def test_rejected_with_its_message(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as info:
+            call()
+        assert type(info.value) is ValidationError
