@@ -258,6 +258,15 @@ def _read_counts_csv(path: str, rows: list[tuple[dict, str]]) -> montecarlo.Tria
     return montecarlo.TrialRecord(counts=counts, n_pulses=sum(counts.values()))
 
 
+def _bloch_cells(row: dict, where: str) -> tuple[float, ...]:
+    """The ``px, py, pz`` cells of a yield-CSV row (a blank ``py`` or ``pz`` is 0),
+    or ``()`` when ``px`` is blank."""
+    if not (row.get("px") or "").strip():
+        return ()
+    return (_cell(row, "px", where), _cell(row, "py", where, default=0.0),
+            _cell(row, "pz", where, default=0.0))
+
+
 def _read_yield_csv(path: str, rows: list[tuple[dict, str]]) -> tuple[YieldTable, SourceSet]:
     """Parse the rows of a single-party yield CSV into a table plus source states.
 
@@ -272,7 +281,8 @@ def _read_yield_csv(path: str, rows: list[tuple[dict, str]]) -> tuple[YieldTable
     yields: dict[tuple[str, int, str], float] = {}
     priors: dict[str, float] = {}
     states: dict[str, QubitState] = {}
-    blochs: dict[str, tuple[float, ...]] = {}  # each label's first row; () without px
+    # each label's first-row Bloch cells, as text and as numbers (() without px)
+    blochs: dict[str, tuple[tuple, tuple[float, ...]]] = {}
     for row, where in rows:
         label = _cell(row, "label", where, str)
         basis = _cell(row, "basis", where, str)
@@ -286,16 +296,16 @@ def _read_yield_csv(path: str, rows: list[tuple[dict, str]]) -> tuple[YieldTable
         if label in priors and abs(priors[label] - prior) > 1e-12:
             raise ValidationError(f"{path}: inconsistent priors for label {label!r}")
         priors[label] = prior
-        bloch = ((_cell(row, "px", where), _cell(row, "py", where, default=0.0),
-                  _cell(row, "pz", where, default=0.0))
-                 if (row.get("px") or "").strip() else ())
+        text = (row.get("px"), row.get("py"), row.get("pz"))
         if label not in states:
-            blochs[label] = bloch
+            bloch = _bloch_cells(row, where)
+            blochs[label] = text, bloch
             states[label] = (bloch_to_density(BlochVector(1.0, *bloch)) if bloch
                              else basis_state(label))
-        elif len(bloch) != len(blochs[label]) or any(
-                abs(p - q) > 1e-12 for p, q in zip(bloch, blochs[label])):
-            raise ValidationError(f"{path}: inconsistent Bloch columns for label {label!r}")
+        elif text != blochs[label][0]:  # the first row's text parses to the first row's numbers
+            first, bloch = blochs[label][1], _bloch_cells(row, where)
+            if len(bloch) != len(first) or any(abs(p - q) > 1e-12 for p, q in zip(bloch, first)):
+                raise ValidationError(f"{path}: inconsistent Bloch columns for label {label!r}")
     if not yields:
         raise ValidationError(f"{path}: no yield rows found")
     # The prior column is the joint prefactor P(label) * P(basis); factorize it
