@@ -32,9 +32,9 @@ from .qstate import (
     ID2,
     SourceSet,
     _KETS,
+    _abs,
     _eigvalsh_2x2,
     _frozen,
-    _max_abs,
     three_state_sources,
 )
 
@@ -118,8 +118,8 @@ class BobPovm:
             if _eigvalsh_2x2([[(a + a.conjugate()) / 2.0, (b + c.conjugate()) / 2.0],
                               [(c + b.conjugate()) / 2.0, (d + d.conjugate()) / 2.0]])[0] < -1e-10:
                 raise ValidationError(f"{name} is not positive semidefinite")
-            if completes and _max_abs(*[(m0 + m1) + m_f - one for m0, m1, m_f, one in zip(
-                    flat[-1], entries, flat[0], (1.0, 0.0, 0.0, 1.0))]) > 1e-10:
+            if completes and max(_abs((m0 + m1) + m_f - one) for m0, m1, m_f, one in zip(
+                    flat[-1], entries, flat[0], (1.0, 0.0, 0.0, 1.0))) > 1e-10:
                 raise ValidationError(f"basis {completes!r} elements do not sum to identity")
             flat.append(entries)
         object.__setattr__(self, "x", (ops[1], ops[2]))

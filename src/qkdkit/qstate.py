@@ -66,11 +66,11 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _max_abs(*values: complex) -> float:
-    """The largest ``abs()`` of Python complex scalars, inf where one overflows:
-    ``abs()`` raises there, where NumPy's gives inf."""
+def _abs(value: complex) -> float:
+    """``abs()`` of a Python complex, or inf where it overflows: ``abs()`` raises
+    there, where NumPy's gives inf."""
     try:
-        return max(map(abs, values))
+        return abs(value)
     except OverflowError:
         return math.inf
 
@@ -85,7 +85,7 @@ def _eigvalsh_2x2(matrix) -> tuple[float, float]:
     """
     (a, _), (b, d) = matrix
     a, d = a.real, d.real
-    mean, radius = a / 2.0 + d / 2.0, math.hypot(a / 2.0 - d / 2.0, _max_abs(b))
+    mean, radius = a / 2.0 + d / 2.0, math.hypot(a / 2.0 - d / 2.0, _abs(b))
     return mean - radius, mean + radius
 
 
@@ -118,8 +118,8 @@ class QubitState:
         if not all(map(cmath.isfinite, (r00, r01, r10, r11))):
             raise ValidationError("density contains non-finite entries")
         # max |rho - rho^H|; the (1, 0) entry mirrors the (0, 1) one
-        if _max_abs(r00 - r00.conjugate(), r01 - r10.conjugate(),
-                    r11 - r11.conjugate()) > ATOL:
+        if max(_abs(r00 - r00.conjugate()), _abs(r01 - r10.conjugate()),
+               _abs(r11 - r11.conjugate())) > ATOL:
             raise ValidationError("density is not Hermitian within 1e-12")
         trace = r00 + r11
         if abs(trace.real - 1.0) > ATOL or abs(trace.imag) > ATOL:
