@@ -28,11 +28,11 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import estimator, keyrate, montecarlo
-from .channel import ChannelParams, single_photon_stats, transmittance
+from . import estimator
 from .errors import (
     InconsistentYieldsError,
     UndefinedRateError,
@@ -56,6 +56,9 @@ from .qstate import (
 )
 from .estimator import YieldTable
 
+if TYPE_CHECKING:
+    from .channel import ChannelParams
+
 SWEEP_HEADER = ("delta", "distance_km", "alpha_opt", "Q_z", "e_z", "Q_z1", "e_x1", "R")
 CSV_COLUMNS = {"counts": ("label", "basis", "outcome", "count"),
                "yield": ("basis", "label", "outcome", "prior", "probability"),
@@ -70,22 +73,53 @@ MAX_DISTANCE_POINTS = 2**17  # a sweep keeps ~210 bytes per point: ~80 MiB for 3
 _DISTANCE_FIELDS = ("distance_start", "distance_stop", "distance_step")
 
 
+@functools.cache
+def _library_default(field: str) -> float:
+    """The library's own default of a ``RunConfig`` field, stated once there."""
+    if field in ("dark_count", "det_eff", "atten_db_per_km"):
+        from . import channel
+        return getattr(channel.ChannelParams, field)
+    from . import keyrate
+    return {"f_ec": keyrate.DEFAULT_F_EC, "alpha_min": keyrate.DEFAULT_ALPHA_BOUNDS[0],
+            "alpha_max": keyrate.DEFAULT_ALPHA_BOUNDS[1],
+            "alpha_tol": keyrate.DEFAULT_ALPHA_TOL}[field]
+
+
+class _LibraryDefault:
+    """A ``RunConfig`` field whose default is :func:`_library_default`, read
+    when a config reads the field, not when the class is created: a command
+    loads ``channel`` or ``keyrate`` only if it reads their fields, so
+    ``simulate``, which reads no key-rate field, never loads ``keyrate``."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, config, owner=None):
+        if config is None:
+            return self  # the dataclass default: "not given"
+        value = config.__dict__[self.name]
+        return _library_default(self.name) if value is self else value
+
+    def __set__(self, config, value) -> None:
+        config.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Flattened run configuration; defaults reproduce the reference curves."""
 
-    dark_count: float = ChannelParams.dark_count
-    det_eff: float = ChannelParams.det_eff
-    atten_db_per_km: float = ChannelParams.atten_db_per_km
+    dark_count: float = _LibraryDefault()
+    det_eff: float = _LibraryDefault()
+    atten_db_per_km: float = _LibraryDefault()
     delta: tuple[float, ...] = (0.0, 0.063, 0.126)
     distance_start: float = 0.0
     distance_stop: float = 150.0
     distance_step: float = 5.0
-    f_ec: float = keyrate.DEFAULT_F_EC
+    f_ec: float = _LibraryDefault()
     alpha: float | None = None
-    alpha_min: float = keyrate.DEFAULT_ALPHA_BOUNDS[0]
-    alpha_max: float = keyrate.DEFAULT_ALPHA_BOUNDS[1]
-    alpha_tol: float = keyrate.DEFAULT_ALPHA_TOL
+    alpha_min: float = _LibraryDefault()
+    alpha_max: float = _LibraryDefault()
+    alpha_tol: float = _LibraryDefault()
     seed: int = 1
     pulses: int = 1_000_000
     out: str | None = None
@@ -112,7 +146,9 @@ class RunConfig:
     def channel_params(self, distance_km: float, delta: float) -> ChannelParams:
         """The link at one point, with the default intensity: ``sweep`` takes
         ``alpha`` as its own argument, and ``simulate`` has no intensity."""
-        return ChannelParams(
+        from . import channel
+
+        return channel.ChannelParams(
             dark_count=self.dark_count,
             det_eff=self.det_eff,
             atten_db_per_km=self.atten_db_per_km,
@@ -199,6 +235,8 @@ def _atomic_write(path: str, text: str) -> None:
 def cmd_sweep(config: RunConfig) -> int:
     if config.out is None:
         raise ValidationError("invalid field out: sweep requires an output path")
+    from . import keyrate
+
     table = keyrate.sweep(config.distances(), config.delta, config.channel_params(0.0, 0.0),
                           f_ec=config.f_ec, bounds=(config.alpha_min, config.alpha_max),
                           tol=config.alpha_tol, alpha=config.alpha)
@@ -242,8 +280,9 @@ def _cell(row: dict, column: str, where: str, kind: type = float, default: objec
     return value
 
 
-def _read_counts_csv(path: str, rows: list[tuple[dict, str]]) -> montecarlo.TrialRecord:
-    """Parse the rows of a counts CSV (the ``simulate`` output schema) into a trial."""
+def _read_counts_csv(path: str, rows: list[tuple[dict, str]]) -> dict[tuple, int]:
+    """Parse the rows of a counts CSV (the ``simulate`` output schema) into
+    the counts of a :class:`~qkdkit.montecarlo.TrialRecord`."""
     counts: dict[tuple[str, str, object], int] = {}
     for row, where in rows:
         outcome: object = _cell(row, "outcome", where, str)
@@ -255,7 +294,7 @@ def _read_counts_csv(path: str, rows: list[tuple[dict, str]]) -> montecarlo.Tria
         counts[key] = _cell(row, "count", where, int)
     if not counts:
         raise ValidationError(f"{path}: no count rows found")
-    return montecarlo.TrialRecord(counts=counts, n_pulses=sum(counts.values()))
+    return counts
 
 
 def _bloch_cells(row: dict, where: str) -> tuple[float, ...]:
@@ -348,7 +387,10 @@ def cmd_estimate(yields_path: str) -> int:
     kind, rows = _csv_rows(yields_path)
     if kind == "counts":
         # counts from a `simulate` run: statistical estimate with error bar
-        trial = _read_counts_csv(yields_path, rows)
+        from . import montecarlo
+
+        counts = _read_counts_csv(yields_path, rows)
+        trial = montecarlo.TrialRecord(counts=counts, n_pulses=sum(counts.values()))
         sources = three_state_sources()
         estimate = montecarlo.estimate_from_trial(trial, sources)
         print(f"pulses: {trial.n_pulses}")
@@ -408,9 +450,11 @@ def cmd_simulate(config: RunConfig) -> int:
     if len(config.delta) > 1 and config.delta is not RunConfig.delta:
         raise ValidationError(
             f"invalid field delta: simulate takes one delta, got {len(config.delta)}")
+    from . import channel, montecarlo
+
     delta = config.delta[0]
     params = config.channel_params(config.distance_start, delta)
-    t = transmittance(params)
+    t = channel.transmittance(params)
     experiment = montecarlo.fiber_experiment(params, t)
     trial = montecarlo.run_protocol(
         config.pulses,
@@ -428,7 +472,7 @@ def cmd_simulate(config: RunConfig) -> int:
             lines.append(f"{label},{basis},{outcome},{count}")
         _atomic_write(config.out, "\n".join(lines) + "\n")
     estimate = montecarlo.estimate_from_trial(trial, experiment.sources)
-    _, analytic = single_photon_stats(params, t=t)
+    _, analytic = channel.single_photon_stats(params, t=t)
     if estimate.std_err > 0.0:
         z_score = (estimate.e_x - analytic) / estimate.std_err
     else:

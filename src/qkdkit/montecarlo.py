@@ -57,7 +57,7 @@ class KrausChannel:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
+        ops = tuple(np.array(op, dtype=complex) for op in self.operators)  # copies
         if not ops:
             raise ValidationError("channel needs at least one Kraus operator")
         for op in ops:

@@ -51,6 +51,15 @@ class TestConfig:
         assert config.f_ec == 1.22
         assert config.delta == (0.0, 0.063, 0.126)
 
+    def test_unset_fields_read_the_library_defaults(self):
+        from qkdkit import keyrate
+
+        config = cli.RunConfig(det_eff=0.5)
+        assert (config.alpha_min, config.alpha_max) == keyrate.DEFAULT_ALPHA_BOUNDS
+        assert (config.f_ec, config.alpha_tol) == (keyrate.DEFAULT_F_EC, keyrate.DEFAULT_ALPHA_TOL)
+        assert config.channel_params(5.0, 0.1) == channel.ChannelParams(
+            det_eff=0.5, distance_km=5.0, delta=0.1)
+
     def test_file_parsing_and_override(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -971,14 +980,47 @@ print(json.dumps([codes, loaded, "scipy" in sys.modules]))
 """
 
 
-def test_scipy_stays_out_of_cold_start():
-    # importing SciPy was most of a fresh process's start-up; only the entropy needs it
+def fresh_process(code, *args):
+    """The JSON printed by ``code`` run with ``args`` in a fresh interpreter
+    that imports qkdkit from this checkout's ``src``."""
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", COLD_START, str(DATA)], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_scipy_stays_out_of_cold_start():
+    # importing SciPy was most of a fresh process's start-up; only the entropy needs it
     # the sweep loads SciPy, so the probe sees an import when there is one
-    assert json.loads(proc.stdout) == [[0, 0, 0], False, True]
+    assert fresh_process(COLD_START, str(DATA)) == [[0, 0, 0], False, True]
+
+
+COMMAND_MODULES = """
+import contextlib, io, json, sys
+import qkdkit
+loaded = sorted(name for name in sys.modules if name.startswith("qkdkit."))
+import qkdkit.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = qkdkit.cli.main(sys.argv[1:])
+print(json.dumps([loaded, rc, sorted(name for name in sys.modules if name.startswith("qkdkit."))]))
+"""
+# the modules of the estimator alone: every command loads at least these
+ESTIMATOR_MODULES = ["qkdkit.cli", "qkdkit.errors", "qkdkit.estimator", "qkdkit.qstate"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["estimate", "{data}/estimate_planar.csv"], []),
+    (["estimate", "{data}/simulate_counts.csv"], ["qkdkit.channel", "qkdkit.montecarlo"]),
+    (["mdi-estimate", "{data}/mdi_relay.csv"], []),
+    (["simulate", "--pulses", "1000"], ["qkdkit.channel", "qkdkit.montecarlo"]),
+    (["sweep", "--distance", "0:10:5", "--out", "{tmp}/x.csv"], ["qkdkit.channel", "qkdkit.keyrate"]),
+], ids=["estimate-yields", "estimate-counts", "mdi-estimate", "simulate", "sweep"])
+def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
+    # one fresh process per command: `import qkdkit` alone loads no module,
+    # and a command loads only the modules it runs
+    argv = [arg.format(data=DATA, tmp=tmp_path) for arg in argv]
+    assert fresh_process(COMMAND_MODULES, *argv) == [[], 0, sorted(ESTIMATOR_MODULES + extra)]
 
 
 class TestFixedObjectsBuiltOnce:
@@ -1067,7 +1109,7 @@ class TestFixedObjectsBuiltOnce:
             counts["transmittance"] += 1
             return transmittance(*args, **kwargs)
 
-        for module in (channel, montecarlo, cli):  # each module that binds it
+        for module in (channel, montecarlo):  # each module that binds it
             monkeypatch.setattr(module, "transmittance", counted_transmittance)
         for _ in range(2):
             counts.clear()

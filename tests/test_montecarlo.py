@@ -83,6 +83,16 @@ class TestGenerators:
         with pytest.raises(ValidationError):
             KrausChannel((2.0 * np.eye(2),))
 
+    def test_kraus_copies_the_callers_operators(self):
+        # the channel freezes its own copy; the caller's array stays writable
+        a = 0.5 * np.eye(2, dtype=complex)
+        channel = KrausChannel((a,))
+        a[0, 0] = 1.0
+        assert channel.operators[0][0, 0] == 0.5
+        assert not channel.operators[0].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            channel.operators[0][0, 0] = 1.0
+
     def test_povm_completeness_enforced(self):
         with pytest.raises(ValidationError):
             BobPovm(
