@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import UndefinedRateError, ValidationError
 from .estimator import offdiag_share
-from .qstate import virtual_amplitudes, virtual_priors
+from .qstate import _check_real, virtual_amplitudes, virtual_priors
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -56,6 +56,7 @@ class ChannelParams:
     def __post_init__(self) -> None:
         for name in ("dark_count", "det_eff", "atten_db_per_km", "distance_km", "delta", "alpha"):
             value = getattr(self, name)
+            _check_real(value, name)
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value!r}")
         if not (0.0 <= self.dark_count < 1.0):

@@ -19,7 +19,6 @@ Exit codes: 0 success, 1 validation or I/O error, 2 ill-posed sources,
 
 from __future__ import annotations
 
-import argparse
 import bisect
 import csv
 import functools
@@ -28,7 +27,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -57,6 +56,8 @@ from .qstate import (
 from .estimator import YieldTable
 
 if TYPE_CHECKING:
+    import argparse
+
     from .channel import ChannelParams
 
 SWEEP_HEADER = ("delta", "distance_km", "alpha_opt", "Q_z", "e_z", "Q_z1", "e_x1", "R")
@@ -157,11 +158,40 @@ class RunConfig:
         )
 
 
-_FLOAT_FIELDS = {
-    "dark_count", "det_eff", "atten_db_per_km", "f_ec",
-    "alpha", "alpha_min", "alpha_max", "alpha_tol", *_DISTANCE_FIELDS,
-}
-_INT_FIELDS = {"seed", "pulses"}
+class _Setting(NamedTuple):
+    """A ``sweep``/``simulate`` setting: its ``RunConfig`` or config-file key, the
+    type of its value and, if the command line sets it, its flag, metavar and
+    the commands that take the flag."""
+
+    key: str
+    kind: object  # float, int, str, _FLOATS or _SWITCH
+    flag: str | None = None
+    metavar: str | None = None
+    commands: tuple[str, ...] = ("sweep", "simulate")
+
+
+_FLOATS = "repeatable float"  # a list of floats: a flag given once per value, or one file line
+_SWITCH = "switch"  # a flag without a value
+
+#: every ``sweep``/``simulate`` setting, each command's flags in ``--help`` order
+_SETTINGS = (
+    _Setting("config", str, "--config", "PATH"),
+    _Setting("out", str, "--out", "PATH"),
+    _Setting("delta", _FLOATS, "--delta", "F"),
+    _Setting("distance", str, "--distance", "START:STOP:STEP"),  # sets the _DISTANCE_FIELDS
+    _Setting("alpha", float, "--alpha", "F", ("sweep",)),
+    _Setting("optimize", _SWITCH, "--optimize", commands=("sweep",)),  # clears alpha
+    _Setting("f_ec", float, "--f-ec", "F", ("sweep",)),
+    _Setting("seed", int, "--seed", "U64", ("simulate",)),
+    _Setting("pulses", int, "--pulses", "U64", ("simulate",)),
+    *(_Setting(key, float) for key in ("dark_count", "det_eff", "atten_db_per_km", "alpha_min",
+                                       "alpha_max", "alpha_tol", *_DISTANCE_FIELDS)),
+)
+#: each command's flags; ``estimate`` and ``mdi-estimate`` take one input path instead
+_FLAGS = {command: {s.flag: s for s in _SETTINGS if s.flag and command in s.commands}
+          for command in ("sweep", "simulate")}
+#: the type of each key a config file may set: a file names no other file and sets no switch
+_FILE_KINDS = {s.key: s.kind for s in _SETTINGS if s.key != "config" and s.kind is not _SWITCH}
 
 
 def _parse_distance_range(text: str) -> dict[str, float]:
@@ -177,23 +207,17 @@ def _parse_distance_range(text: str) -> dict[str, float]:
 
 def _config_from_mapping(values: dict[str, str]) -> dict[str, object]:
     """Convert raw string config values to RunConfig keyword arguments."""
-    known = {f.name for f in fields(RunConfig)}
     out: dict[str, object] = {}
     for key, raw in values.items():
+        kind = _FILE_KINDS.get(key)
+        if kind is None:
+            raise ValidationError(f"unknown config field {key!r}")
         if key == "distance":
             out.update(_parse_distance_range(raw))
             continue
-        if key not in known:
-            raise ValidationError(f"unknown config field {key!r}")
         try:
-            if key == "delta":
-                out[key] = tuple(float(p) for p in raw.replace(",", " ").split())
-            elif key in _FLOAT_FIELDS:
-                out[key] = float(raw)
-            elif key in _INT_FIELDS:
-                out[key] = int(raw)
-            else:
-                out[key] = raw
+            out[key] = (tuple(float(p) for p in raw.replace(",", " ").split()) if kind is _FLOATS
+                        else kind(raw))
         except ValueError:
             raise ValidationError(f"invalid field {key}: cannot parse {raw!r}") from None
     return out
@@ -446,8 +470,7 @@ def cmd_estimate(yields_path: str) -> int:
 def cmd_simulate(config: RunConfig) -> int:
     if not config.delta:
         raise ValidationError("invalid field delta: simulate needs a delta, got none")
-    # without a delta of its own, simulate runs the first of the sweep's defaults
-    if len(config.delta) > 1 and config.delta is not RunConfig.delta:
+    if len(config.delta) > 1:
         raise ValidationError(
             f"invalid field delta: simulate takes one delta, got {len(config.delta)}")
     from . import channel, montecarlo
@@ -538,55 +561,111 @@ def cmd_mdi_estimate(yields_path: str) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+    """The parser of the settings table, built once per process; parsing leaves
+    it unchanged.  ``main`` runs it only on a line :func:`_read_argv` declines,
+    so it reports every usage error and prints ``--help``.  Its namespace holds
+    only the settings a line gives, as the reader's settings do."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qkdkit",
         description="Loss-tolerant phase-error estimation and key-rate simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sweep = sub.add_parser("sweep")
-    sub.add_parser("estimate").add_argument("yields", help="input yield CSV")
-    simulate = sub.add_parser("simulate")
-    sub.add_parser("mdi-estimate").add_argument("yields", help="input yield CSV")
-    for cmd in (sweep, simulate):
-        cmd.add_argument("--config", metavar="PATH")
-        cmd.add_argument("--out", metavar="PATH")
-        cmd.add_argument("--delta", type=float, action="append", metavar="F")
-        cmd.add_argument("--distance", metavar="START:STOP:STEP")
-    sweep.add_argument("--alpha", type=float, metavar="F")
-    sweep.add_argument("--optimize", action="store_true")
-    sweep.add_argument("--f-ec", type=float, dest="f_ec", metavar="F")
-    simulate.add_argument("--seed", type=int, metavar="U64")
-    simulate.add_argument("--pulses", type=int, metavar="U64")
+    for command in ("sweep", "estimate", "simulate", "mdi-estimate"):
+        cmd = sub.add_parser(command, argument_default=argparse.SUPPRESS)
+        if command not in _FLAGS:
+            cmd.add_argument("yields", help="input yield CSV")
+        for s in _FLAGS.get(command, {}).values():
+            if s.kind is _SWITCH:
+                cmd.add_argument(s.flag, dest=s.key, action="store_true")
+            else:
+                cmd.add_argument(s.flag, dest=s.key, metavar=s.metavar,
+                                 type=float if s.kind is _FLOATS else s.kind,
+                                 action="append" if s.kind is _FLOATS else "store")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The ``RunConfig`` of a ``sweep`` or ``simulate`` command line."""
-    kwargs: dict[str, object] = {}
-    if args.config is not None:
-        kwargs.update(load_config_file(args.config))
-    options = vars(args)
-    kwargs.update({name: options[name] for name in ("out", "alpha", "seed", "pulses", "f_ec")
-                   if options.get(name) is not None})
-    if args.delta:
-        kwargs["delta"] = tuple(args.delta)
-    if args.distance is not None:
-        kwargs.update(_parse_distance_range(args.distance))
-    if options.get("optimize"):
+def _read_argv(argv: list[str]) -> dict[str, object] | None:
+    """The settings of a plain command line, as the parser's namespace would hold
+    them, or None for any other line, which the parser then reads.
+
+    A plain line is a command and then either one input path (``estimate``,
+    ``mdi-estimate``) or the command's own flags by their full names, each with
+    one value as ``--flag value`` or ``--flag=value`` (``--optimize`` takes
+    none).  No value may start with ``-``, and each must convert to its
+    setting's type.  ``--help``, abbreviated flags, ``--`` and every usage
+    error are left to the parser."""
+    if not argv:
+        return None
+    command, *rest = argv
+    if command in ("estimate", "mdi-estimate"):
+        if len(rest) == 1 and not rest[0].startswith("-"):
+            return {"command": command, "yields": rest[0]}
+        return None
+    flags = _FLAGS.get(command)
+    if flags is None:
+        return None
+    settings: dict[str, object] = {"command": command}
+    tokens = iter(rest)
+    for token in tokens:
+        flag, given, value = token.partition("=")
+        setting = flags.get(flag)
+        if setting is None:
+            return None
+        if setting.kind is _SWITCH:
+            if given:
+                return None
+            settings[setting.key] = True
+            continue
+        if not given:
+            value = next(tokens, "-")  # a missing value declines
+        if value.startswith("-"):
+            return None
+        try:
+            value = (float if setting.kind is _FLOATS else setting.kind)(value)
+        except ValueError:
+            return None
+        if setting.kind is _FLOATS:
+            settings.setdefault(setting.key, []).append(value)
+        else:
+            settings[setting.key] = value
+    return settings
+
+
+def _run_config(settings: dict[str, object]) -> RunConfig:
+    """The ``RunConfig`` of a ``sweep`` or ``simulate`` line's settings: the config
+    file's values, overridden by the flags'."""
+    kwargs = load_config_file(settings["config"]) if "config" in settings else {}
+    for key, value in settings.items():
+        if key == "delta":
+            kwargs[key] = tuple(value)
+        elif key == "distance":
+            kwargs.update(_parse_distance_range(value))
+        elif key not in ("command", "config", "optimize"):
+            kwargs[key] = value
+    if "optimize" in settings:
         kwargs["alpha"] = None
+    if settings["command"] == "simulate":
+        # without a delta of its own, simulate runs the first of the sweep's defaults
+        kwargs.setdefault("delta", RunConfig.delta[:1])
     return RunConfig(**kwargs)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    settings = _read_argv(argv)
+    if settings is None:
+        settings = vars(build_parser().parse_args(argv))
+    command = settings["command"]
     try:
-        if args.command == "estimate":
-            return cmd_estimate(args.yields)
-        if args.command == "mdi-estimate":
-            return cmd_mdi_estimate(args.yields)
-        config = _config_from_args(args)
-        return cmd_sweep(config) if args.command == "sweep" else cmd_simulate(config)
+        if command == "estimate":
+            return cmd_estimate(settings["yields"])
+        if command == "mdi-estimate":
+            return cmd_mdi_estimate(settings["yields"])
+        config = _run_config(settings)
+        return cmd_sweep(config) if command == "sweep" else cmd_simulate(config)
     except (WellPosednessError, UndefinedRateError, ValidationError, InconsistentYieldsError,
             OSError, UnicodeDecodeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ from .channel import (ArrayLike, ChannelParams, ZStats, check_ranges, real_array
                       single_photon_gain, single_photon_stats, single_photon_terms,
                       transmittance, zbasis_gain_error_weight, zbasis_overlaps, zbasis_stats)
 from .errors import ValidationError
+from .qstate import _check_real
 
 _LN2 = math.log(2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -56,6 +57,7 @@ def binary_entropy(x):
 
 
 def _check_f_ec(f_ec: float) -> None:
+    _check_real(f_ec, "f_ec")
     if not (math.isfinite(f_ec) and f_ec >= 1.0):
         raise ValidationError(f"f_ec must be finite and >= 1, got {f_ec!r}")
 
@@ -113,6 +115,9 @@ def _optimize(rates, shape: tuple[int, ...], bounds: tuple[float, float],
         raise ValidationError(
             f"alpha bounds must satisfy 0 < alpha_min < alpha_max < inf, got {bounds!r}"
         )
+    if isinstance(tol, np.ndarray) and tol.ndim:  # its comparisons would give arrays
+        raise ValidationError(f"alpha_tol must be a number, got an array of shape {tol.shape}")
+    _check_real(tol, "alpha_tol")
     if not (0.0 < tol < math.inf):
         raise ValidationError(f"alpha_tol must be finite and > 0, got {tol!r}")
     grid = np.geomspace(lo, hi, COARSE_GRID_POINTS)

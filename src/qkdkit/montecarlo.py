@@ -170,6 +170,9 @@ def dark_count_mixer(e_d: float) -> OutcomeMixer:
     immutable); rates that compare equal but give other entries, such as
     -0.0 and 0.0, get mixers of their own.
     """
+    if isinstance(e_d, np.ndarray) and e_d.ndim:  # its comparisons would give arrays
+        raise ValidationError(
+            f"dark count rate must be a number, got an array of shape {e_d.shape}")
     # a NumPy complex would pass the range test and lose its imaginary part
     if isinstance(e_d, complex) or not (0.0 <= e_d < 1.0):
         raise ValidationError(f"dark count rate must be in [0, 1), got {e_d!r}")

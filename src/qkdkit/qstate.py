@@ -58,6 +58,13 @@ _KETS = {
 }
 
 
+def _check_real(value: object, name: str) -> None:
+    """Raise ValidationError for a NumPy complex scalar, of which ``math`` and
+    comparisons would keep the real part with only a ComplexWarning."""
+    if isinstance(value, np.complexfloating):
+        raise ValidationError(f"{name} must be real, got complex values")
+
+
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     """Rephase ``vec`` so its first component above 1e-10 in modulus is real >= 0."""
     for comp in vec:
@@ -170,6 +177,8 @@ class BlochVector:
 
     def __post_init__(self) -> None:
         comps = (self.v0, self.px, self.py, self.pz)
+        for name, c in zip(("v0", "px", "py", "pz"), comps):
+            _check_real(c, name)
         if not all(math.isfinite(c) for c in comps):
             raise ValidationError("Bloch components must be finite")
         if abs(self.v0 - 1.0) > ATOL:
@@ -249,6 +258,8 @@ def encode_single_photon(theta_a: float, delta: float) -> QubitState:
         The encoded pure state.  ``theta_a = 0`` gives exactly ``|0z>``;
         ``theta_a = pi`` gives ``sin(delta/2)|0z> + cos(delta/2)|1z>``.
     """
+    _check_real(theta_a, "theta_a")
+    _check_real(delta, "delta")
     if not math.isfinite(theta_a):
         raise ValidationError("theta_a must be finite")
     if not (math.isfinite(delta) and delta >= 0.0):
@@ -371,6 +382,7 @@ def virtual_amplitudes(delta: float) -> np.ndarray:
 
     Columns are normalized; at ``delta = 0`` the matrix is the identity.
     """
+    _check_real(delta, "delta")
     # within about 2e-8 of pi, sin(delta/2) rounds to 1 and the second column to 0/0
     if not (math.isfinite(delta) and 0.0 <= delta < math.pi and math.sin(delta / 2.0) < 1.0):
         raise ValidationError(f"delta must be in [0, pi) with sin(delta/2) < 1, got {delta!r}")

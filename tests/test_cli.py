@@ -4,11 +4,14 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
 import warnings
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -69,14 +72,19 @@ class TestConfig:
             "seed = 7\n"
             "f_ec = 1.5  # trailing comment\n"
         )
-        args = cli.build_parser().parse_args(
+        settings = cli._read_argv(
             ["simulate", "--config", str(path), "--seed", "9", "--out", "x.csv"]
         )
-        config = cli._config_from_args(args)
+        config = cli._run_config(settings)
         assert config.delta == (0.1, 0.2)
         assert config.distances() == [0.0, 10.0, 20.0]
         assert config.seed == 9  # flag overrides file
         assert config.f_ec == 1.5
+
+    def test_config_keys_are_the_run_config_fields_and_distance(self):
+        # the settings table types every config-file key: the RunConfig fields,
+        # and distance, which sets the three distance fields
+        assert set(cli._FILE_KINDS) == {f.name for f in fields(cli.RunConfig)} | {"distance"}
 
     def test_unknown_field_named(self, tmp_path):
         # protocol and gamma were config fields that nothing read
@@ -290,32 +298,58 @@ class TestSweepCommand:
         assert rates == ["0", "0", "0"]
 
 
-class TestParserReuse:
-    def test_mixed_commands_match_fresh_parser(self, tmp_path, capsys):
-        # one cached parser serves every call; each call prints and writes what
-        # a freshly built parser gives, and no --delta list leaks into the next
-        calls = [
-            ["sweep", "--delta", "0.3", "--distance", "0:10:5", "--alpha", "0.5"],
-            ["estimate", str(DATA / "estimate_planar.csv")],
-            ["simulate", "--pulses", "1000", "--seed", "3", "--distance", "5:5:1"],
-            ["sweep", "--distance", "0:10:5", "--alpha", "0.5"],
-        ]
+MIXED_CALLS = [
+    ["sweep", "--delta", "0.3", "--distance", "0:10:5", "--alpha", "0.5"],
+    ["estimate", str(DATA / "estimate_planar.csv")],
+    ["simulate", "--pulses", "1000", "--seed", "3", "--distance", "5:5:1"],
+    ["sweep", "--distance", "0:10:5", "--alpha", "0.5"],
+]
+# the same calls by unambiguous prefixes and a `--`, which only the parser reads
+ABBREVIATED_CALLS = [
+    ["sweep", "--del", "0.3", "--dist", "0:10:5", "--al", "0.5"],
+    ["estimate", "--", str(DATA / "estimate_planar.csv")],
+    ["simulate", "--pul", "1000", "--se", "3", "--dist", "5:5:1"],
+    ["sweep", "--dist", "0:10:5", "--al", "0.5"],
+]
 
-        def run(k, argv, fresh):
+
+class TestParserReuse:
+    @staticmethod
+    def run_all(tmp_path, capsys, calls, out_flag, fresh=False):
+        """``(exit code, stdout, stderr, output bytes)`` of each call, its output
+        named by ``out_flag``; with ``fresh``, each call builds the parser anew."""
+        results = []
+        for k, argv in enumerate(calls):
             if fresh:
                 cli.build_parser.cache_clear()
-            out = tmp_path / f"{k}-{fresh}.out"
-            rc = cli.main(argv + ["--out", str(out)] * (argv[0] != "estimate"))
+            out = tmp_path / f"{k}.out"
+            out.unlink(missing_ok=True)
+            rc = cli.main(argv + [out_flag, str(out)] * (argv[0] != "estimate"))
             captured = capsys.readouterr()
-            return rc, captured.out, captured.err, out.read_bytes() if out.exists() else None
+            results.append((rc, captured.out, captured.err,
+                            out.read_bytes() if out.exists() else None))
+        return results
 
+    def test_mixed_commands_match_fresh_parser(self, tmp_path, capsys):
+        # each call prints and writes what it does after a fresh parser, and no
+        # --delta list leaks into the next
         cli.build_parser.cache_clear()
-        reused = [run(k, argv, fresh=False) for k, argv in enumerate(calls)]
-        assert cli.build_parser.cache_info().misses == 1
-        assert reused == [run(k, argv, fresh=True) for k, argv in enumerate(calls)]
+        reused = self.run_all(tmp_path, capsys, MIXED_CALLS, "--out")
+        # the reader reads all of these lines, so none builds the parser
+        assert cli.build_parser.cache_info().misses == 0
+        assert reused == self.run_all(tmp_path, capsys, MIXED_CALLS, "--out", fresh=True)
         assert all(rc == 0 for rc, *_ in reused)
         rows = reused[3][3].decode().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["0"] * 3 + ["0.063"] * 3 + ["0.126"] * 3
+
+    def test_abbreviated_flags_match_the_full_names(self, tmp_path, capsys):
+        # only the parser reads prefixes and `--`: one cached parser serves every
+        # call as a fresh one would, and each call runs as its full-name line
+        cli.build_parser.cache_clear()
+        reused = self.run_all(tmp_path, capsys, ABBREVIATED_CALLS, "--ou")
+        assert cli.build_parser.cache_info().misses == 1
+        assert reused == self.run_all(tmp_path, capsys, ABBREVIATED_CALLS, "--ou", fresh=True)
+        assert reused == self.run_all(tmp_path, capsys, MIXED_CALLS, "--out")
 
 
 # the options of each command that its handler does not read
@@ -476,6 +510,152 @@ class TestRunArgvFuzz:
             assert err.startswith("error:")
         else:
             assert err == "" and out
+
+
+# plain values of each setting type, and values the reader leaves to the parser:
+# empty, non-numeric, negative, flag-like
+PLAIN_VALUES = {float: ["0", "0.126", "1e-3", "1_0", " 2", "nan", "inf"],
+                int: ["3", "0", "007", "1_000"],
+                str: ["a.csv", "0:10:5", "x=y", "", " "]}
+PLAIN_VALUES[cli._FLOATS] = PLAIN_VALUES[float]
+ODD_VALUES = ["", "x", "1.5", "-1", "-0.5", "-x", "-", "--", "-h", "--out"]
+ODD_TOKENS = ["-h", "--help", "--", "extra", "p.csv", "-1", "-0.5", "--bogus", "-", "=", "--out="]
+
+
+def flag_tokens(setting, plain):
+    """Tokens giving ``setting``, with or without ``=``: by its full name and a
+    plain value, or else by its name or a prefix of it and any value."""
+    flag = setting.flag
+    names = st.just(flag) if plain else st.one_of(
+        st.just(flag), st.sampled_from([flag[:k] for k in range(3, len(flag))]))
+    if setting.kind is cli._SWITCH:
+        suffixes = [""] if plain else ["", "=", "=1"]
+        return st.tuples(names, st.sampled_from(suffixes)).map(lambda t: ["".join(t)])
+    values = st.sampled_from(PLAIN_VALUES[setting.kind])
+    if not plain:
+        values = st.one_of(values, st.sampled_from(ODD_VALUES))
+    return st.tuples(names, values, st.booleans()).map(
+        lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]])
+
+
+NOISE = st.one_of(*[flag_tokens(s, plain=False) for s in cli._SETTINGS if s.flag],
+                  st.sampled_from(ODD_TOKENS).map(lambda token: [token]))
+
+
+def command_lines(command):
+    """A plain line of ``command`` (its own flags by full name with plain values,
+    or its input path), with up to two pieces of noise put in."""
+    own = [flag_tokens(s, plain=True) for s in cli._SETTINGS
+           if s.flag and command in s.commands]
+    plain = st.lists(st.one_of(*own), max_size=4) if own else st.just([["p.csv"]])
+
+    def line(items, noise):
+        items = list(items)
+        for position, tokens in noise:
+            items.insert(position % (len(items) + 1), tokens)
+        return [command, *(token for tokens in items for token in tokens)]
+
+    return st.builds(line, plain, st.lists(st.tuples(st.integers(0, 4), NOISE), max_size=2))
+
+
+COMMAND_LINES = {command: command_lines(command)
+                 for command in ("sweep", "simulate", "estimate", "mdi-estimate", "swe", "-h", "")}
+ARGV_LINES = st.sampled_from([*COMMAND_LINES][:4] * 6 + [*COMMAND_LINES][4:]).flatmap(
+    COMMAND_LINES.__getitem__)
+
+
+def parsed(argv):
+    """The parser's settings of ``argv``, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+USAGE_LINES = [["--help"], ["sweep", "--help"], ["simulate", "-h"], ["estimate", "--help"],
+               ["mdi-estimate", "--help"], [], ["bogus"], ["sweep", "--seed", "1"],
+               ["simulate", "--alpha=1"], ["simulate", "--pulses", "x"], ["simulate", "--delta="],
+               ["simulate", "--seed"], ["sweep", "--optimize=1"], ["sweep", "--d", "1"],
+               ["sweep", "extra"], ["estimate"], ["estimate", "a.csv", "b.csv"],
+               ["mdi-estimate", "--out", "x"]]
+
+
+def usage_transcript():
+    """Exit code, stdout and stderr of each of ``USAGE_LINES``."""
+    parts = []
+    for argv in USAGE_LINES:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        parts.append(f"$ qkdkit {shlex.join(argv)}\n[exit {code}]\n--- stdout\n{out.getvalue()}"
+                     f"--- stderr\n{err.getvalue()}")
+    return "\n".join(parts)
+
+
+class TestArgvReader:
+    """``main`` reads a plain line by the settings table and leaves every other
+    line to the parser built from the same table."""
+
+    @settings(max_examples=600, deadline=2000)
+    @given(argv=ARGV_LINES)
+    def test_reader_declines_or_gives_the_parsers_settings(self, argv):
+        settings, expected = cli._read_argv(argv), parsed(argv)
+        if not isinstance(expected, dict):  # a usage error (2) or --help (0)
+            assert settings is None
+        elif settings is not None:  # repr: a NaN value equals itself there
+            assert repr(sorted(settings.items())) == repr(sorted(expected.items()))
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--out", "-x"], ["sweep", "--out", "--"], ["sweep", "--out=-"], ["sweep", "--out"],
+        ["sweep", "--optimize="], ["sweep", "--alpha", "-1"], ["sweep", "--alpha="],
+        ["sweep", "--", "--alpha", "1"], ["sweep", "--al", "1"], ["sweep", "-h"], ["sweep", "x"],
+        ["simulate", "--seed", "1.5"], ["simulate", "--pulses", "-5"], ["simulate", "--alpha", "1"],
+        ["estimate"], ["estimate", "-"], ["estimate", "--", "a.csv"], ["estimate", "a", "b"],
+        ["mdi-estimate", "a.csv", "--out", "x"], ["swe"], [],
+    ])
+    def test_reader_declines_what_it_does_not_read_plainly(self, argv):
+        assert cli._read_argv(argv) is None
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_reader_reads_each_flag_in_both_forms(self, command):
+        argv = [command]
+        for setting in cli._SETTINGS:
+            if setting.kind is cli._SWITCH and command in setting.commands:
+                argv.append(setting.flag)
+            elif setting.flag and command in setting.commands:
+                value = PLAIN_VALUES[setting.kind][1]
+                argv += [setting.flag, value, f"{setting.flag}={value}"]
+        assert cli._read_argv(argv) == parsed(argv)
+        assert cli._read_argv(["estimate", "a.csv"]) == parsed(["estimate", "a.csv"])
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "estimate", "mdi-estimate"])
+    def test_help_lists_exactly_the_tables_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        options = capsys.readouterr().out.split("\noptions:\n")[1]
+        assert re.findall(r"^  (-h, --help|--\S+)", options, re.M) == ["-h, --help"] + [
+            s.flag for s in cli._SETTINGS if s.flag and command in s.commands]
+
+    def test_usage_errors_and_help_text_pinned(self, monkeypatch):
+        # the parser's own text, byte for byte, at 80 columns
+        monkeypatch.setenv("COLUMNS", "80")
+        assert usage_transcript() == (DATA / "usage.out").read_text()
+
+    def test_readme_lists_the_tables_options(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Each command takes only the options it reads:\n\n")[1]
+        items = re.findall(r"^- `([\w-]+)`(?: and `([\w-]+)`)?: (.*?)(?=^- |\n\n)", block,
+                           re.M | re.S)
+        listed = {command: re.findall(r"`(--[^`]+)`", text)
+                  for *commands, text in items for command in commands if command}
+        assert listed == {command: [" ".join(filter(None, (s.flag, s.metavar)))
+                                    for s in cli._SETTINGS if s.flag and command in s.commands]
+                          for command in ("sweep", "simulate", "estimate", "mdi-estimate")}
 
 
 class TestEstimateCommand:
@@ -1002,8 +1182,9 @@ import qkdkit
 loaded = sorted(name for name in sys.modules if name.startswith("qkdkit."))
 import qkdkit.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    rc = qkdkit.cli.main(sys.argv[1:])
-print(json.dumps([loaded, rc, sorted(name for name in sys.modules if name.startswith("qkdkit."))]))
+    rc = qkdkit.cli.main()  # as the console script calls it: the line is sys.argv[1:]
+print(json.dumps([loaded, rc, sorted(name for name in sys.modules if name.startswith("qkdkit.")),
+                  "argparse" in sys.modules]))
 """
 # the modules of the estimator alone: every command loads at least these
 ESTIMATOR_MODULES = ["qkdkit.cli", "qkdkit.errors", "qkdkit.estimator", "qkdkit.qstate"]
@@ -1018,9 +1199,37 @@ ESTIMATOR_MODULES = ["qkdkit.cli", "qkdkit.errors", "qkdkit.estimator", "qkdkit.
 ], ids=["estimate-yields", "estimate-counts", "mdi-estimate", "simulate", "sweep"])
 def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
     # one fresh process per command: `import qkdkit` alone loads no module,
-    # and a command loads only the modules it runs
+    # and a command loads only the modules it runs; the reader reads a plain
+    # line without argparse, which only the sweep loads, by SciPy's import
     argv = [arg.format(data=DATA, tmp=tmp_path) for arg in argv]
-    assert fresh_process(COMMAND_MODULES, *argv) == [[], 0, sorted(ESTIMATOR_MODULES + extra)]
+    assert fresh_process(COMMAND_MODULES, *argv) == [
+        [], 0, sorted(ESTIMATOR_MODULES + extra), argv[0] == "sweep"]
+
+
+PARSER_TEXT = """
+import contextlib, io, json, os, sys
+os.environ["COLUMNS"] = "80"
+import qkdkit.cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        qkdkit.cli.main()
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, out.getvalue(), err.getvalue(), "argparse" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["estimate"], 2, "", "usage: qkdkit estimate [-h] yields\n"
+     "qkdkit estimate: error: the following arguments are required: yields\n"),
+    (["mdi-estimate", "--help"], 0, "usage: qkdkit mdi-estimate [-h] yields\n\n"
+     "positional arguments:\n  yields      input yield CSV\n\n"
+     "options:\n  -h, --help  show this help message and exit\n", ""),
+], ids=["usage-error", "help"])
+def test_parser_reports_what_the_reader_declines(argv, code, out, err):
+    # a fresh process loads argparse for a line the reader declines, and prints its text
+    assert fresh_process(PARSER_TEXT, *argv) == [code, out, err, True]
 
 
 class TestFixedObjectsBuiltOnce:

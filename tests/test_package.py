@@ -1,13 +1,17 @@
-"""The package's names, resolved on first access, and the library's rule for
-a value of the wrong Python type."""
+"""The package's names, resolved on first access, and the library's rules for
+a value of the wrong Python type and for a complex scalar or an array where a
+number belongs."""
 
 import importlib
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qkdkit as qk
 from qkdkit import cli, estimator
+from qkdkit.errors import ValidationError
 
 DATA = Path(__file__).parent / "data"
 
@@ -66,3 +70,38 @@ def test_wrong_python_type_raises_type_error(call, good, wrong):
     with pytest.raises(TypeError) as info:
         call(wrong)
     assert info.type is TypeError
+
+
+COMPLEX = np.complex128(0.5 + 1j)
+SQUARE = np.full((2, 2), 0.5)
+# per call: the call of one hostile value, the value, and the exact message
+HOSTILE_VALUES = {
+    "ChannelParams-alpha": (lambda v: qk.ChannelParams(alpha=v), COMPLEX,
+                            "alpha must be real, got complex values"),
+    "ChannelParams-dark_count": (lambda v: qk.ChannelParams(dark_count=v), COMPLEX,
+                                 "dark_count must be real, got complex values"),
+    "secret_key_rate-f_ec": (
+        lambda v: qk.secret_key_rate(qk.ZStats(0.1, 0.01, 0.05, 0.02), f_ec=v), COMPLEX,
+        "f_ec must be real, got complex values"),
+    "BlochVector-px": (lambda v: qk.BlochVector(1.0, v, 0.0, 0.0), COMPLEX,
+                       "px must be real, got complex values"),
+    "virtual_states_planar-delta": (qk.virtual_states_planar, COMPLEX,
+                                    "delta must be real, got complex values"),
+    "encode_single_photon-delta": (lambda v: qk.encode_single_photon(0.0, v), COMPLEX,
+                                   "delta must be real, got complex values"),
+    "optimize_alpha-tol": (lambda v: qk.optimize_alpha(qk.ChannelParams(), tol=v), SQUARE,
+                           "alpha_tol must be a number, got an array of shape (2, 2)"),
+    "dark_count_mixer": (qk.dark_count_mixer, SQUARE,
+                         "dark count rate must be a number, got an array of shape (2, 2)"),
+}
+
+
+@pytest.mark.parametrize("call, value, message", HOSTILE_VALUES.values(), ids=HOSTILE_VALUES)
+def test_complex_scalar_or_array_in_a_number_slot_is_a_validation_error(call, value, message):
+    # a NumPy complex used to lose its imaginary part with only a ComplexWarning,
+    # and an array to fail NumPy's truth test as a bare ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as info:
+            call(value)
+    assert info.type is ValidationError and str(info.value) == message
