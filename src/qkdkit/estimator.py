@@ -3,7 +3,7 @@
 The observed joint detection probabilities of each sent state are linear in
 the Bloch vector of that state, with coefficients given by the transmission
 rates of the identity and Pauli operators.  Solving the resulting small
-linear system (3x3 planar, 4x4 full, 9x9 for the two-party scheme) recovers
+linear system (3x3 planar, 4x4 full, one 3x3 per party for the relay) recovers
 those rates exactly and with them the detection statistics of *any* state,
 in particular the virtual states that define the phase error rate.
 
@@ -16,8 +16,8 @@ scales the table and cancels: the estimate is loss-tolerant.  The analytic
 fiber model's single-photon ``e_x1`` (:mod:`qkdkit.channel`) is the same
 ratio, of its modelled virtual-yield tables.
 
-All solvers use an SVD factorization: it supplies the conditioning check
-(smallest/largest singular value) and a numerically robust solve in one go.
+Every solver refuses a design whose smallest/largest singular value (for the
+relay, the product of the parties' two) is at most ``SINGULARITY_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -237,10 +237,10 @@ def _design_matrix(blochs: Sequence[BlochVector]) -> np.ndarray:
 
 def _checked_design(
     sources: SourceSet, report: ConditioningReport | None = None, party: str = ""
-) -> np.ndarray:
-    """The design matrix of ``sources`` after the checks of every solve, in
-    order: 3 or 4 states (counted by :func:`check_well_posed`), three states
-    in the X-Z plane, well-posed.
+) -> tuple[np.ndarray, float]:
+    """The design matrix of ``sources`` and its condition number, after the
+    checks of every solve, in order: 3 or 4 states (counted by
+    :func:`check_well_posed`), three states in the X-Z plane, well-posed.
 
     ``report`` is the sources' :func:`check_well_posed` report when the caller
     already has it; ``party`` names the relay party in the messages.
@@ -257,25 +257,21 @@ def _checked_design(
                 )
     if not report.well_posed:
         raise WellPosednessError(f"{who}sources are ill-posed ({report.reason})")
-    return _design_matrix(blochs)
+    return _design_matrix(blochs), report.condition_number
 
 
-def _svd_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u, s, vt = np.linalg.svd(matrix)
-    if s[-1] <= SINGULARITY_THRESHOLD * s[0]:
-        raise WellPosednessError("design matrix is numerically singular")
-    return u, s, vt
+def _check_residual(residual: np.ndarray, rhs: np.ndarray) -> None:
+    """Reject a solve whose ``residual`` exceeds ``RESIDUAL_TOL`` relative to ``rhs``."""
+    worst = float(np.abs(residual).max())
+    if worst > RESIDUAL_TOL * max(1.0, np.abs(rhs).max()):
+        raise InconsistentYieldsError(f"linear solve residual {worst!r} exceeds tolerance")
 
 
 def _svd_solve(matrix: np.ndarray, factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` from its :func:`_svd_factor` factors."""
+    """Solve ``matrix @ x = rhs`` from its ``np.linalg.svd`` factors."""
     u, s, vt = factors
     x = vt.T @ ((u.T @ rhs) / s)
-    residual = np.abs(matrix @ x - rhs).max()
-    if residual > RESIDUAL_TOL * max(1.0, np.abs(rhs).max()):
-        raise InconsistentYieldsError(
-            f"linear solve residual {float(residual)!r} exceeds tolerance"
-        )
+    _check_residual(matrix @ x - rhs, rhs)
     return x
 
 
@@ -299,14 +295,14 @@ def solve_functionals(
         InconsistentYieldsError: the solved rates would predict negative
             yields beyond ``1e-9`` (the data fit no physical map).
     """
-    design = _checked_design(sources, report)
+    design, _ = _checked_design(sources, report)
     for label in sources.labels:
         table_prior = yields.priors.get(label)
         if table_prior is not None and abs(table_prior - sources.prior(label)) > 1e-9:
             raise ValidationError(
                 f"prior mismatch for {label!r} between yield table and sources"
             )
-    factors = _svd_factor(design)
+    factors = np.linalg.svd(design)  # check_well_posed has ruled out a singular design
     keys = PLANAR_AXES if len(sources) == 3 else PAULI_AXES
     functionals = []
     for outcome in outcomes:
@@ -483,12 +479,12 @@ def mdi_solve(
     ``pair_yields`` holds the joint probability that Alice and Bob send the
     labelled pair and the relay announces the target outcome.  Z-Z pairs
     carry the prefactor ``gamma/9`` (the sacrificed test fraction); pairs
-    involving an X state carry ``1/9``.  The design is the Kronecker product
-    of the parties' checked designs; one source set passed for both is
-    checked once.
+    involving an X state carry ``1/9``.  The table ``Y`` of weighted yields is
+    ``D_A q D_B^T`` over the parties' checked designs, solved party by party;
+    one source set passed for both is checked once.
 
     Raises:
-        WellPosednessError: either party's triple is degenerate.
+        WellPosednessError: either party's triple, or their product, is degenerate.
         InconsistentYieldsError: the solved rates predict a product yield of
             the sources or X eigenstates outside [0, 1].
     """
@@ -496,18 +492,21 @@ def mdi_solve(
         raise ValidationError(f"test fraction gamma must be in (0, 1), got {gamma!r}")
     if len(sources_a) != 3 or len(sources_b) != 3:
         raise ValidationError("each party needs exactly 3 source states")
-    design_a = _checked_design(sources_a, party="A")
-    design_b = design_a if sources_b is sources_a else _checked_design(sources_b, party="B")
-    rhs = []
-    for label_a in sources_a.labels:
-        for label_b in sources_b.labels:
+    design_a, cond_a = _checked_design(sources_a, party="A")
+    design_b, cond_b = ((design_a, cond_a) if sources_b is sources_a
+                        else _checked_design(sources_b, party="B"))
+    table = np.empty((3, 3))
+    for i, label_a in enumerate(sources_a.labels):
+        for j, label_b in enumerate(sources_b.labels):
             key = (label_a, label_b)
             if key not in pair_yields:
                 raise ValidationError(f"missing pair yield for {key!r}")
-            rhs.append(pair_yields[key] / _pair_weight(label_a, label_b, gamma))
-    design = np.kron(design_a, design_b)
-    coeffs = _svd_solve(design, _svd_factor(design), np.array(rhs))
-    functional = TwoQubitFunctional(q=coeffs.reshape(3, 3))
+            table[i, j] = pair_yields[key] / _pair_weight(label_a, label_b, gamma)
+    if SINGULARITY_THRESHOLD * cond_a * cond_b >= 1.0:
+        raise WellPosednessError("design matrix is numerically singular")
+    q = np.linalg.solve(design_b, np.linalg.solve(design_a, table).T).T
+    _check_residual(design_a @ q @ design_b.T - table, table)
+    functional = TwoQubitFunctional(q=q)
     x_rows = [basis_state(label).bloch().as_array(planar=True) for label in ("0x", "1x")]
     predicted = np.vstack([design_a, *x_rows]) @ functional.q @ np.vstack([design_b, *x_rows]).T
     if ((predicted < -NEGATIVITY_TOL) | (predicted > 1.0 + NEGATIVITY_TOL)).any():

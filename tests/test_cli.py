@@ -1238,9 +1238,10 @@ class TestFixedObjectsBuiltOnce:
     The canonical states, their Bloch vectors, the perfect virtual ensemble
     and the purified ensemble of the canonical Z pair are built once per
     process, and an ``estimate`` factorizes its sources once for both
-    outcomes after one well-posedness check.  A source set shared by both
-    relay parties is checked once, so the relay table whose parties send the
-    same labels makes one SVD fewer than the other.  The eigenvalue tests
+    outcomes after one well-posedness check.  The relay's only SVDs are its
+    parties' well-posedness checks, and a source set shared by both parties
+    is checked once, so the relay table whose parties send the same labels
+    makes one SVD and the other two.  The eigenvalue tests
     (``qstate._eigvalsh_2x2``) left are the state checks of the Bloch-column
     sources and of the purified virtual states, which differ per input; a Z
     pair from Bloch columns is purified with one ``eigh``.  No check calls
@@ -1250,8 +1251,8 @@ class TestFixedObjectsBuiltOnce:
 
     # (svd, 2x2 eigenvalue test, eigh) calls of one call on each pinned input
     CALLS = {"estimate_canonical.csv": (2, 0, 0), "estimate_planar.csv": (2, 5, 1),
-             "estimate_four_state.csv": (2, 6, 1), "mdi_relay.csv": (2, 0, 0),
-             "mdi_relay_mixed_labels.csv": (3, 0, 0), "simulate_counts.csv": (0, 0, 0)}
+             "estimate_four_state.csv": (2, 6, 1), "mdi_relay.csv": (1, 0, 0),
+             "mdi_relay_mixed_labels.csv": (2, 0, 0), "simulate_counts.csv": (0, 0, 0)}
 
     @staticmethod
     def counted_calls(monkeypatch):

@@ -596,6 +596,16 @@ class TestMdi:
         with pytest.raises(WellPosednessError, match="design matrix is numerically singular"):
             mdi_solve(pairs, *parties, gamma=0.5)
 
+    def test_singular_product_design_rejected_for_one_shared_source_set(self):
+        # the same parties as above, as one source set checked once: its
+        # condition number still counts once for each party
+        sources = SourceSet(entries=tuple(
+            (label, bloch_to_density(BlochVector(1.0, math.sin(t), 0.0, math.cos(t))), 1 / 3)
+            for label, t in (("0z", 0.0), ("1z", 0.01), ("0x", 0.02))))
+        pairs = mdi_pair_yields(0.2 * np.eye(4), sources, sources, gamma=0.5)
+        with pytest.raises(WellPosednessError, match="design matrix is numerically singular"):
+            mdi_solve(pairs, sources, sources, gamma=0.5)
+
     @pytest.mark.parametrize("shared", [True, False])
     def test_unphysical_product_yield_rejected(self, shared):
         # every sent pair's yield is in [0, 1], but |0x>|1x> would get 0.2 - 0.5
