@@ -15,10 +15,12 @@ Each reference states the estimator's linear system once more, in mpmath at
   and ``w = 1/9`` for every other pair.
 
 Every number is read from its decimal text, so the references carry none of
-the estimator's rounding.
+the estimator's rounding.  :func:`moved_rates` tells whether the rates printed
+by two versions of the program moved nearer to these references.
 """
 
 import csv
+from collections import Counter
 
 import mpmath
 
@@ -75,3 +77,36 @@ def relay_rates(path) -> list:
             design.append([u * v for u in (1, a[0], a[2]) for v in (1, b[0], b[2])])
             rhs.append(mpmath.mpf(row["probability"]) / weight)
         return list(mpmath.lu_solve(mpmath.matrix(design), mpmath.matrix(rhs)))
+
+
+def printed_rates(stdout: str) -> list[list[float]]:
+    """The coefficients of each ``q[...]`` line of an ``estimate`` or
+    ``mdi-estimate`` report, in order."""
+    return [[float(value.rpartition("=")[2]) for value in line.partition(":")[2].split()]
+            for line in stdout.splitlines() if line.startswith("q[")]
+
+
+def reference_rates(path) -> list:
+    """The references of every rate that ``estimate`` or ``mdi-estimate``
+    prints for the CSV at ``path``, in printed order; a CSV with a
+    ``label_a`` column is a relay pair table."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        relay = "label_a" in next(csv.reader(handle))
+    if relay:
+        return relay_rates(path)
+    rates = single_party_rates(path)
+    return rates[0] + rates[1]
+
+
+def moved_rates(path, before: str, after: str) -> Counter:
+    """How each printed rate moved between two reports of the CSV at ``path``:
+    the count of rates that came ``nearer`` to the reference, went ``farther``
+    from it, or stayed at the same distance (``unmoved``)."""
+    counts = Counter()
+    pairs = zip(*(sum(printed_rates(text), []) for text in (before, after)),
+                reference_rates(path), strict=True)
+    with mpmath.workdps(DIGITS):
+        for old, new, exact in pairs:
+            old, new = abs(mpmath.mpf(old) - exact), abs(mpmath.mpf(new) - exact)
+            counts["nearer" if new < old else "farther" if new > old else "unmoved"] += 1
+    return counts

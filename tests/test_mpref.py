@@ -23,9 +23,7 @@ MAX_ULPS = {"estimate_canonical": 4, "estimate_planar": 3, "estimate_four_state"
 
 def printed_rates(name: str) -> list[list[float]]:
     """The coefficients of each ``q[...]`` line of a pinned output, in order."""
-    lines = (DATA / f"{name}.out").read_text().splitlines()
-    return [[float(value.rpartition("=")[2]) for value in line.partition(":")[2].split()]
-            for line in lines if line.startswith("q[")]
+    return mpref.printed_rates((DATA / f"{name}.out").read_text())
 
 
 def ulps_off(values: list[float], exact: list) -> float:
@@ -60,3 +58,21 @@ def test_reference_tells_a_one_ulp_error():
     value = float(exact)
     assert ulps_off([value], [exact]) <= 0.5
     assert 0.5 <= ulps_off([np.nextafter(value, 1.0)], [exact]) <= 1.5
+
+
+@pytest.mark.parametrize("name", ["estimate_four_state", "mdi_relay"])
+def test_a_rate_moved_one_ulp_away_counts_as_farther(name):
+    # the first printed rate, moved one ulp away from its reference
+    before = (DATA / f"{name}.out").read_text()
+    lines = before.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("q["))
+    value = mpref.printed_rates(lines[i])[0][0]
+    exact = mpref.reference_rates(DATA / f"{name}.csv")[0]
+    away = np.nextafter(value, np.inf if value >= exact else -np.inf)
+    head, colon, tail = lines[i].partition(":")
+    lines[i] = head + colon + tail.replace(f"{value:.17g}", f"{away:.17g}", 1)
+    after = "".join(lines)
+    unmoved = sum(map(len, mpref.printed_rates(before))) - 1
+    path = DATA / f"{name}.csv"
+    assert mpref.moved_rates(path, before, after) == {"farther": 1, "unmoved": unmoved}
+    assert mpref.moved_rates(path, after, before) == {"nearer": 1, "unmoved": unmoved}
