@@ -1075,7 +1075,7 @@ class TestErrorNumbers:
         write_csv(path, PAIR_HEADER, rows)
         assert cli.main(["mdi-estimate", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: identity-identity rate 90.00000000000003 outside [0, 1]\n"
+        assert err == "error: identity-identity rate 90.0 outside [0, 1]\n"
 
     def test_identity_transmission_rate(self, tmp_path, capsys):
         # outcome 0 of every source slightly above its prior weight, within the

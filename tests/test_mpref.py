@@ -18,7 +18,7 @@ import mpref
 DATA = Path(__file__).parent / "data"
 #: per pinned input, the largest distance allowed, in ulps
 MAX_ULPS = {"estimate_canonical": 4, "estimate_planar": 3, "estimate_four_state": 3,
-            "mdi_relay": 21, "mdi_relay_mixed_labels": 119}
+            "mdi_relay": 13, "mdi_relay_mixed_labels": 9}
 
 
 def printed_rates(name: str) -> list[list[float]]:
