@@ -567,6 +567,18 @@ def build_parser() -> argparse.ArgumentParser:
     only the settings a line gives, as the reader's settings do."""
     import argparse
 
+    class OneValue(argparse.Action):
+        """Stores a flag's value, or appends it when ``const`` is ``_FLOATS``.
+        Python 3.11 drops the ``--`` of ``--flag=--`` and passes no value: a
+        usage error, as the flag without its value is."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            if self.const is _FLOATS:
+                values = [*getattr(namespace, self.dest, ()), values]
+            setattr(namespace, self.dest, values)
+
     parser = argparse.ArgumentParser(
         prog="qkdkit",
         description="Loss-tolerant phase-error estimation and key-rate simulation",
@@ -580,9 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
             if s.kind is _SWITCH:
                 cmd.add_argument(s.flag, dest=s.key, action="store_true")
             else:
-                cmd.add_argument(s.flag, dest=s.key, metavar=s.metavar,
-                                 type=float if s.kind is _FLOATS else s.kind,
-                                 action="append" if s.kind is _FLOATS else "store")
+                cmd.add_argument(s.flag, dest=s.key, metavar=s.metavar, action=OneValue,
+                                 const=s.kind, type=float if s.kind is _FLOATS else s.kind)
     return parser
 
 

@@ -646,6 +646,21 @@ class TestArgvReader:
         monkeypatch.setenv("COLUMNS", "80")
         assert usage_transcript() == (DATA / "usage.out").read_text()
 
+    @pytest.mark.parametrize("command, flag", [(command, flag) for command in cli._FLAGS
+                                               for flag in cli._FLAGS[command]])
+    def test_dash_dash_as_a_flags_value_is_a_usage_error(self, capsys, command, flag):
+        # Python 3.11's argparse drops the "--" of "--flag=--" and passes no value
+        switch = cli._FLAGS[command][flag].kind is cli._SWITCH
+        for argv in [[command, f"{flag}=--"]] + [[command, flag]] * (not switch):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        errors = capsys.readouterr().err.split("usage: ")[1:]
+        if switch:  # a switch takes no value
+            assert errors[0].endswith(f"error: argument {flag}: ignored explicit argument '--'\n")
+        else:  # the same usage error as the flag without its value
+            assert errors[0] == errors[1]
+
     def test_readme_lists_the_tables_options(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("Each command takes only the options it reads:\n\n")[1]
