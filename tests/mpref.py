@@ -107,6 +107,6 @@ def moved_rates(path, before: str, after: str) -> Counter:
                 reference_rates(path), strict=True)
     with mpmath.workdps(DIGITS):
         for old, new, exact in pairs:
-            old, new = abs(mpmath.mpf(old) - exact), abs(mpmath.mpf(new) - exact)
-            counts["nearer" if new < old else "farther" if new > old else "unmoved"] += 1
+            was, now = abs(mpmath.mpf(old) - exact), abs(mpmath.mpf(new) - exact)
+            counts["nearer" if now < was else "farther" if now > was else "unmoved"] += 1
     return counts
