@@ -651,7 +651,8 @@ class TestArgvReader:
     def test_dash_dash_as_a_flags_value_is_a_usage_error(self, capsys, command, flag):
         # Python 3.11's argparse drops the "--" of "--flag=--" and passes no value
         switch = cli._FLAGS[command][flag].kind is cli._SWITCH
-        for argv in [[command, f"{flag}=--"]] + [[command, flag]] * (not switch):
+        lines = [[command, f"{flag}=--"]] if switch else [[command, f"{flag}=--"], [command, flag]]
+        for argv in lines:
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
