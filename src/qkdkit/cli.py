@@ -225,7 +225,7 @@ def _config_from_mapping(values: dict[str, str]) -> dict[str, object]:
 
 def load_config_file(path: str) -> dict[str, object]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # a byte-order mark is not a key
         for lineno, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -276,7 +276,8 @@ def _csv_rows(path: str, kind: str | None = None) -> tuple[str, list[tuple[dict,
     """The kind and rows of a CSV file whose header has the ``CSV_COLUMNS`` of
     ``kind``, each row with its ``"<path>: row N"`` location for error messages.
     Without a ``kind``, a header naming ``count`` (spaces stripped) is counts, else yield."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports write
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames
         if kind is None:

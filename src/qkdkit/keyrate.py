@@ -43,14 +43,14 @@ def binary_entropy(x):
 
     Accepts scalars or arrays in [0, 1].
     """
-    # SciPy takes most of a process's start-up, and only the entropy needs it;
-    # xlogy is kept because np.log differs from libm's log in the last bit
-    from scipy.special import xlogy
-
     arr = real_array(x, "binary_entropy argument", "must be numeric")
     if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):  # NaN fails too
         raise ValidationError("binary_entropy argument must lie in [0, 1]")
-    h = -(xlogy(arr, arr) + xlogy(1.0 - arr, 1.0 - arr)) / _LN2
+    # x log x, taken as 0 at x = 0; np.log may differ from libm's log in the
+    # last bit, as np.exp and np.expm1 in the rate already do
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(np.where(arr > 0.0, arr * np.log(arr), 0.0)
+              + np.where(arr < 1.0, (1.0 - arr) * np.log(1.0 - arr), 0.0)) / _LN2
     if np.isscalar(x) or arr.ndim == 0:
         return float(h)
     return h

@@ -1,5 +1,6 @@
 """40-digit references for the transmission rates that ``estimate`` and
-``mdi-estimate`` print, solved from a yield CSV's own numbers.
+``mdi-estimate`` print, solved from a yield CSV's own numbers, and for the
+rows that ``sweep`` writes.
 
 Each reference states the estimator's linear system once more, in mpmath at
 40 significant digits, and solves it with ``mpmath.lu_solve``:
@@ -17,6 +18,11 @@ Each reference states the estimator's linear system once more, in mpmath at
 Every number is read from its decimal text, so the references carry none of
 the estimator's rounding.  :func:`moved_rates` tells whether the rates printed
 by two versions of the program moved nearer to these references.
+
+A sweep row's reference is the fiber model of ``perfbench/oracle.py``
+(``fiber_stats`` and ``key_rate``) restated in mpmath, at the row's own
+``delta``, ``distance_km`` and ``alpha_opt`` as the doubles the program read,
+with the default channel of ``qkdkit sweep``.
 """
 
 import csv
@@ -28,6 +34,10 @@ DIGITS = 40
 #: the exact Bloch vectors ``(px, py, pz)`` of the canonical labels
 CANONICAL_BLOCH = {"0z": (0, 0, 1), "1z": (0, 0, -1), "0x": (1, 0, 0), "1x": (-1, 0, 0),
                    "0y": (0, 1, 0), "1y": (0, -1, 0)}
+#: the default channel of ``qkdkit sweep``: dark count, detector efficiency, dB/km
+DARK_COUNT, DET_EFF, ATTEN_DB_PER_KM = 0.5e-7, 0.15, 0.21
+#: the columns of a sweep row that :func:`sweep_row` gives references for
+SWEEP_COLUMNS = ("Q_z", "e_z", "Q_z1", "e_x1", "R")
 
 
 def _rows(path):
@@ -110,3 +120,54 @@ def moved_rates(path, before: str, after: str) -> Counter:
             was, now = abs(mpmath.mpf(old) - exact), abs(mpmath.mpf(new) - exact)
             counts["nearer" if now < was else "farther" if now > was else "unmoved"] += 1
     return counts
+
+
+def entropy(x):
+    """The binary entropy ``h(x)`` in bits of the number ``x``, with
+    ``h(0) = h(1) = 0``; call it within ``mpmath.workdps``."""
+    x = mpmath.mpf(x)
+    return -sum((v * mpmath.log(v, 2) for v in (x, 1 - x) if v), mpmath.mpf(0))
+
+
+def sweep_row(delta: float, distance_km: float, alpha: float, f_ec: float) -> dict:
+    """``Q_z``, ``e_z``, ``Q_z1``, ``e_x1`` and ``R`` of the fiber model at one
+    point, and ``R``'s two terms: ``gain`` ``Q_z1 (1 - h(e_x1)) / 2`` and
+    ``cost`` ``f_ec Q_z h(e_z) / 2``, so that ``R = max(0, gain - cost)``."""
+    with mpmath.workdps(DIGITS):
+        delta, alpha, f_ec, e_d = (mpmath.mpf(v) for v in (delta, alpha, f_ec, DARK_COUNT))
+        t = DET_EFF * mpmath.power(10, -mpmath.mpf(ATTEN_DB_PER_KM) * distance_km / 10)
+        # single photon: the virtual states of the Z pair, whose second state
+        # is (sin, cos) of 3 delta / 4, seen in the X basis
+        sin, cos = mpmath.sin(3 * delta / 4), mpmath.cos(3 * delta / 4)
+        c2 = [[None, None], [None, None]]  # c2[s][j] = |<s_x|v_j>|^2
+        for j, sign in enumerate((1, -1)):
+            v0, v1 = 1 + sign * sin, sign * cos
+            norm = 2 * (v0 ** 2 + v1 ** 2)
+            c2[0][j], c2[1][j] = (v0 + v1) ** 2 / norm, (v0 - v1) ** 2 / norm
+        y = [[t * c2[s][j] * (1 - e_d / 2) + e_d * (1 - e_d / 2) + t * c2[1 - s][j] * e_d
+              for j in (0, 1)] for s in (0, 1)]
+        e_x1 = (y[1][0] + y[0][1]) / sum(y[0] + y[1])
+        half_sin = mpmath.sin(delta / 2)
+        prior = ((1 + half_sin) / 2, (1 - half_sin) / 2)
+        q_z1 = mpmath.exp(-2 * alpha) * alpha * sum(y[s][j] * prior[j] for s in (0, 1)
+                                                    for j in (0, 1)) / 2
+        # Z basis: threshold detectors, double clicks assigned a random bit
+        signal = alpha * t
+        p00 = e_d + (1 - e_d) * -mpmath.expm1(-signal)
+        p10 = e_d
+        p01 = e_d + (1 - e_d) * -mpmath.expm1(-signal * half_sin ** 2)
+        p11 = e_d + (1 - e_d) * -mpmath.expm1(-signal * mpmath.cos(delta / 2) ** 2)
+        q_z = (p00 + p10 - p00 * p10) / 2 + (p01 + p11 - p01 * p11) / 2
+        wrong = ((1 - p00) * p10 + p00 * p10 / 2) / 2 + (p01 * (1 - p11) + p01 * p11 / 2) / 2
+        e_z = wrong / q_z
+        gain, cost = q_z1 * (1 - entropy(e_x1)) / 2, f_ec * q_z * entropy(e_z) / 2
+        return {"Q_z": q_z, "e_z": e_z, "Q_z1": q_z1, "e_x1": e_x1,
+                "R": max(gain - cost, mpmath.mpf(0)), "gain": gain, "cost": cost}
+
+
+def sweep_rows(path, f_ec: float) -> list[tuple[dict, dict]]:
+    """Each row of the sweep CSV at ``path``, its columns as floats, with the
+    reference of :func:`sweep_row` at its own ``alpha_opt``."""
+    rows = [{key: float(value) for key, value in row.items()} for row in _rows(path)]
+    return [(row, sweep_row(row["delta"], row["distance_km"], row["alpha_opt"], f_ec))
+            for row in rows]

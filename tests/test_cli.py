@@ -94,6 +94,17 @@ class TestConfig:
             with pytest.raises(cli.ValidationError, match=f"unknown config field '{name}'"):
                 cli.load_config_file(str(path))
 
+    def test_byte_order_mark_before_the_first_key_is_read_past(self, tmp_path, capsys):
+        # a byte-order mark before the first key gives the run the file without it gives
+        text = "delta = 0.063\ndistance = 20:20:1\n"
+        runs = []
+        for name, head in (("plain.cfg", b""), ("marked.cfg", b"\xef\xbb\xbf")):
+            config = tmp_path / name
+            config.write_bytes(head + text.encode())
+            code = cli.main(["simulate", "--pulses", "1000", "--config", str(config)])
+            runs.append((code, capsys.readouterr()))
+        assert runs[1] == runs[0] and runs[0][0] == 0
+
     def test_bad_distance_range(self):
         with pytest.raises(cli.ValidationError, match="distance"):
             cli._parse_distance_range("0:10")
@@ -1155,6 +1166,15 @@ class TestPinnedStdout:
         assert cli.main([command, str(DATA / name)]) == 0
         assert capsys.readouterr().out == (DATA / expected).read_text()
 
+    @pytest.mark.parametrize("command, name, expected", PINNED_STDOUT)
+    def test_byte_order_mark_before_the_header_is_read_past(self, command, name, expected,
+                                                             tmp_path, capsys):
+        # spreadsheet exports often write a UTF-8 byte-order mark before the header
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+        assert cli.main([command, str(path)]) == 0
+        assert capsys.readouterr().out == (DATA / expected).read_text()
+
     def test_simulate_counts_and_stdout(self, tmp_path, capsys):
         out = tmp_path / "counts.csv"
         assert cli.main(PINNED_SIMULATE + ["--out", str(out)]) == 0
@@ -1187,9 +1207,9 @@ def fresh_process(code, *args):
 
 
 def test_scipy_stays_out_of_cold_start():
-    # importing SciPy was most of a fresh process's start-up; only the entropy needs it
-    # the sweep loads SciPy, so the probe sees an import when there is one
-    assert fresh_process(COLD_START, str(DATA)) == [[0, 0, 0], False, True]
+    # importing SciPy was most of a fresh process's start-up; no command loads it,
+    # the sweep's entropy included
+    assert fresh_process(COLD_START, str(DATA)) == [[0, 0, 0], False, False]
 
 
 COMMAND_MODULES = """
@@ -1216,10 +1236,10 @@ ESTIMATOR_MODULES = ["qkdkit.cli", "qkdkit.errors", "qkdkit.estimator", "qkdkit.
 def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
     # one fresh process per command: `import qkdkit` alone loads no module,
     # and a command loads only the modules it runs; the reader reads a plain
-    # line without argparse, which only the sweep loads, by SciPy's import
+    # line without argparse
     argv = [arg.format(data=DATA, tmp=tmp_path) for arg in argv]
     assert fresh_process(COMMAND_MODULES, *argv) == [
-        [], 0, sorted(ESTIMATOR_MODULES + extra), argv[0] == "sweep"]
+        [], 0, sorted(ESTIMATOR_MODULES + extra), False]
 
 
 PARSER_TEXT = """

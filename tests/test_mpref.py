@@ -1,10 +1,14 @@
 """The transmission rates of the pinned ``estimate`` and ``mdi-estimate``
-outputs against the 40-digit references of ``tests/mpref.py``.
+outputs, and the rows of the pinned sweep CSVs, against the 40-digit
+references of ``tests/mpref.py``.
 
 Each ``q[...]`` line of a pinned ``.out`` file must lie within ``MAX_ULPS``
 of its input's reference, counted in ulps of the largest coefficient on the
-line.  The bounds are the worst distance measured when they were set,
-rounded up; a change may lower them, never raise them.
+line.  Each column of a pinned sweep row must lie within ``MAX_SWEEP_ULPS``
+of its reference at the row's own ``alpha_opt``, counted in ulps of the
+reference, and ``R`` in ulps of the larger of its two terms.  The bounds are
+the worst distance measured when they were set, rounded up; a change may
+lower them, never raise them.
 """
 
 from pathlib import Path
@@ -19,6 +23,10 @@ DATA = Path(__file__).parent / "data"
 #: per pinned input, the largest distance allowed, in ulps
 MAX_ULPS = {"estimate_canonical": 4, "estimate_planar": 3, "estimate_four_state": 3,
             "mdi_relay": 13, "mdi_relay_mixed_labels": 9}
+#: per sweep column, the largest distance allowed over the pinned sweep CSVs, in ulps
+MAX_SWEEP_ULPS = {"Q_z": 8, "e_z": 6, "Q_z1": 9, "e_x1": 11, "R": 8}
+#: the pinned sweep CSVs and the f_ec each was written with
+PINNED_SWEEPS = {"sweep_default": 1.22, "sweep_three_deltas_f_ec": 1.5, "sweep_fixed_alpha": 1.22}
 
 
 def printed_rates(name: str) -> list[list[float]]:
@@ -26,9 +34,12 @@ def printed_rates(name: str) -> list[list[float]]:
     return mpref.printed_rates((DATA / f"{name}.out").read_text())
 
 
-def ulps_off(values: list[float], exact: list) -> float:
-    """The largest distance of ``values`` from ``exact``, in ulps of the largest value."""
-    scale = float(np.spacing(max(abs(v) for v in values)))
+def ulps_off(values: list[float], exact: list, scale=None) -> float:
+    """The largest distance of ``values`` from ``exact``, in ulps of ``scale``,
+    by default of the largest value."""
+    if scale is None:
+        scale = max(abs(v) for v in values)
+    scale = float(np.spacing(abs(float(scale))))
     with mpmath.workdps(mpref.DIGITS):
         return max(float(abs(mpmath.mpf(v) - e)) for v, e in zip(values, exact)) / scale
 
@@ -50,6 +61,18 @@ def test_relay_rates_near_the_reference(name):
     assert [len(values) for values in lines] == [1] * 9
     for values, exact in zip(lines, reference):
         assert ulps_off(values, [exact]) <= MAX_ULPS[name]
+
+
+@pytest.mark.parametrize("name", PINNED_SWEEPS)
+def test_sweep_rows_near_the_reference(name):
+    rows = mpref.sweep_rows(DATA / f"{name}.csv", PINNED_SWEEPS[name])
+    assert rows
+    for row, reference in rows:
+        for column in mpref.SWEEP_COLUMNS:
+            scale = (max(reference["gain"], reference["cost"]) if column == "R"
+                     else reference[column])
+            off = ulps_off([row[column]], [reference[column]], scale)
+            assert off <= MAX_SWEEP_ULPS[column], (column, row["delta"], row["distance_km"])
 
 
 def test_reference_tells_a_one_ulp_error():
