@@ -139,11 +139,10 @@ def sweep_row(delta: float, distance_km: float, alpha: float, f_ec: float) -> di
         # single photon: the virtual states of the Z pair, whose second state
         # is (sin, cos) of 3 delta / 4, seen in the X basis
         sin, cos = mpmath.sin(3 * delta / 4), mpmath.cos(3 * delta / 4)
-        c2 = [[None, None], [None, None]]  # c2[s][j] = |<s_x|v_j>|^2
-        for j, sign in enumerate((1, -1)):
-            v0, v1 = 1 + sign * sin, sign * cos
-            norm = 2 * (v0 ** 2 + v1 ** 2)
-            c2[0][j], c2[1][j] = (v0 + v1) ** 2 / norm, (v0 - v1) ** 2 / norm
+        virtual = [(1 + sign * sin, sign * cos) for sign in (1, -1)]  # v_j, unnormalized
+        # c2[s][j] = |<s_x|v_j>|^2, with <0x| = (1, 1)/sqrt(2) and <1x| = (1, -1)/sqrt(2)
+        c2 = [[(v0 + side * v1) ** 2 / (2 * (v0 ** 2 + v1 ** 2)) for v0, v1 in virtual]
+              for side in (1, -1)]
         y = [[t * c2[s][j] * (1 - e_d / 2) + e_d * (1 - e_d / 2) + t * c2[1 - s][j] * e_d
               for j in (0, 1)] for s in (0, 1)]
         e_x1 = (y[1][0] + y[0][1]) / sum(y[0] + y[1])

@@ -95,7 +95,7 @@ class TestConfig:
                 cli.load_config_file(str(path))
 
     def test_byte_order_mark_before_the_first_key_is_read_past(self, tmp_path, capsys):
-        # a byte-order mark before the first key gives the run the file without it gives
+        # a config file with a byte-order mark before its first key runs as without it
         text = "delta = 0.063\ndistance = 20:20:1\n"
         runs = []
         for name, head in (("plain.cfg", b""), ("marked.cfg", b"\xef\xbb\xbf")):
