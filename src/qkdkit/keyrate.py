@@ -44,16 +44,22 @@ def binary_entropy(x):
     Accepts scalars or arrays in [0, 1].
     """
     arr = real_array(x, "binary_entropy argument", "must be numeric")
-    if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):  # NaN fails too
+    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=1.0) <= 1.0):  # NaN fails too
         raise ValidationError("binary_entropy argument must lie in [0, 1]")
-    # x log x, taken as 0 at x = 0; np.log may differ from libm's log in the
-    # last bit, as np.exp and np.expm1 in the rate already do
+    scalar = arr.ndim == 0
+    if scalar:
+        arr = arr.reshape(1)
+    rest = 1.0 - arr
+    # each x log x once, then taken as 0 at x = 0; np.log may differ from libm's
+    # log in the last bit, as np.exp and np.expm1 in the rate already do
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = -(np.where(arr > 0.0, arr * np.log(arr), 0.0)
-              + np.where(arr < 1.0, (1.0 - arr) * np.log(1.0 - arr), 0.0)) / _LN2
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(h)
-    return h
+        h = arr * np.log(arr)
+        tail = rest * np.log(rest)
+    h[arr == 0.0] = 0.0
+    tail[rest == 0.0] = 0.0
+    h += tail
+    h /= -_LN2
+    return float(h[0]) if scalar else h
 
 
 def _check_f_ec(f_ec: float) -> None:
@@ -87,7 +93,7 @@ def _rate_function(params: ChannelParams, t: np.ndarray, f_ec: float, delta: Arr
     def rates(alpha: ArrayLike, rows: slice = slice(None)) -> np.ndarray:
         """Rates at ``alpha`` (one column per intensity) of the distances ``rows``."""
         gain, weight = zbasis_gain_error_weight(params, alpha, t[rows], overlaps)
-        e_z = np.where(gain > 0.0, weight / np.where(gain > 0.0, gain, 1.0), 0.0)
+        e_z = np.divide(weight, gain, out=np.zeros_like(weight), where=gain > 0.0)
         q_z1 = single_photon_gain(alpha, weighted[..., rows, :])
         return _rate(q_z1, pa_factor[..., rows, :], gain, e_z, f_ec)
 
@@ -131,28 +137,39 @@ def _optimize(rates, shape: tuple[int, ...], bounds: tuple[float, float],
     best_alpha = grid[best_idx]
     zero_rate = best_rate <= 0.0  # rates are clamped, so these keep rate 0.0
     a, b = grid[np.maximum(best_idx - 1, 0)], grid[np.minimum(best_idx + 1, COARSE_GRID_POINTS - 1)]
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    width = b - a
+    c, d = b - _GOLDEN * width, a + _GOLDEN * width
     fc, fd = rates(c), rates(d)
-    active = ~zero_rate & ((b - a) > tol * np.maximum(a, lo))
-    while True:
-        # checking a point's c and d again once it has stopped changes nothing
-        for x, fx in ((c, fc), (d, fd)):
-            better = ~zero_rate & (fx > best_rate)
-            best_alpha, best_rate = np.where(better, x, best_alpha), np.where(better, fx, best_rate)
-        if not active.any():
-            return best_alpha.ravel(), best_rate.ravel(), zero_rate.ravel()
-        width = b - a
+    for x, fx in ((c, fc), (d, fd)):
+        better = ~zero_rate & (fx > best_rate)
+        np.copyto(best_alpha, x, where=better)
+        np.copyto(best_rate, fx, where=better)
+    active = ~zero_rate & (width > tol * np.maximum(a, lo))
+    while active.any():
         left = active & (fc >= fd)  # keep [a, d]; the old c becomes d
         right = active & ~left  # keep [c, b]; the old d becomes c
-        a, b = np.where(right, c, a), np.where(left, d, b)
-        c, fc, d, fd = (np.where(right, d, c), np.where(right, fd, fc),
-                        np.where(left, c, d), np.where(left, fc, fd))
-        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        # each copy reads only values not yet overwritten
+        np.copyto(a, c, where=right)
+        np.copyto(c, d, where=right)
+        np.copyto(fc, fd, where=right)
+        np.copyto(b, d, where=left)
+        np.copyto(d, c, where=left)
+        np.copyto(fd, fc, where=left)
+        span = b - a
+        probe = np.where(left, b - _GOLDEN * span, a + _GOLDEN * span)
         f_probe = rates(probe)
-        c, fc = np.where(left, probe, c), np.where(left, f_probe, fc)
-        d, fd = np.where(right, probe, d), np.where(right, f_probe, fd)
+        # the kept interior point already passed or failed this test
+        better = active & (f_probe > best_rate)
+        np.copyto(best_alpha, probe, where=better)
+        np.copyto(best_rate, f_probe, where=better)
+        np.copyto(c, probe, where=left)
+        np.copyto(fc, f_probe, where=left)
+        np.copyto(d, probe, where=right)
+        np.copyto(fd, f_probe, where=right)
         # a bracket a few ulps wide can stop shrinking before any tol below ~4e-16 is met
-        active &= ((b - a) > tol * np.maximum(a, lo)) & ((b - a) < width)
+        active &= (span > tol * np.maximum(a, lo)) & (span < width)
+        width = span
+    return best_alpha.ravel(), best_rate.ravel(), zero_rate.ravel()
 
 
 def optimize_alpha(

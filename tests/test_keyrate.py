@@ -1,12 +1,15 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from qkdkit import keyrate
+from qkdkit import cli, keyrate
 from qkdkit.channel import (
     ChannelParams,
     ZStats,
@@ -133,11 +136,7 @@ class TestBinaryEntropy:
     def test_within_three_ulps_of_a_40_digit_entropy(self):
         # np.log may differ from libm's log in the last bit; on this draw h stays
         # within 2.44 ulps of h(x) at 40 digits, as SciPy's xlogy did
-        tiny = np.nextafter(0.0, 1.0)
-        half = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
-        edges = [0.0, tiny, 2 * tiny, 1e-310, 2.2250738585072014e-308, *half,
-                 1.0 - 2.0**-53, 1.0]
-        x = np.concatenate([edges, np.random.default_rng(0).random(20_000)])
+        edges, x = entropy_draw()
         h = binary_entropy(x)
         with mp.workdps(mpref.DIGITS):
             exact = [mpref.entropy(v) for v in x.tolist()]
@@ -146,6 +145,41 @@ class TestBinaryEntropy:
         assert worst <= 3.0
         assert (h[0], h[len(edges) - 1]) == (0.0, 0.0)
         assert [binary_entropy(float(v)) for v in edges] == h[:len(edges)].tolist()
+
+    def test_draw_bytes_pinned(self):
+        # the bits of h on the 40-digit test's draw, as NumPy's x log x first gave them
+        digest = hashlib.sha256(binary_entropy(entropy_draw()[1]).tobytes()).hexdigest()
+        assert digest == "b166a72fa25f090aaf84fd6e9bc3051c52b082f22a468188ecb54fdf9cec7a3f"
+
+    @pytest.mark.parametrize("x, kind, shape, bits", [
+        (0.0, float, None, [-0.0]),  # h(0) = -(0 + 0) / ln 2 is -0.0
+        (-0.0, float, None, [-0.0]),
+        (1.0, float, None, [-0.0]),
+        (np.float64(0.25), float, None, [0.8112781244591328]),
+        (np.array(-0.0), float, None, [-0.0]),
+        (np.array(0.25), float, None, [0.8112781244591328]),
+        ([0.25, 0.0], np.ndarray, (2,), [0.8112781244591328, -0.0]),
+        (np.array([]), np.ndarray, (0,), []),
+        ([], np.ndarray, (0,), []),
+        (np.zeros((2, 0)), np.ndarray, (2, 0), []),
+        (np.array([[0.5, -0.0], [1.0, 0.25]]), np.ndarray, (2, 2),
+         [1.0, -0.0, -0.0, 0.8112781244591328]),
+    ])
+    def test_edge_inputs_keep_values_types_and_shapes(self, x, kind, shape, bits):
+        h = binary_entropy(x)
+        assert type(h) is kind
+        if shape is not None:
+            assert h.shape == shape and h.dtype == np.float64
+        assert np.asarray(h, dtype=float).tobytes() == np.array(bits, dtype=float).tobytes()
+
+
+def entropy_draw():
+    """Edge values of ``h`` and 20,000 uniform draws after them: ``(edges, x)``."""
+    tiny = np.nextafter(0.0, 1.0)
+    half = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
+    edges = [0.0, tiny, 2 * tiny, 1e-310, 2.2250738585072014e-308, *half,
+             1.0 - 2.0**-53, 1.0]
+    return edges, np.concatenate([edges, np.random.default_rng(0).random(20_000)])
 
 
 class TestSecretKeyRate:
@@ -249,6 +283,25 @@ class TestBatchedOptimizer:
             assert (result.alpha, result.rate, result.zero_rate) == (alpha, rate_ref, zero_rate)
             assert (alpha_opt, rate) == (alpha, rate_ref)
 
+    @settings(max_examples=50, deadline=None)
+    @given(lo=st.floats(-6.0, 0.0), decades=st.floats(0.05, 4.0), tol=st.floats(-17.0, -0.5),
+           f_ec=st.floats(1.0, 2.0), dark=st.one_of(st.none(), st.floats(-9.0, -3.0)),
+           deltas=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=2),
+           distances=st.lists(st.floats(0.0, 600.0), min_size=1, max_size=3))
+    def test_random_searches_match_reference(self, lo, decades, tol, f_ec, dark, deltas, distances):
+        # bounds, tol and the dark count are drawn by their decimal exponents
+        bounds, tol = (10.0**lo, 10.0**(lo + decades)), 10.0**tol
+        params = DEFAULTS.at(dark_count=0.0 if dark is None else 10.0**dark)
+        table = sweep(distances, deltas, params, f_ec=f_ec, bounds=bounds, tol=tol)
+        points = [(delta, distance) for delta in deltas for distance in distances]
+        assert list(zip(table.delta.tolist(), table.distance_km.tolist())) == points
+        for (delta, distance), alpha_opt, rate in zip(points, table.alpha_opt, table.rate):
+            point = params.at(distance_km=distance, delta=delta)
+            alpha, rate_ref, zero_rate = reference_optimize(point, bounds, tol, f_ec)
+            result = optimize_alpha(point, bounds=bounds, tol=tol, f_ec=f_ec)
+            assert (result.alpha, result.rate, result.zero_rate) == (alpha, rate_ref, zero_rate)
+            assert (alpha_opt, rate) == (alpha, rate_ref)
+
     def test_cases_reach_bounds_and_zero_rate(self):
         # guards SEARCH_CASES: they must keep covering the edge cases they name
         far = reference_optimize(DEFAULTS.at(distance_km=500.0))
@@ -256,6 +309,47 @@ class TestBatchedOptimizer:
         upper = reference_optimize(DEFAULTS.at(distance_km=80.0), (1e-5, 0.05), 1e-3, 1.5)
         lower = reference_optimize(DEFAULTS.at(distance_km=80.0), (0.6, 2.0))
         assert upper[0] > 0.05 * (1.0 - 1e-3) and lower[0] < 0.6 * (1.0 + 1e-4)
+
+
+class TestRateEvaluations:
+    """Each search makes 20 rate evaluations: the grid scan, the first two
+    probes and one new probe per golden step (17 at the default tol)."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """The number of calls of each rate function ``_rate_function`` returns."""
+        counts = []
+        rate_function = keyrate._rate_function
+
+        def counting(*args):
+            rates, shape = rate_function(*args)
+            counts.append(0)
+            index = len(counts) - 1
+
+            def counted(*rate_args):
+                counts[index] += 1
+                return rates(*rate_args)
+
+            return counted, shape
+
+        monkeypatch.setattr(keyrate, "_rate_function", counting)
+        return counts
+
+    # the three calls of a sweep_dense round: 100 distances each, three deltas
+    @pytest.mark.parametrize("distance", ["0.0:148.5:1.5", "0.5:149.0:1.5", "1.0:149.5:1.5"])
+    def test_dense_sweep_grid(self, tmp_path, counts, distance):
+        out = tmp_path / "dense.csv"
+        assert cli.main(["sweep", "--optimize", "--distance", distance, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 301
+        assert counts == [20]
+
+    def test_default_sweep(self, tmp_path, counts):
+        assert cli.main(["sweep", "--out", str(tmp_path / "default.csv")]) == 0
+        assert counts == [20]
+
+    def test_optimize_alpha(self, counts):
+        optimize_alpha(DEFAULTS.at(distance_km=50.0))
+        assert counts == [20]
 
 
 def rows(table):
