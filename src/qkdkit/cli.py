@@ -285,6 +285,14 @@ def _csv_rows(path: str, kind: str | None = None) -> tuple[str, list[tuple[dict,
         required = CSV_COLUMNS[kind]
         if header is None or not set(required).issubset(header):
             raise ValidationError(f"{path}: {kind} CSV must have columns {list(required)}")
+        named = [col for col in header if col.strip()]  # a blank header cell names nothing
+        if len(set(named)) < len(named):  # DictReader would keep the last of each
+            twice = next(col for i, col in enumerate(named) if col in named[:i])
+            raise ValidationError(f"{path}: {kind} CSV names column {twice!r} twice")
+        if kind == "yield" and "px" not in header:  # py and pz are read only beside px
+            for col in ("py", "pz"):
+                if col in header:
+                    raise ValidationError(f"{path}: yield CSV has a {col} column but no px column")
         return kind, [(row, f"{path}: row {reader.line_num}") for row in reader]
 
 

@@ -1424,6 +1424,46 @@ class TestEveryInputRejection:
         assert cli.main([command, str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
+    @pytest.mark.parametrize("kind, drop, repeat, message", [
+        ("yield_px", "px", None, "yield CSV has a py column but no px column"),
+        ("yield", None, "label", "yield CSV names column 'label' twice"),
+        ("yield_px", None, "pz", "yield CSV names column 'pz' twice"),
+        ("counts", None, "count", "counts CSV names column 'count' twice"),
+        ("pairs", None, "prior", "pair-yield CSV names column 'prior' twice"),
+    ], ids=["py-without-px", "label-twice", "pz-twice", "count-twice", "prior-twice"])
+    def test_header_rejected(self, tmp_path, capsys, kind, drop, repeat, message):
+        # each file reads as valid once the dropped or repeated column is undone
+        command, header, rows = valid_inputs()[kind]
+        columns = [column for column in zip(header, *rows) if column[0] != drop]
+        columns += [column for column in columns if column[0] == repeat]
+        header, *rows = zip(*columns)
+        path = tmp_path / "table.csv"
+        write_csv(path, header, rows)
+        assert cli.main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    def test_planar_table_without_px_rejected(self, tmp_path, capsys):
+        # read on the canonical states, this file gave e_x 0.67214642085742715
+        with open(DATA / "estimate_planar.csv", newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        keep = [i for i, column in enumerate(header) if column != "px"]
+        path = tmp_path / "planar.csv"
+        write_csv(path, [header[i] for i in keep], [[row[i] for i in keep] for row in rows])
+        assert cli.main(["estimate", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path}: yield CSV has a pz column but no px column\n")
+
+    def test_blank_header_cells_name_no_column(self, tmp_path, capsys):
+        # trailing commas give blank header cells, which may repeat
+        command, header, rows = valid_inputs()["yield"]
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        write_csv(plain, header, rows)
+        write_csv(padded, header + ["", ""], [row + ["", ""] for row in rows])
+        assert cli.main([command, str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert cli.main([command, str(padded)]) == 0
+        assert capsys.readouterr() == expected
+
     def test_config_line_without_equals_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("# seeds\nseed 3\n")
