@@ -10,7 +10,9 @@ with a deterministic coarse log-grid scan followed by golden-section
 refinement, so repeated sweeps are bit-identical.  A sweep runs that search
 over every (delta, distance) point at once, as array operations on a table
 with delta on the leading axis, with the same grid and golden-section rule at
-every point, and returns its results as columns.
+every point, and returns its results as columns.  Each golden step evaluates
+one new probe per point and checks it once against the best rate so far; the
+search state is updated in place.
 """
 
 from __future__ import annotations
@@ -115,7 +117,11 @@ def _optimize(rates, shape: tuple[int, ...], bounds: tuple[float, float],
     the search of :func:`optimize_alpha`, run for all points of ``shape`` at once
     as array operations, each point stopping under its own width test.  The grid
     scan runs over slices of about :data:`GRID_SCAN_SLICE` points, so its memory
-    is bounded."""
+    is bounded.  The first two probes are checked against the grid maximum; each
+    golden step then evaluates one new probe and checks only that one, since the
+    kept interior point has already passed or failed the strict ``>`` test.  So
+    a search makes one grid scan, two first probes and one evaluation per step
+    (17 steps for the default sweep)."""
     lo, hi = bounds
     if not (0.0 < lo < hi < math.inf):
         raise ValidationError(
