@@ -219,9 +219,11 @@ def check_well_posed(blochs: Sequence[BlochVector]) -> ConditioningReport:
     n = len(blochs)
     if n not in (3, 4):
         raise ValidationError(f"need 3 or 4 source states, got {n}")
-    full = np.array([b.as_array() for b in blochs])
+    full = [(b.v0, b.px, b.py, b.pz) for b in blochs]
     singular = np.linalg.svd(_design_matrix(blochs), compute_uv=False)
-    if any(np.abs(full[i] - full[j]).max() <= 1e-12 for i, j in combinations(range(n), 2)):
+    # on Python floats: the same subtractions as NumPy's, so the same test
+    if any(all(abs(p - q) <= 1e-12 for p, q in zip(full[i], full[j]))
+           for i, j in combinations(range(n), 2)):
         return ConditioningReport(False, math.inf, reason="duplicate-states")
     smax, smin = float(singular[0]), float(singular[-1])
     if smin <= SINGULARITY_THRESHOLD * smax:
