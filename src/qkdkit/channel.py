@@ -214,7 +214,12 @@ def single_photon_stats(params: ChannelParams, alpha: ArrayLike | None = None,
 
     Each ``alpha`` must be finite and > 0, and each ``t`` in [0, 1]."""
     alpha = params.alpha if alpha is None else _checked_alpha(alpha)
-    weighted, e_x1 = single_photon_terms(params, t, delta)
+    return single_photon_from_terms(alpha, *single_photon_terms(params, t, delta))
+
+
+def single_photon_from_terms(alpha: ArrayLike, weighted: ArrayLike, e_x1: ArrayLike) -> tuple:
+    """``(Q_z1, e_x1)`` at the checked intensities ``alpha`` from the terms of
+    :func:`single_photon_terms`; a NaN ``e_x1`` (nothing clicks) is undefined."""
     if np.any(np.isnan(e_x1)):
         raise UndefinedRateError("no single-photon detections (total loss, no darks)")
     return single_photon_gain(alpha, weighted), e_x1

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import (ArrayLike, ChannelParams, ZStats, check_ranges, real_array,
-                      single_photon_gain, single_photon_stats, single_photon_terms,
+                      single_photon_from_terms, single_photon_gain, single_photon_terms,
                       transmittance, zbasis_gain_error_weight, zbasis_overlaps, zbasis_stats)
 from .errors import ValidationError
 from .qstate import _check_real
@@ -82,12 +82,14 @@ def secret_key_rate(stats: ZStats, f_ec: float = DEFAULT_F_EC) -> float:
     return float(_rate(stats.q_z1, 1.0 - binary_entropy(stats.e_x1), stats.q_z, stats.e_z, f_ec))
 
 
-def _rate_function(params: ChannelParams, t: np.ndarray, f_ec: float, delta: ArrayLike | None):
+def _rate_function(params: ChannelParams, t: np.ndarray, f_ec: float, delta: ArrayLike | None,
+                   terms: tuple | None = None):
     """Key rate as a function of the intensity over the columns ``t`` and ``delta``,
     with the shape of their points (distances on the last axis); the pieces that
-    do not depend on the intensity are computed here, once."""
+    do not depend on the intensity are computed here, once, or passed as the
+    ``single_photon_terms`` of ``t`` and ``delta``."""
     _check_f_ec(f_ec)
-    weighted, e_x1 = single_photon_terms(params, t, delta)
+    weighted, e_x1 = single_photon_terms(params, t, delta) if terms is None else terms
     # where nothing clicks the weighted yield and Q_z vanish, so R = 0 for any e_x1
     pa_factor = 1.0 - binary_entropy(np.nan_to_num(e_x1))
     overlaps = zbasis_overlaps(params, delta)
@@ -253,7 +255,8 @@ def sweep(
     # ChannelParams checks each delta
     delta = np.array([params.at(delta=float(d)).delta for d in deltas], dtype=float)[:, None, None]
     t = transmittance(params, distances)[:, None]
-    rates, shape = _rate_function(params, t, f_ec, delta)
+    terms = single_photon_terms(params, t, delta)
+    rates, shape = _rate_function(params, t, f_ec, delta, terms)
     if alpha is None:
         alpha_opt, rate, _ = _optimize(rates, shape, bounds, tol)
     else:
@@ -261,6 +264,6 @@ def sweep(
         alpha_opt = np.full(rate.shape, params.alpha)
     at = alpha_opt.reshape(len(delta), len(distances), 1)
     q_z, e_z = zbasis_stats(params, at, t, delta)
-    q_z1, e_x1 = single_photon_stats(params, at, t, delta)
+    q_z1, e_x1 = single_photon_from_terms(at, *terms)
     return SweepTable(np.repeat(delta.ravel(), len(distances)), np.tile(distances, len(delta)),
                       alpha_opt, q_z.ravel(), e_z.ravel(), q_z1.ravel(), e_x1.ravel(), rate)
