@@ -61,9 +61,32 @@ if TYPE_CHECKING:
     from .channel import ChannelParams
 
 SWEEP_HEADER = ("delta", "distance_km", "alpha_opt", "Q_z", "e_z", "Q_z1", "e_x1", "R")
-CSV_COLUMNS = {"counts": ("label", "basis", "outcome", "count"),
-               "yield": ("basis", "label", "outcome", "prior", "probability"),
-               "pair-yield": ("label_a", "label_b", "prior", "probability")}
+
+
+class _Column(NamedTuple):
+    """A CSV column: its name, its cells' type (``str``, ``int`` or finite ``float``),
+    whether every file has it and, for one read only beside ``beside``, a blank cell's value."""
+
+    name: str
+    kind: type
+    required: bool = True
+    default: float | None = None
+    beside: str | None = None
+
+
+#: each CSV kind's columns by name, the required ones in the order messages list them
+_CSV_SCHEMAS = {kind: {c.name: c for c in columns} for kind, columns in {
+    "counts": (_Column("label", str), _Column("basis", str), _Column("outcome", str),
+               _Column("count", int)),
+    "yield": (_Column("basis", str), _Column("label", str), _Column("outcome", int),
+              _Column("prior", float), _Column("probability", float),
+              _Column("px", float, False),  # blank: the label's canonical state
+              *(_Column(name, float, False, 0.0, "px") for name in ("py", "pz"))),
+    "pair-yield": (_Column("label_a", str), _Column("label_b", str), _Column("prior", float),
+                   _Column("probability", float)),
+}.items()}
+CSV_COLUMNS = {kind: tuple(name for name, c in columns.items() if c.required)
+               for kind, columns in _CSV_SCHEMAS.items()}
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -272,132 +295,191 @@ def cmd_sweep(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _csv_rows(path: str, kind: str | None = None) -> tuple[str, list[tuple[dict, str]]]:
-    """The kind and rows of a CSV file whose header has the ``CSV_COLUMNS`` of
-    ``kind``, each row with its ``"<path>: row N"`` location for error messages.
+class _Records(NamedTuple):
+    """A CSV file's kind, its schema columns' cells and each record's row number."""
+
+    path: str
+    kind: str
+    cells: dict[str, tuple[str, ...]]
+    lines: list[int]
+
+    def column(self, name: str, rows: list[int] | None = None) -> tuple[list, tuple | None]:
+        """Column ``name`` at ``rows`` (default all) as its type, a blank cell as its
+        default, and the fault ``(row, message)`` of its first bad cell, or None; the
+        values stop at that cell."""
+        column, cells = _CSV_SCHEMAS[self.kind][name], self.cells.get(name)
+        if cells is None:  # py or pz, which the file leaves out
+            return [column.default] * len(rows), None
+        if rows is not None and len(rows) < len(cells):
+            cells = [cells[i] for i in rows]
+        kind, default = column.kind, column.default
+        try:
+            if kind is str:
+                values = [raw.strip() for raw in cells]
+                if "" not in values:
+                    return values, None
+            else:
+                values = [kind(raw.strip() or default) for raw in cells]
+                if kind is int or all(map(math.isfinite, values)):
+                    return values, None
+        except (TypeError, ValueError):
+            pass
+        values = []  # the first bad cell, tested as a row-by-row reader would
+        for raw in cells:
+            text = raw.strip()
+            try:
+                value = kind(text) if text else default
+            except ValueError:
+                message = f"column {name}: cannot parse {raw!r}"
+                break
+            if value is None or kind is float and not math.isfinite(value):
+                message = (f"column {name} is missing" if value is None
+                           else f"column {name} must be finite, got {raw!r}")
+                break
+            values.append(value)
+        else:  # a blank py or pz reads as 0
+            return values, None
+        i = len(values) if rows is None else rows[len(values)]
+        return values, (i, f"{self.path}: row {self.lines[i]}: {message}")
+
+
+def _read_csv(path: str, kind: str | None = None) -> _Records:
+    """The records of a CSV file of ``kind``, read once after its header's tests.
     Without a ``kind``, a header naming ``count`` (spaces stripped) is counts, else yield."""
     # utf-8-sig drops the byte-order mark that spreadsheet exports write
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames
+        reader = csv.reader(handle)
+        header = next(reader, None)
         if kind is None:
             kind = "counts" if "count" in [col.strip() for col in header or ()] else "yield"
-        required = CSV_COLUMNS[kind]
+        schema, required = _CSV_SCHEMAS[kind], CSV_COLUMNS[kind]
         if header is None or not set(required).issubset(header):
             raise ValidationError(f"{path}: {kind} CSV must have columns {list(required)}")
         named = [col for col in header if col.strip()]  # a blank header cell names nothing
-        if len(set(named)) < len(named):  # DictReader would keep the last of each
+        if len(set(named)) < len(named):
             twice = next(col for i, col in enumerate(named) if col in named[:i])
             raise ValidationError(f"{path}: {kind} CSV names column {twice!r} twice")
-        if kind == "yield" and "px" not in header:  # py and pz are read only beside px
-            for col in ("py", "pz"):
-                if col in header:
-                    raise ValidationError(f"{path}: yield CSV has a {col} column but no px column")
-        return kind, [(row, f"{path}: row {reader.line_num}") for row in reader]
+        for c in schema.values():
+            if c.beside and c.name in header and c.beside not in header:
+                raise ValidationError(
+                    f"{path}: {kind} CSV has a {c.name} column but no {c.beside} column")
+        for col in named:  # any other unknown column is ignored
+            if col not in schema and col.strip().lower() in schema:
+                raise ValidationError(
+                    f"{path}: {kind} CSV column {col!r} must be spelled {col.strip().lower()!r}")
+        records, lines = [], []
+        for record in reader:  # an empty line is skipped
+            if record:
+                records.append(record)
+                lines.append(reader.line_num)
+    width = len(header)
+    if min(map(len, records), default=width) < width:  # a short record's cells are blank
+        records = [record + [""] * (width - len(record)) for record in records]
+    columns = list(zip(*records)) or [()] * width
+    return _Records(path, kind, {col: columns[i] for i, col in enumerate(header) if col in schema},
+                    lines)
 
 
-def _cell(row: dict, column: str, where: str, kind: type = float, default: object = None):
-    """The named cell of a CSV row as ``kind`` (``str``, ``int`` or a finite
-    ``float``); a blank or missing cell gives ``default`` when one is set."""
-    raw = row.get(column)
-    if raw is None or not raw.strip():
-        if default is not None:
-            return default
-        raise ValidationError(f"{where}: column {column} is missing")
-    try:
-        value = kind(raw.strip())
-    except ValueError:
-        raise ValidationError(f"{where}: column {column}: cannot parse {raw!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise ValidationError(f"{where}: column {column} must be finite, got {raw!r}")
-    return value
+def _first_fault(faults: list[tuple | None]) -> tuple[float, str | None]:
+    """The fault a row-by-row reader meets first, as ``(row, message)``: the lowest
+    row and, within it, the first of ``faults`` (each None or a ``(row, message)``);
+    ``(inf, None)`` without one."""
+    found = [(fault[0], order, fault[1]) for order, fault in enumerate(faults) if fault]
+    return min(found, default=(math.inf, 0, None))[::2]
 
 
-def _read_counts_csv(path: str, rows: list[tuple[dict, str]]) -> dict[tuple, int]:
-    """Parse the rows of a counts CSV (the ``simulate`` output schema) into
-    the counts of a :class:`~qkdkit.montecarlo.TrialRecord`."""
-    counts: dict[tuple[str, str, object], int] = {}
-    for row, where in rows:
-        outcome: object = _cell(row, "outcome", where, str)
-        if outcome in ("0", "1"):
-            outcome = int(outcome)
-        key = (_cell(row, "label", where, str), _cell(row, "basis", where, str), outcome)
-        if key in counts:
-            raise ValidationError(f"{path}: duplicate counts row {key}")
-        counts[key] = _cell(row, "count", where, int)
-    if not counts:
-        raise ValidationError(f"{path}: no count rows found")
-    return counts
+def _first_repeat(keys: list, message) -> tuple[int, str] | None:
+    """The fault ``(index, message(key))`` of the first key equal to an earlier one."""
+    if len(set(keys)) == len(keys):
+        return None
+    seen: set = set()
+    i = next(i for i, key in enumerate(keys) if key in seen or seen.add(key))
+    return i, message(keys[i])
 
 
-def _bloch_cells(row: dict, where: str) -> tuple[float, ...]:
-    """The ``px, py, pz`` cells of a yield-CSV row (a blank ``py`` or ``pz`` is 0),
-    or ``()`` when ``px`` is blank."""
-    if not (row.get("px") or "").strip():
-        return ()
-    return (_cell(row, "px", where), _cell(row, "py", where, default=0.0),
-            _cell(row, "pz", where, default=0.0))
+def _first_change(keys: list, values: list, far, message, previous: bool = True):
+    """The fault ``(index, message(key))`` of the first value ``far`` from its key's
+    value on that key's previous row (or, without ``previous``, its first row)."""
+    pairs = list(zip(keys, values))
+    if len(set(pairs)) == len(dict(pairs)):  # one value per key
+        return None
+    held: dict = {}
+    for i, (key, value) in enumerate(pairs):
+        if far(held.setdefault(key, value), value):
+            return i, message(key)
+        if previous:
+            held[key] = value
+    return None
 
 
-def _read_yield_csv(path: str, rows: list[tuple[dict, str]]) -> tuple[YieldTable, SourceSet]:
-    """Parse the rows of a single-party yield CSV into a table plus source states.
+def _read_counts_csv(records: _Records) -> dict[tuple, int]:
+    """The counts of a counts CSV (the ``simulate`` output schema), as those of a
+    :class:`~qkdkit.montecarlo.TrialRecord`."""
+    (outcome, label, basis, count), faults = zip(
+        *(records.column(name) for name in ("outcome", "label", "basis", "count")))
+    outcome = [int(text) if text in ("0", "1") else text for text in outcome]
+    keys = list(zip(label, basis, outcome))
+    repeat = _first_repeat(keys, lambda key: f"{records.path}: duplicate counts row {key}")
+    _, message = _first_fault([*faults[:3], repeat, faults[3]])
+    if message:
+        raise ValidationError(message)
+    if not keys:
+        raise ValidationError(f"{records.path}: no count rows found")
+    return dict(zip(keys, count))
 
-    Required columns: label, basis, outcome, probability, prior.  The prior
-    column is the full per-(state, basis) prefactor (1/6 in the uniform
-    three-state protocol).  Optional px, py, pz columns override the
-    canonical state for a label; otherwise labels must be canonical
-    (0z, 1z, 0x, 1x, 0y, 1y).  A label's state is built on its first row, and
-    every later row must repeat its Bloch columns, within 1e-12, or leave
-    ``px`` blank as that row did.
-    """
-    yields: dict[tuple[str, int, str], float] = {}
-    priors: dict[str, float] = {}
-    states: dict[str, QubitState] = {}
-    # each label's first-row Bloch cells, as text and as numbers (() without px)
-    blochs: dict[str, tuple[tuple, tuple[float, ...]]] = {}
-    for row, where in rows:
-        label = _cell(row, "label", where, str)
-        basis = _cell(row, "basis", where, str)
-        outcome = _cell(row, "outcome", where, int)
-        probability = _cell(row, "probability", where)
-        prior = _cell(row, "prior", where)
-        key = (basis, outcome, label)
-        if key in yields:
-            raise ValidationError(f"{path}: duplicate cell {key}")
-        yields[key] = probability
-        if label in priors and abs(priors[label] - prior) > 1e-12:
-            raise ValidationError(f"{path}: inconsistent priors for label {label!r}")
-        priors[label] = prior
-        text = (row.get("px"), row.get("py"), row.get("pz"))
-        if label not in states:
-            bloch = _bloch_cells(row, where)
-            blochs[label] = text, bloch
-            states[label] = (bloch_to_density(BlochVector(1.0, *bloch)) if bloch
-                             else basis_state(label))
-        elif text != blochs[label][0]:  # the first row's text parses to the first row's numbers
-            first, bloch = blochs[label][1], _bloch_cells(row, where)
-            if len(bloch) != len(first) or any(abs(p - q) > 1e-12 for p, q in zip(bloch, first)):
-                raise ValidationError(f"{path}: inconsistent Bloch columns for label {label!r}")
-    if not yields:
+
+def _read_yield_csv(records: _Records) -> tuple[YieldTable, SourceSet]:
+    """The table and source states of a single-party yield CSV.  The prior column
+    is the per-(state, basis) prefactor (1/6 in the uniform three-state protocol).
+    A label's state is its first row's ``px, py, pz``, or its canonical state where
+    ``px`` is blank; later rows repeat them within 1e-12 or leave ``px`` blank too."""
+    path = records.path
+    (label, basis, outcome, probability, prior), faults = zip(
+        *(records.column(name) for name in ("label", "basis", "outcome", "probability", "prior")))
+    keys = list(zip(basis, outcome, label))
+    faults = [*faults, _first_repeat(keys, lambda key: f"{path}: duplicate cell {key}"),
+              _first_change(label, prior, lambda a, b: abs(a - b) > 1e-12,
+                            lambda lab: f"{path}: inconsistent priors for label {lab!r}")]
+    first = {lab: label.index(lab) for lab in dict.fromkeys(label)}  # each label's first row
+    blochs: dict[int, tuple] = {}  # the px, py, pz of each row read
+    if "px" in records.cells:
+        # a label whose rows all repeat its first row's Bloch cells is read on that row
+        varied = len(set(zip(label, *(records.cells[c] for c in ("px", "py", "pz")
+                                      if c in records.cells)))) > len(first)
+        px_cells = records.cells["px"]
+        rows = [i for i in (range(len(label)) if varied else first.values()) if px_cells[i].strip()]
+        (px, py, pz), bloch_faults = zip(*[records.column(c, rows) for c in ("px", "py", "pz")])
+        blochs = dict(zip(rows, zip(px, py, pz)))  # up to the first bad cell
+        faults += bloch_faults
+        if varied:
+            stop = min([fault[0] for fault in bloch_faults if fault] or [len(label)])
+            faults.append(_first_change(
+                label, [blochs.get(i, ()) for i in range(stop)], lambda a, b: len(a) != len(b)
+                or any(abs(p - q) > 1e-12 for p, q in zip(b, a)),
+                lambda lab: f"{path}: inconsistent Bloch columns for label {lab!r}", False))
+    row, message = _first_fault(faults)
+    states = {}  # each label's state, from its first row, after that row's tests
+    for lab, i in first.items():
+        if i < row:
+            cells = blochs.get(i)
+            states[lab] = bloch_to_density(BlochVector(1.0, *cells)) if cells else basis_state(lab)
+    if message:
+        raise ValidationError(message)
+    if not keys:
         raise ValidationError(f"{path}: no yield rows found")
     # The prior column is the joint prefactor P(label) * P(basis); factorize it
     # so the table's weight(basis, label) reproduces it exactly.
+    priors = dict(zip(label, prior))  # each label's last prior, in order of first appearance
     total = sum(priors.values())
     if not (0.0 < total <= 1.0 + 1e-9):
         raise ValidationError(f"{path}: prior column sums to {total!r} per basis")
-    sources = SourceSet(
-        entries=tuple(
-            (label, states[label], priors[label] / total) for label in priors
-        )
-    )
+    sources = SourceSet(entries=tuple(
+        (label, states[label], priors[label] / total) for label in priors))
     # input tables are typically empirical, so allow sampling-noise slack in
     # the prior-consistency checks (the solvers stay strict)
-    table = YieldTable(
-        yields,
-        {label: prior / total for label, prior in priors.items()},
-        {basis: total for basis in {k[0] for k in yields}},
-        consistency_tol=1e-2,
-    )
+    yields = dict(zip(keys, probability))
+    table = YieldTable(yields, {label: prior / total for label, prior in priors.items()},
+                       {basis: total for basis in {k[0] for k in yields}}, consistency_tol=1e-2)
     return table, sources
 
 
@@ -417,12 +499,12 @@ def _canonical_z_pair_ensemble() -> VirtualEnsemble:
 
 
 def cmd_estimate(yields_path: str) -> int:
-    kind, rows = _csv_rows(yields_path)
-    if kind == "counts":
+    records = _read_csv(yields_path)
+    if records.kind == "counts":
         # counts from a `simulate` run: statistical estimate with error bar
         from . import montecarlo
 
-        counts = _read_counts_csv(yields_path, rows)
+        counts = _read_counts_csv(records)
         trial = montecarlo.TrialRecord(counts=counts, n_pulses=sum(counts.values()))
         sources = three_state_sources()
         estimate = montecarlo.estimate_from_trial(trial, sources)
@@ -430,7 +512,7 @@ def cmd_estimate(yields_path: str) -> int:
         print(f"e_x_estimate: {_format(estimate.e_x)}")
         print(f"std_err: {_format(estimate.std_err)}")
         return EXIT_OK
-    table, sources = _read_yield_csv(yields_path, rows)
+    table, sources = _read_yield_csv(records)
     missing = [
         ("x", s, label)
         for s in (0, 1)
@@ -526,26 +608,27 @@ def _read_pair_yield_csv(path: str) -> tuple[dict[tuple[str, str], float], float
     the per-pair prefactor (gamma/9 for Z-Z pairs, 1/9 otherwise) and must
     be internally consistent.
     """
-    pairs: dict[tuple[str, str], float] = {}
-    gamma: float | None = None
-    for row, where in _csv_rows(path, "pair-yield")[1]:
-        key = (_cell(row, "label_a", where, str), _cell(row, "label_b", where, str))
-        if key in pairs:
-            raise ValidationError(f"{path}: duplicate pair {key}")
-        pairs[key] = _cell(row, "probability", where)
-        prior = _cell(row, "prior", where)
-        if key[0].endswith("z") and key[1].endswith("z"):
-            implied = prior * 9.0
-            if gamma is not None and abs(gamma - implied) > 1e-12:
-                raise ValidationError(f"{path}: inconsistent Z-Z priors")
-            gamma = implied
-        elif abs(prior - 1.0 / 9.0) > 1e-12:
-            raise ValidationError(
-                f"{path}: pairs involving X states must carry prior 1/9"
-            )
+    records = _read_csv(path, "pair-yield")
+    (label_a, label_b, probability, prior), faults = zip(
+        *(records.column(name) for name in ("label_a", "label_b", "probability", "prior")))
+    keys = list(zip(label_a, label_b))
+    repeat = _first_repeat(keys, lambda key: f"{path}: duplicate pair {key}")
+    gamma, off = None, None
+    for i, ((a, b), p) in enumerate(zip(keys, prior)):
+        if a.endswith("z") and b.endswith("z"):
+            if gamma is not None and abs(gamma - p * 9.0) > 1e-12:
+                off = i, f"{path}: inconsistent Z-Z priors"
+                break
+            gamma = p * 9.0
+        elif abs(p - 1.0 / 9.0) > 1e-12:
+            off = i, f"{path}: pairs involving X states must carry prior 1/9"
+            break
+    _, message = _first_fault([*faults[:2], repeat, *faults[2:], off])
+    if message:
+        raise ValidationError(message)
     if gamma is None:
         raise ValidationError(f"{path}: no Z-Z pair rows found")
-    return pairs, gamma
+    return dict(zip(keys, probability)), gamma
 
 
 def cmd_mdi_estimate(yields_path: str) -> int:

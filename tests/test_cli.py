@@ -1453,6 +1453,46 @@ class TestEveryInputRejection:
         assert capsys.readouterr() == (
             "", f"error: {path}: yield CSV has a pz column but no px column\n")
 
+    @pytest.mark.parametrize("header, message", [
+        ("Px", "yield CSV column 'Px' must be spelled 'px'"),
+        ("PX", "yield CSV column 'PX' must be spelled 'px'"),
+        (" px", "yield CSV column ' px' must be spelled 'px'"),
+    ])
+    def test_misspelled_px_rejected(self, tmp_path, capsys, header, message):
+        # with pz dropped, this file was read on the canonical states: e_x 0.67214642085742715
+        with open(DATA / "estimate_planar.csv", newline="") as handle:
+            head, *rows = list(csv.reader(handle))
+        keep = [i for i, column in enumerate(head) if column != "pz"]
+        path = tmp_path / "planar.csv"
+        write_csv(path, [header if head[i] == "px" else head[i] for i in keep],
+                  [[row[i] for i in keep] for row in rows])
+        assert cli.main(["estimate", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("kind, extra, message", [
+        ("counts", "Count", "counts CSV column 'Count' must be spelled 'count'"),
+        ("yield", "Label ", "yield CSV column 'Label ' must be spelled 'label'"),
+        ("yield_px", "PY", "yield CSV column 'PY' must be spelled 'py'"),
+        ("pairs", "PRIOR", "pair-yield CSV column 'PRIOR' must be spelled 'prior'"),
+    ])
+    def test_misspelled_extra_column_rejected(self, tmp_path, capsys, kind, extra, message):
+        # beside the column it misspells, the extra column was ignored
+        command, header, rows = valid_inputs()[kind]
+        path = tmp_path / "table.csv"
+        write_csv(path, [*header, extra], [[*row, "0"] for row in rows])
+        assert cli.main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    def test_unknown_column_ignored(self, tmp_path, capsys):
+        command, header, rows = valid_inputs()["yield_px"]
+        plain, noted = tmp_path / "plain.csv", tmp_path / "noted.csv"
+        write_csv(plain, header, rows)
+        write_csv(noted, [*header, "note", "p_x"], [[*row, "x", "0.5"] for row in rows])
+        assert cli.main([command, str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert cli.main([command, str(noted)]) == 0
+        assert capsys.readouterr() == expected
+
     def test_blank_header_cells_name_no_column(self, tmp_path, capsys):
         # trailing commas give blank header cells, which may repeat
         command, header, rows = valid_inputs()["yield"]

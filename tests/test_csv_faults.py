@@ -82,7 +82,8 @@ def _fault(rng, header, rows):
         del row[rng.randrange(len(row)):]
     elif kind == "duplicate":
         copy = list(row)
-        if "probability" in header and rng.random() < 0.5:
+        if ("probability" in header and rng.random() < 0.5
+                and header.index("probability") < len(copy)):
             copy[header.index("probability")] = "0.25"
         rows.insert(rng.randrange(i + 1, len(rows) + 1), copy)
     elif kind == "prior" and "prior" in header:
