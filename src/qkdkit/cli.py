@@ -57,6 +57,7 @@ from .estimator import YieldTable
 
 if TYPE_CHECKING:
     import argparse
+    from collections.abc import Callable
 
     from .channel import ChannelParams
 
@@ -388,7 +389,7 @@ def _first_fault(faults: list[tuple | None]) -> tuple[float, str | None]:
     return min(found, default=(math.inf, 0, None))[::2]
 
 
-def _first_repeat(keys: list, message) -> tuple[int, str] | None:
+def _first_repeat(keys: list, message: Callable[[object], str]) -> tuple[int, str] | None:
     """The fault ``(index, message(key))`` of the first key equal to an earlier one."""
     if len(set(keys)) == len(keys):
         return None
@@ -397,7 +398,8 @@ def _first_repeat(keys: list, message) -> tuple[int, str] | None:
     return i, message(keys[i])
 
 
-def _first_change(keys: list, values: list, far, message, previous: bool = True):
+def _first_change(keys: list, values: list, far: Callable[[object, object], bool],
+                  message: Callable[[object], str], previous: bool = True) -> tuple[int, str] | None:
     """The fault ``(index, message(key))`` of the first value ``far`` from its key's
     value on that key's previous row (or, without ``previous``, its first row)."""
     pairs = list(zip(keys, values))
