@@ -13,6 +13,10 @@ by ``--config``; any of their flags overrides the file.  All outputs are
 deterministic functions of the configuration (plus seed) and are written
 atomically with 17 significant digits so reruns are byte-identical.
 
+Input CSVs are read once each, column by column, from one schema table per
+kind (``_CSV_SCHEMAS``); of several faults, the one a row-by-row reader
+would meet first is reported.
+
 Exit codes: 0 success, 1 validation or I/O error, 2 ill-posed sources,
 3 undefined rate.
 """
@@ -304,36 +308,47 @@ class _Records(NamedTuple):
     cells: dict[str, tuple[str, ...]]
     lines: list[int]
 
-    def column(self, name: str, rows: list[int] | None = None) -> tuple[list, tuple | None]:
-        """Column ``name`` at ``rows`` (default all) as its type, a blank cell as its
-        default, and the fault ``(row, message)`` of its first bad cell, or None; the
-        values stop at that cell."""
-        column, cells = _CSV_SCHEMAS[self.kind][name], self.cells.get(name)
-        if cells is None:  # py or pz, which the file leaves out
-            return [column.default] * len(rows), None
-        if rows is not None and len(rows) < len(cells):
-            cells = [cells[i] for i in rows]
-        kind, default = column.kind, column.default
+    def columns(self, names: tuple[str, ...], rows: list[int] | None = None) -> tuple[list, list]:
+        """The columns ``names`` at ``rows`` (default every row), each as its type
+        with a blank cell as its default, and each one's first bad cell as a fault
+        ``(row, message)`` or None; a column's values stop at its bad cell."""
+        schema, values = _CSV_SCHEMAS[self.kind], []
         try:
-            if kind is str:
-                values = [raw.strip() for raw in cells]
-                if "" not in values:
-                    return values, None
+            for name in names:
+                kind, default = schema[name].kind, schema[name].default
+                cells = self.cells.get(name)
+                if cells is None:  # py or pz, which the file leaves out
+                    column = [default] * len(rows)
+                elif kind is str:
+                    column = [raw.strip() or None for raw in cells]
+                elif rows is None:
+                    column = [kind(raw.strip() or default) for raw in cells]
+                else:
+                    column = [kind(cells[i].strip() or default) for i in rows]
+                if None in column if kind is str else (
+                        kind is float and not all(map(math.isfinite, column))):
+                    break
+                values.append(column)
             else:
-                values = [kind(raw.strip() or default) for raw in cells]
-                if kind is int or all(map(math.isfinite, values)):
-                    return values, None
+                return values, [None] * len(names)
         except (TypeError, ValueError):
             pass
-        values = []  # the first bad cell, tested as a row-by-row reader would
-        for raw in cells:
+        return tuple(zip(*(self._first_bad(name, rows) for name in names)))
+
+    def _first_bad(self, name: str, rows: list[int] | None) -> tuple[list, tuple | None]:
+        """Column ``name`` at ``rows`` tested cell by cell, as a row-by-row reader
+        would: its values up to its first bad cell, and that cell's fault or None."""
+        column, cells, values = _CSV_SCHEMAS[self.kind][name], self.cells.get(name), []
+        if cells is None:
+            return [column.default] * len(rows), None
+        for raw in cells if rows is None else [cells[i] for i in rows]:
             text = raw.strip()
             try:
-                value = kind(text) if text else default
+                value = column.kind(text) if text else column.default
             except ValueError:
                 message = f"column {name}: cannot parse {raw!r}"
                 break
-            if value is None or kind is float and not math.isfinite(value):
+            if value is None or column.kind is float and not math.isfinite(value):
                 message = (f"column {name} is missing" if value is None
                            else f"column {name} must be finite, got {raw!r}")
                 break
@@ -385,8 +400,9 @@ def _first_fault(faults: list[tuple | None]) -> tuple[float, str | None]:
     """The fault a row-by-row reader meets first, as ``(row, message)``: the lowest
     row and, within it, the first of ``faults`` (each None or a ``(row, message)``);
     ``(inf, None)`` without one."""
-    found = [(fault[0], order, fault[1]) for order, fault in enumerate(faults) if fault]
-    return min(found, default=(math.inf, 0, None))[::2]
+    if not any(faults):
+        return math.inf, None
+    return min((fault[0], order, fault[1]) for order, fault in enumerate(faults) if fault)[::2]
 
 
 def _first_repeat(keys: list, message: Callable[[object], str]) -> tuple[int, str] | None:
@@ -417,8 +433,8 @@ def _first_change(keys: list, values: list, far: Callable[[object, object], bool
 def _read_counts_csv(records: _Records) -> dict[tuple, int]:
     """The counts of a counts CSV (the ``simulate`` output schema), as those of a
     :class:`~qkdkit.montecarlo.TrialRecord`."""
-    (outcome, label, basis, count), faults = zip(
-        *(records.column(name) for name in ("outcome", "label", "basis", "count")))
+    (outcome, label, basis, count), faults = records.columns(("outcome", "label", "basis",
+                                                              "count"))
     outcome = [int(text) if text in ("0", "1") else text for text in outcome]
     keys = list(zip(label, basis, outcome))
     repeat = _first_repeat(keys, lambda key: f"{records.path}: duplicate counts row {key}")
@@ -436,13 +452,14 @@ def _read_yield_csv(records: _Records) -> tuple[YieldTable, SourceSet]:
     A label's state is its first row's ``px, py, pz``, or its canonical state where
     ``px`` is blank; later rows repeat them within 1e-12 or leave ``px`` blank too."""
     path = records.path
-    (label, basis, outcome, probability, prior), faults = zip(
-        *(records.column(name) for name in ("label", "basis", "outcome", "probability", "prior")))
+    (label, basis, outcome, probability, prior), faults = records.columns(
+        ("label", "basis", "outcome", "probability", "prior"))
     keys = list(zip(basis, outcome, label))
     faults = [*faults, _first_repeat(keys, lambda key: f"{path}: duplicate cell {key}"),
               _first_change(label, prior, lambda a, b: abs(a - b) > 1e-12,
                             lambda lab: f"{path}: inconsistent priors for label {lab!r}")]
-    first = {lab: label.index(lab) for lab in dict.fromkeys(label)}  # each label's first row
+    labels = list(dict.fromkeys(label))
+    first = dict(zip(labels, map(label.index, labels)))  # each label's first row
     blochs: dict[int, tuple] = {}  # the px, py, pz of each row read
     if "px" in records.cells:
         # a label whose rows all repeat its first row's Bloch cells is read on that row
@@ -450,7 +467,7 @@ def _read_yield_csv(records: _Records) -> tuple[YieldTable, SourceSet]:
                                       if c in records.cells)))) > len(first)
         px_cells = records.cells["px"]
         rows = [i for i in (range(len(label)) if varied else first.values()) if px_cells[i].strip()]
-        (px, py, pz), bloch_faults = zip(*[records.column(c, rows) for c in ("px", "py", "pz")])
+        (px, py, pz), bloch_faults = records.columns(("px", "py", "pz"), rows)
         blochs = dict(zip(rows, zip(px, py, pz)))  # up to the first bad cell
         faults += bloch_faults
         if varied:
@@ -611,8 +628,8 @@ def _read_pair_yield_csv(path: str) -> tuple[dict[tuple[str, str], float], float
     be internally consistent.
     """
     records = _read_csv(path, "pair-yield")
-    (label_a, label_b, probability, prior), faults = zip(
-        *(records.column(name) for name in ("label_a", "label_b", "probability", "prior")))
+    (label_a, label_b, probability, prior), faults = records.columns(
+        ("label_a", "label_b", "probability", "prior"))
     keys = list(zip(label_a, label_b))
     repeat = _first_repeat(keys, lambda key: f"{path}: duplicate pair {key}")
     gamma, off = None, None

@@ -233,8 +233,9 @@ def check_well_posed(blochs: Sequence[BlochVector]) -> ConditioningReport:
 
 
 def _design_matrix(blochs: Sequence[BlochVector]) -> np.ndarray:
+    """The rows ``as_array(planar)`` of ``blochs``, stacked from Python floats."""
     planar = len(blochs) == 3
-    return np.array([b.as_array(planar=planar) for b in blochs])
+    return np.array([(b.v0, b.px, b.pz) if planar else (b.v0, b.px, b.py, b.pz) for b in blochs])
 
 
 def _checked_design(

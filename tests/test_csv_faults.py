@@ -5,11 +5,12 @@ pair-yield), each built from one of the pinned inputs under ``tests/data``.
 The first 220 carry one to three faults each: unparsable, blank, NaN or
 infinite cells (one or two in a row), short rows, extra cells, a dropped
 column, duplicate keys, inconsistent priors, Bloch columns or Z-Z gamma,
-and X pairs off the 1/9 prior.  The last 80 are valid
-files formatted oddly: spaces around numbers, ``+1``, ``1_0``, ``1e-320``,
-CRLF line endings, blank lines, trailing commas, a byte-order mark, columns
-in another order and an unknown column.  Any file may also carry blank lines
-or a quoted multi-line cell, so that a message's ``row N`` differs from the
+and X pairs off the 1/9 prior.  The last 80 are formatted oddly, in one or
+two ways each: spaces around numbers, ``+1``, ``1_0``, ``1e-320``, columns
+in another order or an unknown column.  Most of these are valid; a way
+applied twice can write ``++1`` or name a column twice.  Any file may also
+have CRLF line endings, blank lines, trailing commas, a byte-order mark or
+a quoted multi-line cell, so that a message's ``row N`` differs from the
 record's index.
 
 ``tests/data/csv_fault_digests.txt`` holds one line per file: its name, the
@@ -109,7 +110,7 @@ def _fault(rng, header, rows):
 
 
 def _odd(rng, header, rows):
-    """Rewrite ``header`` and ``rows`` in place, formatted oddly but read alike."""
+    """Rewrite ``header`` and ``rows`` in place, formatted oddly; most read alike."""
     kind = rng.choice(("spaces", "plus", "underscore", "tiny", "reorder", "unknown"))
     if kind == "spaces":
         for row in rows:
