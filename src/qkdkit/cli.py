@@ -319,12 +319,11 @@ class _Records(NamedTuple):
                 cells = self.cells.get(name)
                 if cells is None:  # py or pz, which the file leaves out
                     column = [default] * len(rows)
-                elif kind is str:
-                    column = [raw.strip() or None for raw in cells]
-                elif rows is None:
-                    column = [kind(raw.strip() or default) for raw in cells]
                 else:
-                    column = [kind(cells[i].strip() or default) for i in rows]
+                    if rows is not None:
+                        cells = map(cells.__getitem__, rows)
+                    column = ([raw.strip() or None for raw in cells] if kind is str
+                              else [kind(raw.strip() or default) for raw in cells])
                 if None in column if kind is str else (
                         kind is float and not all(map(math.isfinite, column))):
                     break

@@ -83,13 +83,13 @@ def secret_key_rate(stats: ZStats, f_ec: float = DEFAULT_F_EC) -> float:
 
 
 def _rate_function(params: ChannelParams, t: np.ndarray, f_ec: float, delta: ArrayLike | None,
-                   terms: tuple | None = None):
+                   terms: tuple):
     """Key rate as a function of the intensity over the columns ``t`` and ``delta``,
-    with the shape of their points (distances on the last axis); the pieces that
-    do not depend on the intensity are computed here, once, or passed as the
-    ``single_photon_terms`` of ``t`` and ``delta``."""
+    with the shape of their points (distances on the last axis); ``terms`` are
+    their ``single_photon_terms``, and the other pieces that do not depend on the
+    intensity are computed here, once."""
     _check_f_ec(f_ec)
-    weighted, e_x1 = single_photon_terms(params, t, delta) if terms is None else terms
+    weighted, e_x1 = terms
     # where nothing clicks the weighted yield and Q_z vanish, so R = 0 for any e_x1
     pa_factor = 1.0 - binary_entropy(np.nan_to_num(e_x1))
     overlaps = zbasis_overlaps(params, delta)
@@ -198,7 +198,8 @@ def optimize_alpha(
         zero_rate is True when the rate is non-positive on the whole grid;
         the grid argmax is still reported as ``alpha``.
     """
-    rates, shape = _rate_function(params, np.reshape(transmittance(params), (1, 1)), f_ec, None)
+    t = np.reshape(transmittance(params), (1, 1))
+    rates, shape = _rate_function(params, t, f_ec, None, single_photon_terms(params, t))
     alpha, rate, zero_rate = _optimize(rates, shape, bounds, tol)
     return OptimizeResult(alpha=float(alpha[0]), rate=float(rate[0]), zero_rate=bool(zero_rate[0]))
 
