@@ -102,53 +102,27 @@ MAX_DISTANCE_POINTS = 2**17  # a sweep keeps ~210 bytes per point: ~80 MiB for 3
 _DISTANCE_FIELDS = ("distance_start", "distance_stop", "distance_step")
 
 
-@functools.cache
-def _library_default(field: str) -> float:
-    """The library's own default of a ``RunConfig`` field, stated once there."""
-    if field in ("dark_count", "det_eff", "atten_db_per_km"):
-        from . import channel
-        return getattr(channel.ChannelParams, field)
-    from . import keyrate
-    return {"f_ec": keyrate.DEFAULT_F_EC, "alpha_min": keyrate.DEFAULT_ALPHA_BOUNDS[0],
-            "alpha_max": keyrate.DEFAULT_ALPHA_BOUNDS[1],
-            "alpha_tol": keyrate.DEFAULT_ALPHA_TOL}[field]
-
-
-class _LibraryDefault:
-    """A ``RunConfig`` field whose default is :func:`_library_default`, read
-    when a config reads the field, not when the class is created: a command
-    loads ``channel`` or ``keyrate`` only if it reads their fields, so
-    ``simulate``, which reads no key-rate field, never loads ``keyrate``."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, config, owner=None):
-        if config is None:
-            return self  # the dataclass default: "not given"
-        value = config.__dict__[self.name]
-        return _library_default(self.name) if value is self else value
-
-    def __set__(self, config, value) -> None:
-        config.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Flattened run configuration; defaults reproduce the reference curves."""
+    """Flattened run configuration; defaults reproduce the reference curves.
 
-    dark_count: float = _LibraryDefault()
-    det_eff: float = _LibraryDefault()
-    atten_db_per_km: float = _LibraryDefault()
+    A channel or key-rate field left None is not given: it takes the library's
+    default, a ``channel.ChannelParams`` field or a ``keyrate.DEFAULT_*`` value.
+    The CLI states only its own defaults: the deltas, the distance range, the
+    seed and the pulse count."""
+
+    dark_count: float | None = None
+    det_eff: float | None = None
+    atten_db_per_km: float | None = None
     delta: tuple[float, ...] = (0.0, 0.063, 0.126)
     distance_start: float = 0.0
     distance_stop: float = 150.0
     distance_step: float = 5.0
-    f_ec: float = _LibraryDefault()
+    f_ec: float | None = None
     alpha: float | None = None
-    alpha_min: float = _LibraryDefault()
-    alpha_max: float = _LibraryDefault()
-    alpha_tol: float = _LibraryDefault()
+    alpha_min: float | None = None
+    alpha_max: float | None = None
+    alpha_tol: float | None = None
     seed: int = 1
     pulses: int = 1_000_000
     out: str | None = None
@@ -177,13 +151,9 @@ class RunConfig:
         ``alpha`` as its own argument, and ``simulate`` has no intensity."""
         from . import channel
 
-        return channel.ChannelParams(
-            dark_count=self.dark_count,
-            det_eff=self.det_eff,
-            atten_db_per_km=self.atten_db_per_km,
-            distance_km=distance_km,
-            delta=delta,
-        )
+        given = {name: value for name in ("dark_count", "det_eff", "atten_db_per_km")
+                 if (value := getattr(self, name)) is not None}
+        return channel.ChannelParams(distance_km=distance_km, delta=delta, **given)
 
 
 class _Setting(NamedTuple):
@@ -289,9 +259,13 @@ def cmd_sweep(config: RunConfig) -> int:
         raise ValidationError("invalid field out: sweep requires an output path")
     from . import keyrate
 
+    given = {name: value for name, value in (("f_ec", config.f_ec), ("tol", config.alpha_tol))
+             if value is not None}
+    low, high = keyrate.DEFAULT_ALPHA_BOUNDS  # a half-given range keeps the other default
+    bounds = (low if config.alpha_min is None else config.alpha_min,
+              high if config.alpha_max is None else config.alpha_max)
     table = keyrate.sweep(config.distances(), config.delta, config.channel_params(0.0, 0.0),
-                          f_ec=config.f_ec, bounds=(config.alpha_min, config.alpha_max),
-                          tol=config.alpha_tol, alpha=config.alpha)
+                          bounds=bounds, alpha=config.alpha, **given)
     # "%.17g" % x gives the bytes of _format(x)
     row = ",".join(["%.17g"] * len(SWEEP_HEADER))
     columns = (getattr(table, f.name).tolist() for f in fields(table))

@@ -15,6 +15,16 @@ Each reference states the estimator's linear system once more, in mpmath at
   ``w = gamma / 9`` for Z-Z pairs, ``gamma`` nine times their prior column,
   and ``w = 1/9`` for every other pair.
 
+For a table whose Z pair is the canonical ``|0z>, |1z>``, the references of
+the ``virtual_yield[...]`` or ``virtual_pair_yield[...]`` lines, and of ``e_x``
+(their off-diagonal share), are:
+
+* a single-party table of the canonical ``0z, 1z, 0x`` at equal priors, by
+  the closed form: ``Y(s, 0x)`` as read and ``Y(s, 1x) = Y(s, 0z) + Y(s, 1z)
+  - Y(s, 0x)``, with ``Y`` the X-basis yields of the CSV;
+* a relay pair table: its nine rates evaluated on ``|0x>`` and ``|1x>`` at
+  weight 1/2 each for both parties, divided by 9 as printed.
+
 Every number is read from its decimal text, so the references carry none of
 the estimator's rounding.  :func:`moved_rates` tells whether the rates printed
 by two versions of the program moved nearer to these references.
@@ -87,6 +97,42 @@ def relay_rates(path) -> list:
             design.append([u * v for u in (1, a[0], a[2]) for v in (1, b[0], b[2])])
             rhs.append(mpmath.mpf(row["probability"]) / weight)
         return list(mpmath.lu_solve(mpmath.matrix(design), mpmath.matrix(rhs)))
+
+
+def virtual_references(path) -> dict:
+    """The references of the virtual-yield and ``e_x`` lines that ``estimate``
+    or ``mdi-estimate`` prints for the CSV at ``path``, whose Z pair must be
+    canonical, keyed by each line's name as :func:`printed_values` reads it."""
+    rows = _rows(path)
+    with mpmath.workdps(DIGITS):
+        if "label_a" in rows[0]:
+            q = relay_rates(path)
+            r = [(1, 1, 0), (1, -1, 0)]  # (id, x, z) of |0x> and |1x>
+            table = [[sum(r[j][s] * q[3 * s + t] * r[k][t] for s in range(3) for t in range(3))
+                      / 36 for k in (0, 1)] for j in (0, 1)]
+            names = {(j, k): f"virtual_pair_yield[{j}x,{k}x]" for j in (0, 1) for k in (0, 1)}
+        else:
+            assert {row["label"] for row in rows} == {"0z", "1z", "0x"}
+            assert not any((row.get("px") or "").strip() for row in rows)
+            assert len({row["prior"] for row in rows if row["label"] in ("0z", "1z")}) == 1
+            y = {(int(row["outcome"]), row["label"]): mpmath.mpf(row["probability"])
+                 for row in rows if row["basis"] == "x"}
+            # table[s][j]: outcome s of the virtual state jx
+            table = [[y[s, "0x"], y[s, "0z"] + y[s, "1z"] - y[s, "0x"]] for s in (0, 1)]
+            names = {(s, j): f"virtual_yield[outcome={s},{j}x]" for s in (0, 1) for j in (0, 1)}
+        references = {name: table[a][b] for (a, b), name in names.items()}
+        # the off-diagonal share, a negative error cell read as 0
+        errors = max(table[0][1], 0) + max(table[1][0], 0)
+        references["e_x"] = errors / sum(table[0] + table[1])
+        return references
+
+
+def printed_values(stdout: str) -> dict[str, float]:
+    """The value of each ``virtual_yield[...]``, ``virtual_pair_yield[...]`` and
+    ``e_x`` line of an ``estimate`` or ``mdi-estimate`` report, by the line's name."""
+    lines = (line.partition(": ") for line in stdout.splitlines())
+    return {name: float(value) for name, _, value in lines
+            if name == "e_x" or name.startswith("virtual_")}
 
 
 def printed_rates(stdout: str) -> list[list[float]]:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -47,21 +48,37 @@ def identity_three_state_rows():
 
 class TestConfig:
     def test_defaults_match_reference_parameters(self):
-        config = cli.RunConfig()
-        assert config.dark_count == 0.5e-7
-        assert config.det_eff == 0.15
-        assert config.atten_db_per_km == 0.21
-        assert config.f_ec == 1.22
-        assert config.delta == (0.0, 0.063, 0.126)
-
-    def test_unset_fields_read_the_library_defaults(self):
+        # the CLI states the deltas; the channel and f_ec are the library's
         from qkdkit import keyrate
 
-        config = cli.RunConfig(det_eff=0.5)
-        assert (config.alpha_min, config.alpha_max) == keyrate.DEFAULT_ALPHA_BOUNDS
-        assert (config.f_ec, config.alpha_tol) == (keyrate.DEFAULT_F_EC, keyrate.DEFAULT_ALPHA_TOL)
+        assert cli.RunConfig().delta == (0.0, 0.063, 0.126)
+        params = channel.ChannelParams()
+        assert params.dark_count == 0.5e-7
+        assert params.det_eff == 0.15
+        assert params.atten_db_per_km == 0.21
+        assert keyrate.DEFAULT_F_EC == 1.22
+
+    def test_unset_fields_read_the_library_defaults(self, tmp_path, monkeypatch):
+        from qkdkit import keyrate
+
+        config = cli.RunConfig(det_eff=0.5, out=str(tmp_path / "sweep.csv"))
         assert config.channel_params(5.0, 0.1) == channel.ChannelParams(
             det_eff=0.5, distance_km=5.0, delta=0.1)
+        library_sweep, calls = keyrate.sweep, []
+
+        def sweep(*args, **kwargs):
+            # the arguments the library's sweep runs with, its own defaults filled in
+            call = inspect.signature(library_sweep).bind(*args, **kwargs)
+            call.apply_defaults()
+            calls.append(call.arguments)
+            return library_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(keyrate, "sweep", sweep)
+        assert cli.cmd_sweep(config) == 0
+        [arguments] = calls
+        assert arguments["bounds"] == keyrate.DEFAULT_ALPHA_BOUNDS
+        assert (arguments["f_ec"], arguments["tol"]) == (
+            keyrate.DEFAULT_F_EC, keyrate.DEFAULT_ALPHA_TOL)
 
     def test_file_parsing_and_override(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -140,11 +157,21 @@ class TestSweepCommand:
             "0.0012295325917145061,0.0022346746719816395,0.00051649084168114566\n"
         )
 
-    def test_golden_default_optimized_sweep(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        None, "alpha_max = 1.0", "alpha_min = 0.0001", "f_ec = 1.22", "alpha_tol = 0.0001",
+        "dark_count = 5e-08\natten_db_per_km = 0.21",
+    ])
+    def test_golden_default_optimized_sweep(self, tmp_path, text):
         # the bytes of the default optimized sweep (3 deltas x 31 distances)
-        # guard the intensity optimizer as well as the channel model
-        out = tmp_path / "default.csv"
-        assert cli.main(["sweep", "--out", str(out)]) == 0
+        # guard the intensity optimizer as well as the channel model; a config
+        # file that sets keys to the library's own defaults, one bound of the
+        # intensity range alone among them, writes the same bytes
+        out, config = tmp_path / "default.csv", tmp_path / "run.cfg"
+        argv = ["sweep", "--out", str(out)]
+        if text is not None:
+            config.write_text(text + "\n")
+            argv += ["--config", str(config)]
+        assert cli.main(argv) == 0
         assert out.read_bytes() == (DATA / "sweep_default.csv").read_bytes()
 
     @pytest.mark.parametrize("options, name", [
@@ -960,9 +987,12 @@ class TestSimulateCommand:
         assert cli.main(argv + ["--delta", "0.063"]) == 0
         assert capsys.readouterr().out != default.out
 
-    @pytest.mark.parametrize("line", ["alpha = 0", "alpha = -1", "alpha = nan", "alpha = 0.9"])
+    @pytest.mark.parametrize("line", ["alpha = 0", "alpha = -1", "alpha = nan", "alpha = 0.9",
+                                      "f_ec = 0.5", "alpha_min = 2", "alpha_max = inf",
+                                      "alpha_tol = nan"])
     def test_config_alpha_is_ignored(self, tmp_path, capsys, line):
-        # alpha is a sweep key; simulate's experiment has no intensity
+        # alpha and the key-rate keys are sweep keys; simulate's experiment has
+        # no intensity and no key rate, so values sweep refuses change nothing
         argv = ["simulate", "--pulses", "1000"]
         assert cli.main(argv) == 0
         default = capsys.readouterr()

@@ -6,7 +6,10 @@ Each ``q[...]`` line of a pinned ``.out`` file must lie within ``MAX_ULPS``
 of its input's reference, counted in ulps of the largest coefficient on the
 line.  Each column of a pinned sweep row must lie within ``MAX_SWEEP_ULPS``
 of its reference at the row's own ``alpha_opt``, counted in ulps of the
-reference, and ``R`` in ulps of the larger of its two terms.  The bounds are
+reference, and ``R`` in ulps of the larger of its two terms.  Each
+``virtual_yield[...]`` or ``virtual_pair_yield[...]`` line of a pinned output
+whose Z pair is canonical must lie within ``MAX_VIRTUAL_ULPS``, and its ``e_x``
+line within ``MAX_E_X_ULPS``, counted in ulps of the reference.  The bounds are
 the worst distance measured when they were set, rounded up; a change may
 lower them, never raise them.
 """
@@ -23,6 +26,10 @@ DATA = Path(__file__).parent / "data"
 #: per pinned input, the largest distance allowed, in ulps
 MAX_ULPS = {"estimate_canonical": 4, "estimate_planar": 3, "estimate_four_state": 3,
             "mdi_relay": 13, "mdi_relay_mixed_labels": 9}
+#: per pinned output whose Z pair is canonical, the largest distance allowed of
+#: a virtual-yield line and of the e_x line, in ulps
+MAX_VIRTUAL_ULPS = {"estimate_canonical": 6, "mdi_relay": 5, "mdi_relay_mixed_labels": 5}
+MAX_E_X_ULPS = {"estimate_canonical": 1, "mdi_relay": 2, "mdi_relay_mixed_labels": 2}
 #: per sweep column, the largest distance allowed over the pinned sweep CSVs, in ulps
 MAX_SWEEP_ULPS = {"Q_z": 8, "e_z": 6, "Q_z1": 9, "e_x1": 11, "R": 8}
 #: the pinned sweep CSVs and the f_ec each was written with
@@ -61,6 +68,16 @@ def test_relay_rates_near_the_reference(name):
     assert [len(values) for values in lines] == [1] * 9
     for values, exact in zip(lines, reference):
         assert ulps_off(values, [exact]) <= MAX_ULPS[name]
+
+
+@pytest.mark.parametrize("name", MAX_VIRTUAL_ULPS)
+def test_virtual_yields_and_e_x_near_the_reference(name):
+    reference = mpref.virtual_references(DATA / f"{name}.csv")
+    printed = mpref.printed_values((DATA / f"{name}.out").read_text())
+    assert printed.keys() == reference.keys() and len(printed) == 5
+    for line, value in printed.items():
+        bound = MAX_E_X_ULPS[name] if line == "e_x" else MAX_VIRTUAL_ULPS[name]
+        assert ulps_off([value], [reference[line]], reference[line]) <= bound, line
 
 
 @pytest.mark.parametrize("name", PINNED_SWEEPS)
