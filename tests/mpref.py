@@ -32,7 +32,10 @@ by two versions of the program moved nearer to these references.
 A sweep row's reference is the fiber model of ``perfbench/oracle.py``
 (``fiber_stats`` and ``key_rate``) restated in mpmath, at the row's own
 ``delta``, ``distance_km`` and ``alpha_opt`` as the doubles the program read,
-with the default channel of ``qkdkit sweep``.
+with the default channel of ``qkdkit sweep``.  The reference of an optimized
+row's ``R`` is the maximum of that model over the intensity: the root of
+``dR/dalpha`` by ``mpmath.findroot``, which :func:`golden_max_rate` checks
+by a golden-section search at the same precision.
 """
 
 import csv
@@ -180,34 +183,82 @@ def sweep_row(delta: float, distance_km: float, alpha: float, f_ec: float) -> di
     point, and ``R``'s two terms: ``gain`` ``Q_z1 (1 - h(e_x1)) / 2`` and
     ``cost`` ``f_ec Q_z h(e_z) / 2``, so that ``R = max(0, gain - cost)``."""
     with mpmath.workdps(DIGITS):
-        delta, alpha, f_ec, e_d = (mpmath.mpf(v) for v in (delta, alpha, f_ec, DARK_COUNT))
-        t = DET_EFF * mpmath.power(10, -mpmath.mpf(ATTEN_DB_PER_KM) * distance_km / 10)
-        # single photon: the virtual states of the Z pair, whose second state
-        # is (sin, cos) of 3 delta / 4, seen in the X basis
-        sin, cos = mpmath.sin(3 * delta / 4), mpmath.cos(3 * delta / 4)
-        virtual = [(1 + sign * sin, sign * cos) for sign in (1, -1)]  # v_j, unnormalized
-        # c2[s][j] = |<s_x|v_j>|^2, with <0x| = (1, 1)/sqrt(2) and <1x| = (1, -1)/sqrt(2)
-        c2 = [[(v0 + side * v1) ** 2 / (2 * (v0 ** 2 + v1 ** 2)) for v0, v1 in virtual]
-              for side in (1, -1)]
-        y = [[t * c2[s][j] * (1 - e_d / 2) + e_d * (1 - e_d / 2) + t * c2[1 - s][j] * e_d
-              for j in (0, 1)] for s in (0, 1)]
-        e_x1 = (y[1][0] + y[0][1]) / sum(y[0] + y[1])
-        half_sin = mpmath.sin(delta / 2)
-        prior = ((1 + half_sin) / 2, (1 - half_sin) / 2)
-        q_z1 = mpmath.exp(-2 * alpha) * alpha * sum(y[s][j] * prior[j] for s in (0, 1)
-                                                    for j in (0, 1)) / 2
-        # Z basis: threshold detectors, double clicks assigned a random bit
-        signal = alpha * t
-        p00 = e_d + (1 - e_d) * -mpmath.expm1(-signal)
-        p10 = e_d
-        p01 = e_d + (1 - e_d) * -mpmath.expm1(-signal * half_sin ** 2)
-        p11 = e_d + (1 - e_d) * -mpmath.expm1(-signal * mpmath.cos(delta / 2) ** 2)
-        q_z = (p00 + p10 - p00 * p10) / 2 + (p01 + p11 - p01 * p11) / 2
-        wrong = ((1 - p00) * p10 + p00 * p10 / 2) / 2 + (p01 * (1 - p11) + p01 * p11 / 2) / 2
-        e_z = wrong / q_z
-        gain, cost = q_z1 * (1 - entropy(e_x1)) / 2, f_ec * q_z * entropy(e_z) / 2
-        return {"Q_z": q_z, "e_z": e_z, "Q_z1": q_z1, "e_x1": e_x1,
-                "R": max(gain - cost, mpmath.mpf(0)), "gain": gain, "cost": cost}
+        return _sweep_row(delta, distance_km, mpmath.mpf(alpha), f_ec)
+
+
+def _sweep_row(delta, distance_km, alpha, f_ec) -> dict:
+    """:func:`sweep_row` at the working precision, ``alpha`` an mpf."""
+    delta, f_ec, e_d = (mpmath.mpf(v) for v in (delta, f_ec, DARK_COUNT))
+    t = DET_EFF * mpmath.power(10, -mpmath.mpf(ATTEN_DB_PER_KM) * distance_km / 10)
+    # single photon: the virtual states of the Z pair, whose second state
+    # is (sin, cos) of 3 delta / 4, seen in the X basis
+    sin, cos = mpmath.sin(3 * delta / 4), mpmath.cos(3 * delta / 4)
+    virtual = [(1 + sign * sin, sign * cos) for sign in (1, -1)]  # v_j, unnormalized
+    # c2[s][j] = |<s_x|v_j>|^2, with <0x| = (1, 1)/sqrt(2) and <1x| = (1, -1)/sqrt(2)
+    c2 = [[(v0 + side * v1) ** 2 / (2 * (v0 ** 2 + v1 ** 2)) for v0, v1 in virtual]
+          for side in (1, -1)]
+    y = [[t * c2[s][j] * (1 - e_d / 2) + e_d * (1 - e_d / 2) + t * c2[1 - s][j] * e_d
+          for j in (0, 1)] for s in (0, 1)]
+    e_x1 = (y[1][0] + y[0][1]) / sum(y[0] + y[1])
+    half_sin = mpmath.sin(delta / 2)
+    prior = ((1 + half_sin) / 2, (1 - half_sin) / 2)
+    q_z1 = mpmath.exp(-2 * alpha) * alpha * sum(y[s][j] * prior[j] for s in (0, 1)
+                                                for j in (0, 1)) / 2
+    # Z basis: threshold detectors, double clicks assigned a random bit
+    signal = alpha * t
+    p00 = e_d + (1 - e_d) * -mpmath.expm1(-signal)
+    p10 = e_d
+    p01 = e_d + (1 - e_d) * -mpmath.expm1(-signal * half_sin ** 2)
+    p11 = e_d + (1 - e_d) * -mpmath.expm1(-signal * mpmath.cos(delta / 2) ** 2)
+    q_z = (p00 + p10 - p00 * p10) / 2 + (p01 + p11 - p01 * p11) / 2
+    wrong = ((1 - p00) * p10 + p00 * p10 / 2) / 2 + (p01 * (1 - p11) + p01 * p11 / 2) / 2
+    e_z = wrong / q_z
+    gain, cost = q_z1 * (1 - entropy(e_x1)) / 2, f_ec * q_z * entropy(e_z) / 2
+    return {"Q_z": q_z, "e_z": e_z, "Q_z1": q_z1, "e_x1": e_x1,
+            "R": max(gain - cost, mpmath.mpf(0)), "gain": gain, "cost": cost}
+
+
+def _unclamped_rate(delta, distance_km, f_ec):
+    """``gain - cost`` of :func:`sweep_row` as a function of an mpf intensity."""
+    def rate(alpha):
+        row = _sweep_row(delta, distance_km, alpha, f_ec)
+        return row["gain"] - row["cost"]
+    return rate
+
+
+def max_rate(delta: float, distance_km: float, f_ec: float, alpha: float,
+             bounds=(1e-4, 1.0)) -> tuple:
+    """``(alpha, R)`` at the maximum of the fiber model's rate over the
+    intensity: the root of ``dR/dalpha`` that ``mpmath.findroot`` reaches from
+    ``alpha``, which must lie strictly inside ``bounds``."""
+    with mpmath.workdps(DIGITS):
+        rate = _unclamped_rate(delta, distance_km, f_ec)
+        root = mpmath.findroot(lambda a: mpmath.diff(rate, a), mpmath.mpf(alpha))
+        assert bounds[0] < root < bounds[1], (delta, distance_km, root)
+        return root, rate(root)
+
+
+def golden_max_rate(delta: float, distance_km: float, f_ec: float, a: float,
+                    b: float) -> tuple:
+    """``(alpha, R)`` at the maximum of the fiber model's rate on ``[a, b]`` by
+    golden-section search, down to a relative width of ``1e-22``, where the
+    rate is flat to about 40 digits."""
+    with mpmath.workdps(DIGITS):
+        rate = _unclamped_rate(delta, distance_km, f_ec)
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        ratio = (mpmath.sqrt(5) - 1) / 2
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        fc, fd = rate(c), rate(d)
+        while b - a > mpmath.mpf("1e-22") * a:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - ratio * (b - a)
+                fc = rate(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + ratio * (b - a)
+                fd = rate(d)
+        return (c, fc) if fc >= fd else (d, fd)
 
 
 def sweep_rows(path, f_ec: float) -> list[tuple[dict, dict]]:
@@ -216,3 +267,11 @@ def sweep_rows(path, f_ec: float) -> list[tuple[dict, dict]]:
     rows = [{key: float(value) for key, value in row.items()} for row in _rows(path)]
     return [(row, sweep_row(row["delta"], row["distance_km"], row["alpha_opt"], f_ec))
             for row in rows]
+
+
+def sweep_maxima(path, f_ec: float) -> list[tuple[dict, tuple]]:
+    """Each row of the optimized sweep CSV at ``path`` whose ``R`` is positive,
+    its columns as floats, with :func:`max_rate` from its own ``alpha_opt``."""
+    rows = [{key: float(value) for key, value in row.items()} for row in _rows(path)]
+    return [(row, max_rate(row["delta"], row["distance_km"], f_ec, row["alpha_opt"]))
+            for row in rows if row["R"] > 0.0]

@@ -9,11 +9,14 @@ of its reference at the row's own ``alpha_opt``, counted in ulps of the
 reference, and ``R`` in ulps of the larger of its two terms.  Each
 ``virtual_yield[...]`` or ``virtual_pair_yield[...]`` line of a pinned output
 whose Z pair is canonical must lie within ``MAX_VIRTUAL_ULPS``, and its ``e_x``
-line within ``MAX_E_X_ULPS``, counted in ulps of the reference.  The bounds are
-the worst distance measured when they were set, rounded up; a change may
+line within ``MAX_E_X_ULPS``, counted in ulps of the reference.  Each ``R`` of
+an optimized pinned sweep may lie at most ``MAX_SHORTFALL`` below the
+40-digit maximum over the intensity, relative to that maximum.  The bounds
+are the worst distance measured when they were set, rounded up; a change may
 lower them, never raise them.
 """
 
+import functools
 from pathlib import Path
 
 import mpmath
@@ -34,11 +37,20 @@ MAX_E_X_ULPS = {"estimate_canonical": 1, "mdi_relay": 2, "mdi_relay_mixed_labels
 MAX_SWEEP_ULPS = {"Q_z": 8, "e_z": 6, "Q_z1": 9, "e_x1": 11, "R": 8}
 #: the pinned sweep CSVs and the f_ec each was written with
 PINNED_SWEEPS = {"sweep_default": 1.22, "sweep_three_deltas_f_ec": 1.5, "sweep_fixed_alpha": 1.22}
+#: per optimized pinned sweep, the number of rows with R > 0 and the largest
+#: shortfall allowed of their R from the maximum, relative to the maximum
+MAX_SHORTFALL = {"sweep_default": (93, 1.3e-10), "sweep_three_deltas_f_ec": (54, 2.2e-10)}
 
 
 def printed_rates(name: str) -> list[list[float]]:
     """The coefficients of each ``q[...]`` line of a pinned output, in order."""
     return mpref.printed_rates((DATA / f"{name}.out").read_text())
+
+
+@functools.cache
+def sweep_maxima(name: str) -> list:
+    """:func:`mpref.sweep_maxima` of an optimized pinned sweep, computed once."""
+    return mpref.sweep_maxima(DATA / f"{name}.csv", PINNED_SWEEPS[name])
 
 
 def ulps_off(values: list[float], exact: list, scale=None) -> float:
@@ -90,6 +102,33 @@ def test_sweep_rows_near_the_reference(name):
                      else reference[column])
             off = ulps_off([row[column]], [reference[column]], scale)
             assert off <= MAX_SWEEP_ULPS[column], (column, row["delta"], row["distance_km"])
+
+
+@pytest.mark.parametrize("name", MAX_SHORTFALL)
+def test_sweep_rates_near_their_maximum(name):
+    count, bound = MAX_SHORTFALL[name]
+    maxima = sweep_maxima(name)
+    assert len(maxima) == count
+    with mpmath.workdps(mpref.DIGITS):
+        shortfalls = [(best - mpmath.mpf(row["R"])) / best for row, (_, best) in maxima]
+    assert float(max(shortfalls)) <= bound
+
+
+@pytest.mark.parametrize("name", MAX_SHORTFALL)
+def test_maximum_agrees_with_a_golden_search(name):
+    # the first and the last row with R > 0 of each delta that has one, in a
+    # bracket of +-1% around the printed alpha_opt
+    ends = {}
+    for row, best in sweep_maxima(name):
+        ends.setdefault(row["delta"], []).append((row, best))
+    checked = [pair for block in ends.values() for pair in (block[0], block[-1])]
+    assert len(checked) == 2 * len(ends) >= 4
+    with mpmath.workdps(mpref.DIGITS):
+        for row, (alpha, rate) in checked:
+            golden = mpref.golden_max_rate(row["delta"], row["distance_km"], PINNED_SWEEPS[name],
+                                           row["alpha_opt"] * 0.99, row["alpha_opt"] * 1.01)
+            assert abs(golden[0] - alpha) <= mpmath.mpf("1e-18") * alpha
+            assert abs(golden[1] - rate) <= mpmath.mpf("1e-36") * rate
 
 
 def test_reference_tells_a_one_ulp_error():
