@@ -6,13 +6,13 @@ The rate per pulse is
 
 where ``f_ec >= 1`` multiplies the error-correction term (``f_ec = 1``
 recovers the bare formula).  The signal intensity is optimized per point
-with a deterministic coarse log-grid scan followed by golden-section
-refinement, so repeated sweeps are bit-identical.  A sweep runs that search
-over every (delta, distance) point at once, as array operations on a table
-with delta on the leading axis, with the same grid and golden-section rule at
-every point, and returns its results as columns.  Each golden step evaluates
-one new probe per point and checks it once against the best rate so far; the
-search state is updated in place.
+with a deterministic coarse log-grid scan followed by Brent's search
+(parabolic steps with a golden-section fallback) from the grid's best point
+and its two neighbours, so repeated sweeps are bit-identical.  A sweep runs
+that search over every (delta, distance) point at once, as array operations,
+with the same grid and rules at every point, each point stopping under its
+own test, and returns its results as columns.  Each step evaluates one probe
+per point; the search state is updated in place.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from .errors import ValidationError
 from .qstate import _check_real
 
 _LN2 = math.log(2.0)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # a golden-section step's shrink factor
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden step, a share of the larger side
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 DEFAULT_F_EC = 1.22
 DEFAULT_ALPHA_BOUNDS = (1e-4, 1.0)
@@ -113,17 +115,45 @@ class OptimizeResult:
     zero_rate: bool
 
 
+def _step_cap(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """The most Brent steps a search of the bracket ``[a, b]`` may take: the
+    golden-section steps that shrink it below ``2 (sqrt(eps) + tol / 3) a``,
+    twice the least ``tol1`` of any step, where Brent's stop test holds; none
+    for a bracket already that narrow."""
+    widths = np.maximum((b - a) / (2.0 * (_SQRT_EPS + tol / 3.0) * a), 1.0)
+    return np.ceil(np.log(widths) / -math.log(_GOLDEN))
+
+
+def _vertex_step(x, fx, w, fw, v, fv) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, q)`` with ``q >= 0``: ``p / q`` is the step from ``x`` to the vertex
+    of the parabola through the three points, and ``q = 0`` where there is none."""
+    r = (x - w) * (fx - fv)
+    q = (x - v) * (fx - fw)
+    p = (x - v) * q - (x - w) * r
+    q = 2.0 * (q - r)
+    return np.where(q > 0.0, -p, p), np.abs(q)
+
+
 def _optimize(rates, shape: tuple[int, ...], bounds: tuple[float, float],
               tol: float) -> tuple[np.ndarray, ...]:
     """Best intensity, rate and zero-rate flag per point of the function ``rates``:
     the search of :func:`optimize_alpha`, run for all points of ``shape`` at once
-    as array operations, each point stopping under its own width test.  The grid
-    scan runs over slices of about :data:`GRID_SCAN_SLICE` points, so its memory
-    is bounded.  The first two probes are checked against the grid maximum; each
-    golden step then evaluates one new probe and checks only that one, since the
-    kept interior point has already passed or failed the strict ``>`` test.  So
-    a search makes one grid scan, two first probes and one evaluation per step
-    (17 steps for the default sweep)."""
+    as array operations, each point stopping under its own test.  The grid scan
+    runs over slices of about :data:`GRID_SCAN_SLICE` points, so its memory is
+    bounded.
+
+    Brent's search (*Algorithms for Minimization without Derivatives*, 1973,
+    ch. 5) for a maximum then starts from the grid triple the scan has already
+    evaluated: best point ``x``, the better neighbour ``w`` and the other ``v``,
+    with the two steps before the first taken as wide as the bracket, so the
+    first parabola is tried at no extra evaluation.  Each step evaluates one
+    probe per point, ``tol1 = sqrt(eps) x + tol a / 3`` apart from ``x`` at
+    least, and ``x`` moves only where the probe's rate is ``>=`` its own.  A
+    point stops under Brent's test, or after :func:`_step_cap` steps.  A last
+    evaluation then tries the vertex of the parabola through ``x, w, v``, which
+    the ``tol1`` spacing kept untried.  So a search makes one grid scan, one
+    evaluation per step of its slowest point (6 for the default sweep) and the
+    last one."""
     lo, hi = bounds
     if not (0.0 < lo < hi < math.inf):
         raise ValidationError(
@@ -135,49 +165,78 @@ def _optimize(rates, shape: tuple[int, ...], bounds: tuple[float, float],
     if not (0.0 < tol < math.inf):
         raise ValidationError(f"alpha_tol must be finite and > 0, got {tol!r}")
     grid = np.geomspace(lo, hi, COARSE_GRID_POINTS)
-    best_idx, best_rate = np.empty((*shape, 1), dtype=np.intp), np.empty((*shape, 1))
+    last = COARSE_GRID_POINTS - 1
+    best_idx = np.empty((*shape, 1), dtype=np.intp)
+    fx, f_left, f_right = (np.empty((*shape, 1)) for _ in range(3))
     per_slice = max(1, GRID_SCAN_SLICE // max(1, math.prod(shape[:-1])))  # distances
     for start in range(0, shape[-1], per_slice):
         rows = slice(start, start + per_slice)
         grid_rates = rates(grid, rows)
-        best_idx[..., rows, :] = grid_rates.argmax(axis=-1)[..., None]  # first of equal maxima
-        best_rate[..., rows, :] = np.take_along_axis(grid_rates, best_idx[..., rows, :], axis=-1)
-    best_alpha = grid[best_idx]
-    zero_rate = best_rate <= 0.0  # rates are clamped, so these keep rate 0.0
-    a, b = grid[np.maximum(best_idx - 1, 0)], grid[np.minimum(best_idx + 1, COARSE_GRID_POINTS - 1)]
-    width = b - a
-    c, d = b - _GOLDEN * width, a + _GOLDEN * width
-    fc, fd = rates(c), rates(d)
-    for x, fx in ((c, fc), (d, fd)):
-        better = ~zero_rate & (fx > best_rate)
-        np.copyto(best_alpha, x, where=better)
-        np.copyto(best_rate, fx, where=better)
-    active = ~zero_rate & (width > tol * np.maximum(a, lo))
-    while active.any():
-        left = active & (fc >= fd)  # keep [a, d]; the old c becomes d
-        right = active & ~left  # keep [c, b]; the old d becomes c
-        # each copy reads only values not yet overwritten
-        np.copyto(a, c, where=right)
-        np.copyto(c, d, where=right)
-        np.copyto(fc, fd, where=right)
-        np.copyto(b, d, where=left)
-        np.copyto(d, c, where=left)
-        np.copyto(fd, fc, where=left)
-        span = b - a
-        probe = np.where(left, b - _GOLDEN * span, a + _GOLDEN * span)
-        f_probe = rates(probe)
-        # the kept interior point already passed or failed this test
-        better = active & (f_probe > best_rate)
-        np.copyto(best_alpha, probe, where=better)
-        np.copyto(best_rate, f_probe, where=better)
-        np.copyto(c, probe, where=left)
-        np.copyto(fc, f_probe, where=left)
-        np.copyto(d, probe, where=right)
-        np.copyto(fd, f_probe, where=right)
-        # a bracket a few ulps wide can stop shrinking before any tol below ~4e-16 is met
-        active &= (span > tol * np.maximum(a, lo)) & (span < width)
-        width = span
-    return best_alpha.ravel(), best_rate.ravel(), zero_rate.ravel()
+        idx = grid_rates.argmax(axis=-1)[..., None]  # first of equal maxima
+        best_idx[..., rows, :] = idx
+        for out, at in ((fx, idx), (f_left, np.maximum(idx - 1, 0)),
+                        (f_right, np.minimum(idx + 1, last))):
+            out[..., rows, :] = np.take_along_axis(grid_rates, at, axis=-1)
+    # the search runs on flat arrays, whose operations cost about half as much
+    best_idx, fx, f_left, f_right = (arr.ravel() for arr in (best_idx, fx, f_left, f_right))
+    x = grid[best_idx]
+    zero_rate = fx <= 0.0  # rates are clamped, so these keep rate 0.0
+    a, b = grid[np.maximum(best_idx - 1, 0)], grid[np.minimum(best_idx + 1, last)]
+    left = f_left >= f_right
+    w, fw = np.where(left, a, b), np.where(left, f_left, f_right)
+    v, fv = np.where(left, b, a), np.where(left, f_right, f_left)
+    e, d = b - a, b - a  # the step before last and the last step
+    third = tol / 3.0
+    cap = _step_cap(a, b, tol)
+    active = ~zero_rate
+    for step in range(int(cap.max(initial=0.0))):
+        middle = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * x + third * a
+        tol2 = 2.0 * tol1
+        active &= (np.abs(x - middle) > tol2 - 0.5 * (b - a)) & (step < cap)
+        if not active.any():
+            break
+        p, q = _vertex_step(x, fx, w, fw, v, fv)
+        # a parabolic step must stay in the bracket and halve the step before last
+        parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                     & (p > q * (a - x)) & (p < q * (b - x)))
+        vertex = np.divide(p, q, out=np.zeros_like(p), where=parabolic)  # q > 0 there
+        # nor land within tol2 of an end, or it moves tol1 toward the middle
+        trial = x + vertex
+        near_end = (trial - a < tol2) | (b - trial < tol2)
+        vertex = np.where(near_end, np.where(middle >= x, tol1, -tol1), vertex)
+        side = np.where(x >= middle, a - x, b - x)  # a golden step goes into the larger side
+        np.copyto(e, np.where(parabolic, d, side), where=active)
+        np.copyto(d, np.where(parabolic, vertex, _GOLDEN_STEP * side), where=active)
+        # each probe lies tol1 from x at least
+        u = np.where(active, x + np.where(np.abs(d) >= tol1, d, np.where(d >= 0.0, tol1, -tol1)),
+                     x)
+        fu = rates(u.reshape(*shape, 1)).ravel()
+        better = active & (fu >= fx)  # a NaN rate is worse
+        # the end beyond the worse of x and u, seen from the better, moves to it
+        beyond = np.where(better, x, u)
+        toward_right = better == (u >= x)
+        np.copyto(a, beyond, where=active & toward_right)
+        np.copyto(b, beyond, where=active & ~toward_right)
+        worse = active & ~better
+        to_w = worse & ((fu >= fw) | (w == x))
+        to_v = worse & ~to_w & ((fu >= fv) | (v == x) | (v == w))
+        for old, new, where in ((v, w, better | to_w), (w, x, better), (x, u, better),
+                                (w, u, to_w), (v, u, to_v)):
+            np.copyto(old, new, where=where)
+        for old, new, where in ((fv, fw, better | to_w), (fw, fx, better), (fx, fu, better),
+                                (fw, fu, to_w), (fv, fu, to_v)):
+            np.copyto(old, new, where=where)
+    p, q = _vertex_step(x, fx, w, fw, v, fv)
+    inside = ~zero_rate & (q > 0.0)
+    u = x + np.divide(p, q, out=np.zeros_like(p), where=inside)
+    inside &= (a < u) & (u < b)
+    u = np.where(inside, u, x)
+    fu = rates(u.reshape(*shape, 1)).ravel()
+    better = inside & (fu >= fx)
+    np.copyto(x, u, where=better)
+    np.copyto(fx, fu, where=better)
+    return x, fx, zero_rate
 
 
 def optimize_alpha(
@@ -189,10 +248,12 @@ def optimize_alpha(
     """Maximize the key rate over the signal intensity.
 
     Scans a 64-point logarithmic grid over ``bounds``, then refines the
-    bracketing interval around the grid argmax by golden-section search to a
-    relative width of ``tol``.  The returned rate is never below any coarse
-    grid value.  ``params.alpha`` is ignored.  This is the one-point case of
-    the search :func:`sweep` runs over all of its points at once.
+    bracket of the grid argmax's two neighbours by Brent's search to a relative
+    intensity tolerance of about ``tol``, and tries the vertex of the parabola
+    through the three best points once more.  The returned rate is never
+    below any coarse grid value.  ``params.alpha`` is ignored.  This is the
+    one-point case of the search :func:`sweep` runs over all of its points at
+    once.
 
     Returns:
         zero_rate is True when the rate is non-positive on the whole grid;

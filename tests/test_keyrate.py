@@ -1,7 +1,10 @@
+import csv
 import hashlib
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +31,11 @@ from qkdkit.keyrate import (
 
 import mpref
 
+DATA = Path(__file__).parent / "data"
 DEFAULTS = ChannelParams()
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 def reference_rates(params, alphas, f_ec):
@@ -43,44 +49,98 @@ def reference_rates(params, alphas, f_ec):
     return np.maximum(rate, 0.0)
 
 
-def reference_optimize(params, bounds=(1e-4, 1.0), tol=1e-4, f_ec=1.22):
-    """Scalar grid scan plus golden-section search: the optimizer's specification.
+def vertex_step(x, fx, w, fw, v, fv):
+    """``(p, q)`` with ``q >= 0``: ``p / q`` is the step from ``x`` to the vertex
+    of the parabola through the three points; ``q = 0`` where there is none."""
+    r = (x - w) * (fx - fv)
+    q = (x - v) * (fx - fw)
+    p = (x - v) * q - (x - w) * r
+    q = 2.0 * (q - r)
+    return (-p if q > 0.0 else p), abs(q)
 
-    Returns ``(alpha, rate, zero_rate)``.
+
+def step_cap(a, b, tol):
+    """The golden-section steps that shrink ``[a, b]`` below twice the least tol1."""
+    widths = max((b - a) / (2.0 * (SQRT_EPS + tol / 3.0) * a), 1.0)
+    return math.ceil(math.log(widths) / -math.log(GOLDEN))
+
+
+def reference_optimize(params, bounds=(1e-4, 1.0), tol=1e-4, f_ec=1.22, ends=None, rate=None):
+    """Scalar grid scan, Brent's search for a maximum and one last parabolic
+    step: the optimizer's specification.
+
+    ``rate`` maps an array of intensities to their rates, by default
+    :func:`reference_rates` of ``params``.  Returns ``(alpha, rate, zero_rate)``;
+    ``ends``, a Counter, counts how each search ended: ``"test"`` (Brent's
+    stop test), ``"cap"`` (the step cap) or ``"zero_rate"``.
     """
+    if rate is None:
+        def rate(alphas):
+            return reference_rates(params, alphas, f_ec)
+    ends = Counter() if ends is None else ends
     lo, hi = bounds
     grid = np.geomspace(lo, hi, COARSE_GRID_POINTS)
-    rates = reference_rates(params, grid, f_ec)
+    rates = rate(grid).tolist()
     i = int(np.argmax(rates))
     if rates[i] <= 0.0:
+        ends["zero_rate"] += 1
         return float(grid[i]), 0.0, True
 
     def rate_at(alpha):
-        return float(reference_rates(params, np.array([alpha]), f_ec)[0])
+        return float(rate(np.array([alpha]))[0])
 
-    best_alpha, best_rate = float(grid[i]), float(rates[i])
-    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, COARSE_GRID_POINTS - 1)])
-    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
-    fc, fd = rate_at(c), rate_at(d)
-    shrinking = True
-    while shrinking and (b - a) > tol * max(a, lo):
-        for x, fx in ((c, fc), (d, fd)):
-            if fx > best_rate:
-                best_alpha, best_rate = x, fx
-        width = b - a
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = rate_at(c)
+    left, right = max(i - 1, 0), min(i + 1, COARSE_GRID_POINTS - 1)
+    a, b = float(grid[left]), float(grid[right])
+    x, fx = float(grid[i]), rates[i]
+    # w is the second best point, v the third
+    (w, fw), (v, fv) = (a, rates[left]), (b, rates[right])
+    if fw < fv:
+        (w, fw), (v, fv) = (v, fv), (w, fw)
+    e = d = b - a  # the step before last and the last step, as wide as the bracket
+    cap, steps = step_cap(a, b, tol), 0
+    while True:
+        middle = 0.5 * (a + b)
+        tol1 = SQRT_EPS * x + tol / 3.0 * a
+        tol2 = 2.0 * tol1
+        if abs(x - middle) <= tol2 - 0.5 * (b - a):
+            ends["test"] += 1
+            break
+        if steps == cap:
+            ends["cap"] += 1
+            break
+        p, q = vertex_step(x, fx, w, fw, v, fv)
+        if abs(e) > tol1 and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q  # parabolic
+            if x + d - a < tol2 or b - (x + d) < tol2:
+                d = tol1 if middle >= x else -tol1
+        else:  # golden, into the larger side
+            e = a - x if x >= middle else b - x
+            d = GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol1 else tol1 if d >= 0.0 else -tol1)
+        fu = rate_at(u)
+        steps += 1
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = rate_at(d)
-        shrinking = (b - a) < width  # a bracket a few ulps wide can stop shrinking
-    for x, fx in ((c, fc), (d, fd)):
-        if fx > best_rate:
-            best_alpha, best_rate = x, fx
-    return best_alpha, best_rate, False
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    p, q = vertex_step(x, fx, w, fw, v, fv)
+    if q > 0.0 and a < x + p / q < b:
+        u = x + p / q
+        fu = rate_at(u)
+        if fu >= fx:
+            x, fx = u, fu
+    return x, fx, False
 
 
 class TestBinaryEntropy:
@@ -239,10 +299,12 @@ class TestOptimizeAlpha:
         assert result.alpha > 0.0
 
     def test_regression_locked_fifty_km(self):
+        # the 40-digit maximum of tests/mpref.py lies at alpha 0.4999658506852394,
+        # R 6.141594789681028e-4
         result = optimize_alpha(DEFAULTS.at(distance_km=50.0, delta=0.0), f_ec=1.22)
         assert result.rate > 0.0
-        assert abs(result.rate - 6.141594789602746e-4) <= 1e-12
-        assert abs(result.alpha - 0.4999633275718594) <= 1e-12
+        assert abs(result.rate - 6.14159478968103e-4) <= 1e-12
+        assert abs(result.alpha - 0.49996585084921785) <= 1e-12
 
     def test_bounds_validation(self):
         with pytest.raises(ValidationError):
@@ -252,7 +314,7 @@ class TestOptimizeAlpha:
 # (distances, bounds, tol, f_ec): defaults; a tighter interval, tolerance and
 # f_ec; optima on the upper bound (alpha_max 0.05) and on the lower bound
 # (alpha_min 0.6); a tolerance the first bracket already meets; a tolerance below
-# float resolution, where the bracket stops shrinking; 500 km has no key
+# float resolution, where sqrt(eps) x sets tol1; 500 km has no key
 SEARCH_CASES = [
     ([0.0, 1e-9, 37.5, 100.0, 149.5, 500.0], (1e-4, 1.0), 1e-4, 1.22),
     ([0.0, 60.0, 130.0, 250.0], (1e-3, 0.3), 1e-7, 1.0),
@@ -266,8 +328,17 @@ SEARCH_CASES = [
 SEARCH_DELTAS = [0.0, 0.063, 0.126, 0.5]
 
 
+def least_cap(bounds=(1e-4, 1.0), tol=1e-4):
+    """The least step cap of any grid point's bracket."""
+    grid = np.geomspace(*bounds, COARSE_GRID_POINTS).tolist()
+    return min(step_cap(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], tol)
+               for i in range(len(grid)))
+
+
 class TestBatchedOptimizer:
-    """The batched search equals the scalar specification bit for bit."""
+    """The batched search equals the scalar specification bit for bit, and no
+    search of these cases, the pinned sweeps or the property's examples ends
+    at the step cap."""
 
     @pytest.mark.parametrize("delta", SEARCH_DELTAS)
     @pytest.mark.parametrize("distances,bounds,tol,f_ec", SEARCH_CASES)
@@ -276,12 +347,14 @@ class TestBatchedOptimizer:
         table = sweep(distances, SEARCH_DELTAS, DEFAULTS, f_ec=f_ec, bounds=bounds, tol=tol)
         block = table.delta == delta
         assert table.distance_km[block].tolist() == distances
+        ends = Counter()
         for distance, alpha_opt, rate in zip(distances, table.alpha_opt[block], table.rate[block]):
             params = DEFAULTS.at(distance_km=distance, delta=delta)
-            alpha, rate_ref, zero_rate = reference_optimize(params, bounds, tol, f_ec)
+            alpha, rate_ref, zero_rate = reference_optimize(params, bounds, tol, f_ec, ends)
             result = optimize_alpha(params, bounds=bounds, tol=tol, f_ec=f_ec)
             assert (result.alpha, result.rate, result.zero_rate) == (alpha, rate_ref, zero_rate)
             assert (alpha_opt, rate) == (alpha, rate_ref)
+        assert ends["cap"] == 0 and ends.total() == len(distances)
 
     @settings(max_examples=50, deadline=None)
     @given(lo=st.floats(-6.0, 0.0), decades=st.floats(0.05, 4.0), tol=st.floats(-17.0, -0.5),
@@ -295,12 +368,28 @@ class TestBatchedOptimizer:
         table = sweep(distances, deltas, params, f_ec=f_ec, bounds=bounds, tol=tol)
         points = [(delta, distance) for delta in deltas for distance in distances]
         assert list(zip(table.delta.tolist(), table.distance_km.tolist())) == points
+        ends = Counter()
         for (delta, distance), alpha_opt, rate in zip(points, table.alpha_opt, table.rate):
             point = params.at(distance_km=distance, delta=delta)
-            alpha, rate_ref, zero_rate = reference_optimize(point, bounds, tol, f_ec)
+            alpha, rate_ref, zero_rate = reference_optimize(point, bounds, tol, f_ec, ends)
             result = optimize_alpha(point, bounds=bounds, tol=tol, f_ec=f_ec)
             assert (result.alpha, result.rate, result.zero_rate) == (alpha, rate_ref, zero_rate)
             assert (alpha_opt, rate) == (alpha, rate_ref)
+        assert ends["cap"] == 0
+
+    @pytest.mark.parametrize("name, f_ec", [("sweep_default.csv", 1.22),
+                                            ("sweep_three_deltas_f_ec.csv", 1.5)])
+    def test_pinned_sweeps_match_reference(self, name, f_ec):
+        # each row of a pinned optimized sweep is its own scalar search's result
+        with open(DATA / name, newline="", encoding="utf-8") as handle:
+            table = [{key: float(value) for key, value in row.items()}
+                     for row in csv.DictReader(handle)]
+        ends = Counter()
+        for row in table:
+            params = DEFAULTS.at(distance_km=row["distance_km"], delta=row["delta"])
+            alpha, rate, _ = reference_optimize(params, f_ec=f_ec, ends=ends)
+            assert (alpha, rate) == (row["alpha_opt"], row["R"])
+        assert ends["cap"] == 0 and ends["test"] == sum(row["R"] > 0.0 for row in table) > 50
 
     def test_cases_reach_bounds_and_zero_rate(self):
         # guards SEARCH_CASES: they must keep covering the edge cases they name
@@ -311,29 +400,31 @@ class TestBatchedOptimizer:
         assert upper[0] > 0.05 * (1.0 - 1e-3) and lower[0] < 0.6 * (1.0 + 1e-4)
 
 
+@pytest.fixture
+def counts(monkeypatch):
+    """The number of calls of each rate function ``_rate_function`` returns."""
+    counts = []
+    rate_function = keyrate._rate_function
+
+    def counting(*args):
+        rates, shape = rate_function(*args)
+        counts.append(0)
+        index = len(counts) - 1
+
+        def counted(*rate_args):
+            counts[index] += 1
+            return rates(*rate_args)
+
+        return counted, shape
+
+    monkeypatch.setattr(keyrate, "_rate_function", counting)
+    return counts
+
+
 class TestRateEvaluations:
-    """Each search makes 20 rate evaluations: the grid scan, the first two
-    probes and one new probe per golden step (17 at the default tol)."""
-
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        """The number of calls of each rate function ``_rate_function`` returns."""
-        counts = []
-        rate_function = keyrate._rate_function
-
-        def counting(*args):
-            rates, shape = rate_function(*args)
-            counts.append(0)
-            index = len(counts) - 1
-
-            def counted(*rate_args):
-                counts[index] += 1
-                return rates(*rate_args)
-
-            return counted, shape
-
-        monkeypatch.setattr(keyrate, "_rate_function", counting)
-        return counts
+    """Each search makes 8 rate evaluations: the grid scan, one per Brent step
+    of its slowest point (6) and the last parabolic step.  The search is meant
+    to need at most 10, and its 6 steps stay below every point's step cap."""
 
     # the three calls of a sweep_dense round: 100 distances each, three deltas
     @pytest.mark.parametrize("distance", ["0.0:148.5:1.5", "0.5:149.0:1.5", "1.0:149.5:1.5"])
@@ -341,17 +432,70 @@ class TestRateEvaluations:
         out = tmp_path / "dense.csv"
         assert cli.main(["sweep", "--optimize", "--distance", distance, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 301
-        assert counts == [20]
+        assert counts[0] <= 10
+        assert counts == [8] and counts[0] - 2 < least_cap() == 17
 
     def test_default_sweep(self, tmp_path, counts):
         assert cli.main(["sweep", "--out", str(tmp_path / "default.csv")]) == 0
-        assert counts == [20]
+        assert counts == [8]
 
     def test_optimize_alpha(self, counts):
         optimize_alpha(DEFAULTS.at(distance_km=50.0))
-        assert counts == [20]
+        assert counts == [8]
 
 
+class TestStepCap:
+    """Brent's loop ends by construction, after at most ``step_cap`` steps: the
+    golden-section steps that shrink the first bracket below twice the least
+    tol1.  Each search here runs ``optimize_alpha`` on a substituted rate
+    function, and equals the specification on that function."""
+
+    GRID = np.geomspace(1e-4, 1.0, COARSE_GRID_POINTS)
+
+    def search(self, monkeypatch, rate):
+        """``(result, rate evaluations, step cap, ends)`` of ``optimize_alpha``
+        with ``rate`` for the key rate over an array of intensities."""
+        calls = []
+
+        def rates(alpha, rows=slice(None)):
+            calls.append(alpha)
+            return np.reshape(rate(np.asarray(alpha, dtype=float)), (1, -1))
+
+        monkeypatch.setattr(keyrate, "_rate_function", lambda *args: (rates, (1,)))
+        result = optimize_alpha(DEFAULTS)
+        ends = Counter()
+        assert (result.alpha, result.rate, result.zero_rate) == reference_optimize(
+            DEFAULTS, ends=ends, rate=rate)
+        i = int(np.argmax(rate(self.GRID)))
+        grid = self.GRID.tolist()
+        cap = step_cap(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], 1e-4)
+        return result, len(calls), cap, ends
+
+    def test_constant_rate_ends_within_the_cap(self, monkeypatch):
+        # every probe ties, so x moves each golden step; the grid maximum is the first point
+        result, calls, cap, ends = self.search(monkeypatch, lambda al: np.full(al.shape, 1e-3))
+        assert ends == {"test": 1} and calls <= cap + 2
+        assert result.rate == 1e-3 and self.GRID[0] <= result.alpha <= self.GRID[1]
+
+    def test_nan_off_the_grid_ends_within_the_cap(self, monkeypatch):
+        # no probe passes >=, so the grid maximum is returned as it is
+        def rate(al):
+            peak = 1e-3 * np.exp(-np.log(al / 0.3) ** 2)
+            return np.where(np.isin(al, self.GRID), peak, np.nan)
+
+        result, calls, cap, ends = self.search(monkeypatch, rate)
+        i = int(np.argmax(rate(self.GRID)))
+        assert ends == {"test": 1} and calls <= cap + 2
+        assert (result.alpha, result.rate) == (self.GRID[i], rate(self.GRID)[i])
+
+    def test_sawtooth_rate_reaches_the_cap(self, monkeypatch):
+        # a rate with a tooth every 1/1066 of intensity defeats the parabolas
+        def rate(al):
+            return (1066.0 * al) % 1.0
+
+        result, calls, cap, ends = self.search(monkeypatch, rate)
+        assert ends == {"cap": 1} and calls == cap + 2 == 20
+        assert result.rate >= rate(self.GRID).max()
 def rows(table):
     """The rows of a sweep table as tuples of the bytes of each cell."""
     columns = [getattr(table, f.name) for f in fields(table)]
