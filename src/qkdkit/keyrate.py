@@ -119,8 +119,11 @@ def _step_cap(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """The most Brent steps a search of the bracket ``[a, b]`` may take: the
     golden-section steps that shrink it below ``2 (sqrt(eps) + tol / 3) a``,
     twice the least ``tol1`` of any step, where Brent's stop test holds; none
-    for a bracket already that narrow."""
-    widths = np.maximum((b - a) / (2.0 * (_SQRT_EPS + tol / 3.0) * a), 1.0)
+    for a bracket already that narrow, and at most 1475 where ``a`` is so
+    small that the ratio overflows."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        widths = (b - a) / (2.0 * (_SQRT_EPS + tol / 3.0) * a)
+    widths = np.fmin(np.fmax(widths, 1.0), np.finfo(float).max)  # a NaN ratio reads 1
     return np.ceil(np.log(widths) / -math.log(_GOLDEN))
 
 
@@ -221,12 +224,12 @@ def _optimize(rates, shape: tuple[int, ...], bounds: tuple[float, float],
         worse = active & ~better
         to_w = worse & ((fu >= fw) | (w == x))
         to_v = worse & ~to_w & ((fu >= fv) | (v == x) | (v == w))
-        for old, new, where in ((v, w, better | to_w), (w, x, better), (x, u, better),
-                                (w, u, to_w), (v, u, to_v)):
+        # each copy reads only values not yet overwritten
+        for (old, f_old), (new, f_new), where in (
+                ((v, fv), (w, fw), better | to_w), ((w, fw), (x, fx), better),
+                ((x, fx), (u, fu), better), ((w, fw), (u, fu), to_w), ((v, fv), (u, fu), to_v)):
             np.copyto(old, new, where=where)
-        for old, new, where in ((fv, fw, better | to_w), (fw, fx, better), (fx, fu, better),
-                                (fw, fu, to_w), (fv, fu, to_v)):
-            np.copyto(old, new, where=where)
+            np.copyto(f_old, f_new, where=where)
     p, q = _vertex_step(x, fx, w, fw, v, fv)
     inside = ~zero_rate & (q > 0.0)
     u = x + np.divide(p, q, out=np.zeros_like(p), where=inside)

@@ -488,6 +488,14 @@ class TestStepCap:
         assert ends == {"test": 1} and calls <= cap + 2
         assert (result.alpha, result.rate) == (self.GRID[i], rate(self.GRID)[i])
 
+    def test_cap_is_finite_for_a_subnormal_alpha_min(self):
+        # the cap's width ratio overflows there (alpha_min = 5e-324 was found by
+        # the argv fuzz property); no warning escapes, and the search still runs
+        caps = keyrate._step_cap(np.array([5e-324, 0.5]), np.array([1.0, 0.5]), 1e-4)
+        assert caps.tolist() == [1475.0, 0.0]
+        table = sweep([0.0, 50.0], [0.0], DEFAULTS, bounds=(5e-324, 1.0))
+        assert (table.rate > 0.0).all()
+
     def test_sawtooth_rate_reaches_the_cap(self, monkeypatch):
         # a rate with a tooth every 1/1066 of intensity defeats the parabolas
         def rate(al):
