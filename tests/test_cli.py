@@ -743,6 +743,25 @@ class TestEstimateCommand:
         assert cli.main(["estimate", str(path)]) == 2
         assert "ill-posed" in capsys.readouterr().err
 
+    def test_rank_deficient_condition_number_printed(self, tmp_path, capsys):
+        # the third source is nearly mixed, so the design's smallest singular
+        # value is tiny but not zero; the printed ratio is its own smax / smin
+        w = 1.0 / 6.0
+        sources = (("a", "0.0", "1.0"), ("b", "0.0", "-1.0"), ("c", "1e-10", "0.0"))
+        rows = [[label, "x", s, repr(w * 0.4), repr(w), px, "0.0", pz]
+                for label, px, pz in sources for s in (0, 1)]
+        path = tmp_path / "nearly_collinear.csv"
+        write_yield_csv(path, rows, extra_cols=("px", "py", "pz"))
+        assert cli.main(["estimate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: sources are ill-posed (rank-deficient)\n"
+        singular = np.linalg.svd(np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [1.0, 1e-10, 0.0]]),
+                                 compute_uv=False)
+        name, value = out.strip().split(": ")
+        assert name == "condition_number"
+        assert float(value) > 1e9
+        assert abs(float(value) / (singular[0] / singular[-1]) - 1.0) <= 1e-6
+
     def test_huge_bloch_component_exits_one(self, tmp_path, capsys):
         w = 1.0 / 6.0
         sources = (("a", "0.0", "1.0"), ("b", "0.0", "-1.0"), ("c", "1e200", "0.0"))
@@ -948,6 +967,20 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--pulses", "100", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: cannot rename to {out}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("offset, z_score", [(0.0, "0"), (0.01, "inf")])
+    def test_zero_std_err_z_score(self, monkeypatch, capsys, offset, z_score):
+        # an estimate without spread reads 0 on the analytic value and inf off it
+        argv = ["simulate", "--pulses", "2000", "--seed", "5", "--distance", "50:50:1"]
+        assert cli.main(argv) == 0
+        report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        e_x = float(report["e_x_analytic"]) + offset
+        monkeypatch.setattr(montecarlo, "estimate_from_trial",
+                            lambda trial, sources: montecarlo.TrialEstimate(e_x=e_x, std_err=0.0))
+        assert cli.main(argv) == 0
+        report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        assert (report["std_err"], report["e_x_estimate"]) == ("0", format(e_x, ".17g"))
+        assert report["z_score"] == z_score
 
     def test_zero_pulses_rejected(self, capsys):
         assert cli.main(["simulate", "--pulses", "0"]) == 1

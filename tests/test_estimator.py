@@ -754,6 +754,15 @@ UNLABELLED_X = SourceSet((("0z", basis_state("0z"), 1 / 3), ("1z", basis_state("
                           ("a", basis_state("0x"), 1 / 3)))
 
 
+def test_conclusive_total_between_the_two_caps_rejected():
+    # each yield lies below prior * basis_prob = 0.25 but their total 0.3 does
+    # not; prior / basis_prob = 1.0 would let it pass
+    with pytest.raises(ValidationError,
+                       match=r"^conclusive yields for \(x, 0z\) exceed the prior weight$"):
+        YieldTable({("x", 0, "0z"): 0.15, ("x", 1, "0z"): 0.15}, {"0z": 0.5, "1z": 0.5},
+                   {"x": 0.5})
+
+
 class TestEveryRejection:
     """Each rejection of the estimator's inputs, with its class and its exact message."""
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
@@ -309,6 +310,18 @@ class TestOptimizeAlpha:
     def test_bounds_validation(self):
         with pytest.raises(ValidationError):
             optimize_alpha(DEFAULTS, bounds=(0.5, 0.1))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(bounds=(0.0, 1.0)),
+         "alpha bounds must satisfy 0 < alpha_min < alpha_max < inf, got (0.0, 1.0)"),
+        (dict(tol=math.inf), "alpha_tol must be finite and > 0, got inf"),
+    ])
+    def test_bound_edges_rejected(self, kwargs, message):
+        # alpha_min = 0 and alpha_tol = inf sit on the edges of their checks
+        for call in (lambda: optimize_alpha(DEFAULTS, **kwargs),
+                     lambda: sweep([10.0], [0.0], DEFAULTS, **kwargs)):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 # (distances, bounds, tol, f_ec): defaults; a tighter interval, tolerance and
