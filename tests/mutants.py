@@ -137,8 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{target}: {len(every)} sites, {len(chosen)} sampled (seed {args.seed}); "
           f"tests: {' '.join(tests)}", flush=True)
     counts = dict.fromkeys(("killed", "survived", "hung"), 0)
-    with tempfile.TemporaryDirectory() as scratch:
-        copy = Path(scratch) / "repo"
+    with tempfile.TemporaryDirectory() as temp:
+        copy = Path(temp) / "repo"
         shutil.copytree(root, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", "out", ".work"))
         for site in chosen:
