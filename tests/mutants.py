@@ -11,7 +11,7 @@ drawn with ``random.Random(seed)`` from all of them, in source order.  The
 repository is copied once to a temporary directory; each mutant is written
 into the copy in turn, and the module's test files run there with pytest,
 stopping at the first failure, with criterion 6b deselected by its node id
-(it fails by design).  A run still going after ``--timeout`` seconds (90) is
+(it fails by design).  A run still going after ``TIMEOUT`` seconds is
 stopped.
 
 A mutant is *killed* when the run fails, *survived* when it passes, and
@@ -20,8 +20,8 @@ source, then the counts.
 
 The module's test files are ``tests/test_MODULE.py``, ``tests/test_acceptance.py``
 (which reaches every module through ``qkdkit``) and every other test file that
-imports the module by name; ``--tests`` names others instead.  ``--root``
-runs on another checkout of the repository.
+imports the module by name.  The script mutates the checkout it lies in; to
+sample another commit, copy it into that commit's ``tests``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DESELECT = "tests/test_acceptance.py::test_criterion_6b_modulation_error_rate_ratio"
+TIMEOUT = 90.0  # seconds per pytest run
 #: each operator's symbol and the symbol it is flipped to
 FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
          ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="), ast.Add: ("+", "-"),
@@ -102,7 +103,7 @@ def test_files(root: Path, module: str) -> list[str]:
     return sorted(name for name in files if (root / name).exists())
 
 
-def run(copy: Path, tests: list[str], timeout: float) -> str:
+def run(copy: Path, tests: list[str]) -> str:
     """``killed``, ``survived`` or ``hung``: pytest on ``tests`` in ``copy``."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -110,7 +111,7 @@ def run(copy: Path, tests: list[str], timeout: float) -> str:
     with subprocess.Popen(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, start_new_session=True) as process:
         try:
-            code = process.wait(timeout=timeout)
+            code = process.wait(timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             os.killpg(process.pid, signal.SIGKILL)
             process.wait()
@@ -123,28 +124,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", help="a module of src/qkdkit, such as keyrate")
     parser.add_argument("--sample", type=int, default=20, help="mutants to run (20)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the sample (0)")
-    parser.add_argument("--timeout", type=float, default=90.0, help="seconds per run (90)")
-    parser.add_argument("--tests", nargs="+", help="test files to run, relative to the root")
-    parser.add_argument("--root", type=Path, default=ROOT, help="the repository to mutate")
     args = parser.parse_args(argv)
-    root = args.root.resolve()
     target = Path("src", "qkdkit", f"{args.module}.py")
-    source = (root / target).read_text(encoding="utf-8")
+    source = (ROOT / target).read_text(encoding="utf-8")
     every = sites(source)
     chosen = sorted(random.Random(args.seed).sample(every, min(args.sample, len(every))),
                     key=lambda site: (site.line, site.col))
-    tests = args.tests or test_files(root, args.module)
+    tests = test_files(ROOT, args.module)
     print(f"{target}: {len(every)} sites, {len(chosen)} sampled (seed {args.seed}); "
           f"tests: {' '.join(tests)}", flush=True)
     counts = dict.fromkeys(("killed", "survived", "hung"), 0)
     with tempfile.TemporaryDirectory() as temp:
         copy = Path(temp) / "repo"
-        shutil.copytree(root, copy, ignore=shutil.ignore_patterns(
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", "out", ".work"))
         for site in chosen:
             mutated = site.apply(source)
             (copy / target).write_text(mutated, encoding="utf-8")
-            outcome = run(copy, tests, args.timeout)
+            outcome = run(copy, tests)
             counts[outcome] += 1
             line = mutated.splitlines()[site.line - 1].strip()
             print(f"{outcome:8} {target.name}:{site.line} {site.symbol} -> {site.flipped}: {line}",

@@ -445,7 +445,6 @@ class TestRateEvaluations:
         out = tmp_path / "dense.csv"
         assert cli.main(["sweep", "--optimize", "--distance", distance, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 301
-        assert counts[0] <= 10
         assert counts == [8] and counts[0] - 2 < least_cap() == 17
 
     def test_default_sweep(self, tmp_path, counts):
@@ -517,6 +516,8 @@ class TestStepCap:
         result, calls, cap, ends = self.search(monkeypatch, rate)
         assert ends == {"cap": 1} and calls == cap + 2 == 20
         assert result.rate >= rate(self.GRID).max()
+
+
 def rows(table):
     """The rows of a sweep table as tuples of the bytes of each cell."""
     columns = [getattr(table, f.name) for f in fields(table)]

@@ -34,10 +34,7 @@ MAX_ULPS = {"estimate_canonical": 4, "estimate_planar": 3, "estimate_four_state"
 MAX_VIRTUAL_ULPS = {"estimate_canonical": 6, "mdi_relay": 5, "mdi_relay_mixed_labels": 5}
 MAX_E_X_ULPS = {"estimate_canonical": 1, "mdi_relay": 2, "mdi_relay_mixed_labels": 2}
 #: per sweep column, the largest distance allowed over the pinned sweep CSVs, in ulps
-#: (R's bound was raised from 8 when the intensity search moved every
-#: alpha_opt: the unchanged rate function errs by more than 8 ulps at about a
-#: fifth of the intensities near an optimum, up to 11.85 at 55 km, delta 0.063)
-MAX_SWEEP_ULPS = {"Q_z": 8, "e_z": 6, "Q_z1": 9, "e_x1": 11, "R": 10}
+MAX_SWEEP_ULPS = {"Q_z": 8, "e_z": 6, "Q_z1": 9, "e_x1": 11, "R": 8}
 #: the pinned sweep CSVs and the f_ec each was written with
 PINNED_SWEEPS = {"sweep_default": 1.22, "sweep_three_deltas_f_ec": 1.5, "sweep_fixed_alpha": 1.22}
 #: per optimized pinned sweep, the number of rows with R > 0 and the largest
