@@ -13,9 +13,8 @@ by ``--config``; any of their flags overrides the file.  All outputs are
 deterministic functions of the configuration (plus seed) and are written
 atomically with 17 significant digits so reruns are byte-identical.
 
-Input CSVs are read once each, column by column, from one schema table per
-kind (``_CSV_SCHEMAS``); of several faults, the one a row-by-row reader
-would meet first is reported.
+Input CSVs are read once each, then converted row by row: of several
+faults, the first one met is reported.
 
 Exit codes: 0 success, 1 validation or I/O error, 2 ill-posed sources,
 3 undefined rate.
@@ -47,7 +46,6 @@ from .qstate import (
     PLANAR_AXES,
     THREE_STATE_LABELS,
     BlochVector,
-    QubitState,
     SourceSet,
     VirtualEnsemble,
     basis_state,
@@ -61,37 +59,20 @@ from .estimator import YieldTable
 
 if TYPE_CHECKING:
     import argparse
-    from collections.abc import Callable
 
     from .channel import ChannelParams
 
 SWEEP_HEADER = ("delta", "distance_km", "alpha_opt", "Q_z", "e_z", "Q_z1", "e_x1", "R")
 
 
-class _Column(NamedTuple):
-    """A CSV column: its name, its cells' type (``str``, ``int`` or finite ``float``),
-    whether every file has it and, for one read only beside ``beside``, a blank cell's value."""
-
-    name: str
-    kind: type
-    required: bool = True
-    default: float | None = None
-    beside: str | None = None
-
-
-#: each CSV kind's columns by name, the required ones in the order messages list them
-_CSV_SCHEMAS = {kind: {c.name: c for c in columns} for kind, columns in {
-    "counts": (_Column("label", str), _Column("basis", str), _Column("outcome", str),
-               _Column("count", int)),
-    "yield": (_Column("basis", str), _Column("label", str), _Column("outcome", int),
-              _Column("prior", float), _Column("probability", float),
-              _Column("px", float, False),  # blank: the label's canonical state
-              *(_Column(name, float, False, 0.0, "px") for name in ("py", "pz"))),
-    "pair-yield": (_Column("label_a", str), _Column("label_b", str), _Column("prior", float),
-                   _Column("probability", float)),
-}.items()}
-CSV_COLUMNS = {kind: tuple(name for name, c in columns.items() if c.required)
-               for kind, columns in _CSV_SCHEMAS.items()}
+#: each CSV kind's required columns, in the order messages list them
+CSV_COLUMNS = {
+    "counts": ("label", "basis", "outcome", "count"),
+    "yield": ("basis", "label", "outcome", "prior", "probability"),
+    "pair-yield": ("label_a", "label_b", "prior", "probability"),
+}
+#: a yield CSV's optional Bloch columns; ``py`` and ``pz`` come only beside ``px``
+_BLOCH_COLUMNS = ("px", "py", "pz")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -127,12 +108,13 @@ class RunConfig:
     pulses: int = 1_000_000
     out: str | None = None
 
-    def __post_init__(self) -> None:
-        for name in _DISTANCE_FIELDS:
+    def check_distances(self, names: tuple[str, ...] = _DISTANCE_FIELDS) -> None:
+        """Refuse a non-finite field of ``names``, then a ``distance_step`` <= 0 if named."""
+        for name in names:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValidationError(f"invalid field {name}: must be finite, got {value!r}")
-        if self.distance_step <= 0.0:
+        if "distance_step" in names and self.distance_step <= 0.0:
             raise ValidationError("invalid field distance_step: must be > 0")
 
     def distances(self) -> list[float]:
@@ -255,6 +237,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def cmd_sweep(config: RunConfig) -> int:
+    config.check_distances()
     if config.out is None:
         raise ValidationError("invalid field out: sweep requires an output path")
     from . import keyrate
@@ -275,61 +258,14 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 class _Records(NamedTuple):
-    """A CSV file's kind, its schema columns' cells and each record's row number."""
+    """A CSV file's kind, the index of each of its kind's columns that it has, its
+    records (short ones padded with blank cells) and each record's row number."""
 
     path: str
     kind: str
-    cells: dict[str, tuple[str, ...]]
+    index: dict[str, int]
+    rows: list[list[str]]
     lines: list[int]
-
-    def columns(self, names: tuple[str, ...], rows: list[int] | None = None) -> tuple[list, list]:
-        """The columns ``names`` at ``rows`` (default every row), each as its type
-        with a blank cell as its default, and each one's first bad cell as a fault
-        ``(row, message)`` or None; a column's values stop at its bad cell."""
-        schema, values = _CSV_SCHEMAS[self.kind], []
-        try:
-            for name in names:
-                kind, default = schema[name].kind, schema[name].default
-                cells = self.cells.get(name)
-                if cells is None:  # py or pz, which the file leaves out
-                    column = [default] * len(rows)
-                else:
-                    if rows is not None:
-                        cells = map(cells.__getitem__, rows)
-                    column = ([raw.strip() or None for raw in cells] if kind is str
-                              else [kind(raw.strip() or default) for raw in cells])
-                if None in column if kind is str else (
-                        kind is float and not all(map(math.isfinite, column))):
-                    break
-                values.append(column)
-            else:
-                return values, [None] * len(names)
-        except (TypeError, ValueError):
-            pass
-        return tuple(zip(*(self._first_bad(name, rows) for name in names)))
-
-    def _first_bad(self, name: str, rows: list[int] | None) -> tuple[list, tuple | None]:
-        """Column ``name`` at ``rows`` tested cell by cell, as a row-by-row reader
-        would: its values up to its first bad cell, and that cell's fault or None."""
-        column, cells, values = _CSV_SCHEMAS[self.kind][name], self.cells.get(name), []
-        if cells is None:
-            return [column.default] * len(rows), None
-        for raw in cells if rows is None else [cells[i] for i in rows]:
-            text = raw.strip()
-            try:
-                value = column.kind(text) if text else column.default
-            except ValueError:
-                message = f"column {name}: cannot parse {raw!r}"
-                break
-            if value is None or column.kind is float and not math.isfinite(value):
-                message = (f"column {name} is missing" if value is None
-                           else f"column {name} must be finite, got {raw!r}")
-                break
-            values.append(value)
-        else:  # a blank py or pz reads as 0
-            return values, None
-        i = len(values) if rows is None else rows[len(values)]
-        return values, (i, f"{self.path}: row {self.lines[i]}: {message}")
 
 
 def _read_csv(path: str, kind: str | None = None) -> _Records:
@@ -341,127 +277,119 @@ def _read_csv(path: str, kind: str | None = None) -> _Records:
         header = next(reader, None)
         if kind is None:
             kind = "counts" if "count" in [col.strip() for col in header or ()] else "yield"
-        schema, required = _CSV_SCHEMAS[kind], CSV_COLUMNS[kind]
+        required = CSV_COLUMNS[kind]
+        known = required + _BLOCH_COLUMNS if kind == "yield" else required
         if header is None or not set(required).issubset(header):
             raise ValidationError(f"{path}: {kind} CSV must have columns {list(required)}")
         named = [col for col in header if col.strip()]  # a blank header cell names nothing
         if len(set(named)) < len(named):
             twice = next(col for i, col in enumerate(named) if col in named[:i])
             raise ValidationError(f"{path}: {kind} CSV names column {twice!r} twice")
-        for c in schema.values():
-            if c.beside and c.name in header and c.beside not in header:
-                raise ValidationError(
-                    f"{path}: {kind} CSV has a {c.name} column but no {c.beside} column")
+        beside = [col for col in _BLOCH_COLUMNS[1:] if col in header]
+        if kind == "yield" and beside and "px" not in header:
+            raise ValidationError(f"{path}: yield CSV has a {beside[0]} column but no px column")
         for col in named:  # any other unknown column is ignored
-            if col not in schema and col.strip().lower() in schema:
+            if col not in known and col.strip().lower() in known:
                 raise ValidationError(
                     f"{path}: {kind} CSV column {col!r} must be spelled {col.strip().lower()!r}")
-        records, lines = [], []
+        rows, lines = [], []
         for record in reader:  # an empty line is skipped
             if record:
-                records.append(record)
+                rows.append(record)
                 lines.append(reader.line_num)
     width = len(header)
-    if min(map(len, records), default=width) < width:  # a short record's cells are blank
-        records = [record + [""] * (width - len(record)) for record in records]
-    columns = list(zip(*records)) or [()] * width
-    return _Records(path, kind, {col: columns[i] for i, col in enumerate(header) if col in schema},
-                    lines)
+    if min(map(len, rows), default=width) < width:  # a short record's cells are blank
+        rows = [record + [""] * (width - len(record)) for record in rows]
+    return _Records(path, kind, {col: i for i, col in enumerate(header) if col in known},
+                    rows, lines)
 
 
-def _first_fault(faults: list[tuple | None]) -> tuple[float, str | None]:
-    """The fault a row-by-row reader meets first, as ``(row, message)``: the lowest
-    row and, within it, the first of ``faults`` (each None or a ``(row, message)``);
-    ``(inf, None)`` without one."""
-    if not any(faults):
-        return math.inf, None
-    return min((fault[0], order, fault[1]) for order, fault in enumerate(faults) if fault)[::2]
-
-
-def _first_repeat(keys: list, message: Callable[[object], str]) -> tuple[int, str] | None:
-    """The fault ``(index, message(key))`` of the first key equal to an earlier one."""
-    if len(set(keys)) == len(keys):
-        return None
-    seen: set = set()
-    i = next(i for i, key in enumerate(keys) if key in seen or seen.add(key))
-    return i, message(keys[i])
-
-
-def _first_change(keys: list, values: list, far: Callable[[object, object], bool],
-                  message: Callable[[object], str], previous: bool = True) -> tuple[int, str] | None:
-    """The fault ``(index, message(key))`` of the first value ``far`` from its key's
-    value on that key's previous row (or, without ``previous``, its first row)."""
-    pairs = list(zip(keys, values))
-    if len(set(pairs)) == len(dict(pairs)):  # one value per key
-        return None
-    held: dict = {}
-    for i, (key, value) in enumerate(pairs):
-        if far(held.setdefault(key, value), value):
-            return i, message(key)
-        if previous:
-            held[key] = value
-    return None
+def _cell(records: _Records, i: int, name: str, kind: type = float, default: object = None):
+    """Cell ``name`` of record ``i``, stripped, as ``kind`` (``str``, ``int`` or a finite
+    ``float``); a blank cell, or one of a column the file lacks, gives ``default`` if set."""
+    column = records.index.get(name)
+    raw = "" if column is None else records.rows[i][column]
+    text = raw.strip()
+    if not text:
+        if default is not None:
+            return default
+        message = f"column {name} is missing"
+    elif kind is str:
+        return text
+    else:
+        try:
+            value = kind(text)
+        except ValueError:
+            message = f"column {name}: cannot parse {raw!r}"
+        else:
+            if kind is not float or math.isfinite(value):
+                return value
+            message = f"column {name} must be finite, got {raw!r}"
+    raise ValidationError(f"{records.path}: row {records.lines[i]}: {message}")
 
 
 def _read_counts_csv(records: _Records) -> dict[tuple, int]:
     """The counts of a counts CSV (the ``simulate`` output schema), as those of a
     :class:`~qkdkit.montecarlo.TrialRecord`."""
-    (outcome, label, basis, count), faults = records.columns(("outcome", "label", "basis",
-                                                              "count"))
-    outcome = [int(text) if text in ("0", "1") else text for text in outcome]
-    keys = list(zip(label, basis, outcome))
-    repeat = _first_repeat(keys, lambda key: f"{records.path}: duplicate counts row {key}")
-    _, message = _first_fault([*faults[:3], repeat, faults[3]])
-    if message:
-        raise ValidationError(message)
-    if not keys:
+    counts: dict[tuple, int] = {}
+    for i in range(len(records.rows)):
+        outcome = _cell(records, i, "outcome", str)
+        if outcome in ("0", "1"):
+            outcome = int(outcome)
+        key = (_cell(records, i, "label", str), _cell(records, i, "basis", str), outcome)
+        if key in counts:
+            raise ValidationError(f"{records.path}: duplicate counts row {key}")
+        counts[key] = _cell(records, i, "count", int)
+    if not counts:
         raise ValidationError(f"{records.path}: no count rows found")
-    return dict(zip(keys, count))
+    return counts
+
+
+def _bloch_cells(records: _Records, i: int) -> tuple[float, ...]:
+    """The ``px, py, pz`` cells of yield record ``i`` (a blank ``py`` or ``pz`` is 0),
+    or ``()`` where ``px`` is blank."""
+    if not _cell(records, i, "px", str, ""):
+        return ()
+    return (_cell(records, i, "px"), _cell(records, i, "py", default=0.0),
+            _cell(records, i, "pz", default=0.0))
 
 
 def _read_yield_csv(records: _Records) -> tuple[YieldTable, SourceSet]:
     """The table and source states of a single-party yield CSV.  The prior column
     is the per-(state, basis) prefactor (1/6 in the uniform three-state protocol).
-    A label's state is its first row's ``px, py, pz``, or its canonical state where
-    ``px`` is blank; later rows repeat them within 1e-12 or leave ``px`` blank too."""
-    path = records.path
-    (label, basis, outcome, probability, prior), faults = records.columns(
-        ("label", "basis", "outcome", "probability", "prior"))
-    keys = list(zip(basis, outcome, label))
-    faults = [*faults, _first_repeat(keys, lambda key: f"{path}: duplicate cell {key}"),
-              _first_change(label, prior, lambda a, b: abs(a - b) > 1e-12,
-                            lambda lab: f"{path}: inconsistent priors for label {lab!r}")]
-    labels = list(dict.fromkeys(label))
-    first = dict(zip(labels, map(label.index, labels)))  # each label's first row
-    blochs: dict[int, tuple] = {}  # the px, py, pz of each row read
-    if "px" in records.cells:
-        # a label whose rows all repeat its first row's Bloch cells is read on that row
-        varied = len(set(zip(label, *(records.cells[c] for c in ("px", "py", "pz")
-                                      if c in records.cells)))) > len(first)
-        px_cells = records.cells["px"]
-        rows = [i for i in (range(len(label)) if varied else first.values()) if px_cells[i].strip()]
-        (px, py, pz), bloch_faults = records.columns(("px", "py", "pz"), rows)
-        blochs = dict(zip(rows, zip(px, py, pz)))  # up to the first bad cell
-        faults += bloch_faults
-        if varied:
-            stop = min([fault[0] for fault in bloch_faults if fault] or [len(label)])
-            faults.append(_first_change(
-                label, [blochs.get(i, ()) for i in range(stop)], lambda a, b: len(a) != len(b)
-                or any(abs(p - q) > 1e-12 for p, q in zip(b, a)),
-                lambda lab: f"{path}: inconsistent Bloch columns for label {lab!r}", False))
-    row, message = _first_fault(faults)
-    states = {}  # each label's state, from its first row, after that row's tests
-    for lab, i in first.items():
-        if i < row:
-            cells = blochs.get(i)
-            states[lab] = bloch_to_density(BlochVector(1.0, *cells)) if cells else basis_state(lab)
-    if message:
-        raise ValidationError(message)
-    if not keys:
+    A label's state is built on its first row, from its ``px, py, pz``, or as its
+    canonical state where ``px`` is blank; later rows repeat those cells within
+    1e-12 or leave ``px`` blank too."""
+    path, yields, priors, states = records.path, {}, {}, {}
+    blochs = {}  # each label's first-row Bloch cells, as text and as numbers
+    at = [records.index[col] for col in _BLOCH_COLUMNS if col in records.index]
+    for i, record in enumerate(records.rows):
+        label = _cell(records, i, "label", str)
+        basis = _cell(records, i, "basis", str)
+        outcome = _cell(records, i, "outcome", int)
+        probability = _cell(records, i, "probability")
+        prior = _cell(records, i, "prior")
+        key = (basis, outcome, label)
+        if key in yields:
+            raise ValidationError(f"{path}: duplicate cell {key}")
+        yields[key] = probability
+        if label in priors and abs(priors[label] - prior) > 1e-12:
+            raise ValidationError(f"{path}: inconsistent priors for label {label!r}")
+        priors[label] = prior
+        if label not in states:
+            bloch = _bloch_cells(records, i)
+            blochs[label] = [record[j] for j in at], bloch
+            states[label] = (bloch_to_density(BlochVector(1.0, *bloch)) if bloch
+                             else basis_state(label))
+        # a row that repeats its label's first Bloch cells as text repeats its numbers
+        elif at and [record[j] for j in at] != blochs[label][0]:
+            first, bloch = blochs[label][1], _bloch_cells(records, i)
+            if len(bloch) != len(first) or any(abs(p - q) > 1e-12 for p, q in zip(bloch, first)):
+                raise ValidationError(f"{path}: inconsistent Bloch columns for label {label!r}")
+    if not yields:
         raise ValidationError(f"{path}: no yield rows found")
     # The prior column is the joint prefactor P(label) * P(basis); factorize it
     # so the table's weight(basis, label) reproduces it exactly.
-    priors = dict(zip(label, prior))  # each label's last prior, in order of first appearance
     total = sum(priors.values())
     if not (0.0 < total <= 1.0 + 1e-9):
         raise ValidationError(f"{path}: prior column sums to {total!r} per basis")
@@ -469,7 +397,6 @@ def _read_yield_csv(records: _Records) -> tuple[YieldTable, SourceSet]:
         (label, states[label], priors[label] / total) for label in priors))
     # input tables are typically empirical, so allow sampling-noise slack in
     # the prior-consistency checks (the solvers stay strict)
-    yields = dict(zip(keys, probability))
     table = YieldTable(yields, {label: prior / total for label, prior in priors.items()},
                        {basis: total for basis in {k[0] for k in yields}}, consistency_tol=1e-2)
     return table, sources
@@ -551,6 +478,7 @@ def cmd_estimate(yields_path: str) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
+    config.check_distances(("distance_start",))
     if not config.delta:
         raise ValidationError("invalid field delta: simulate needs a delta, got none")
     if len(config.delta) > 1:
@@ -601,26 +529,22 @@ def _read_pair_yield_csv(path: str) -> tuple[dict[tuple[str, str], float], float
     be internally consistent.
     """
     records = _read_csv(path, "pair-yield")
-    (label_a, label_b, probability, prior), faults = records.columns(
-        ("label_a", "label_b", "probability", "prior"))
-    keys = list(zip(label_a, label_b))
-    repeat = _first_repeat(keys, lambda key: f"{path}: duplicate pair {key}")
-    gamma, off = None, None
-    for i, ((a, b), p) in enumerate(zip(keys, prior)):
-        if a.endswith("z") and b.endswith("z"):
-            if gamma is not None and abs(gamma - p * 9.0) > 1e-12:
-                off = i, f"{path}: inconsistent Z-Z priors"
-                break
-            gamma = p * 9.0
-        elif abs(p - 1.0 / 9.0) > 1e-12:
-            off = i, f"{path}: pairs involving X states must carry prior 1/9"
-            break
-    _, message = _first_fault([*faults[:2], repeat, *faults[2:], off])
-    if message:
-        raise ValidationError(message)
+    pairs, gamma = {}, None
+    for i in range(len(records.rows)):
+        key = (_cell(records, i, "label_a", str), _cell(records, i, "label_b", str))
+        if key in pairs:
+            raise ValidationError(f"{path}: duplicate pair {key}")
+        pairs[key] = _cell(records, i, "probability")
+        prior = _cell(records, i, "prior")
+        if key[0].endswith("z") and key[1].endswith("z"):
+            if gamma is not None and abs(gamma - prior * 9.0) > 1e-12:
+                raise ValidationError(f"{path}: inconsistent Z-Z priors")
+            gamma = prior * 9.0
+        elif abs(prior - 1.0 / 9.0) > 1e-12:
+            raise ValidationError(f"{path}: pairs involving X states must carry prior 1/9")
     if gamma is None:
         raise ValidationError(f"{path}: no Z-Z pair rows found")
-    return dict(zip(keys, probability)), gamma
+    return pairs, gamma
 
 
 def cmd_mdi_estimate(yields_path: str) -> int:

@@ -212,12 +212,36 @@ class TestSweepCommand:
          ("0:10:inf", "distance_step"), ("0:10:nan", "distance_step")],
     )
     def test_non_finite_distance_range_rejected(self, tmp_path, capsys, command, distance, field):
-        # a NaN or infinite stop used to make the distance loop run forever
-        argv = [command, f"--distance={distance}", "--out", str(tmp_path / "x")]
+        # a NaN or infinite stop used to make the sweep's distance loop run forever;
+        # simulate reads only distance_start, so a bad stop or step leaves its run
+        # as it is without --distance (whose start is the default, 0)
+        argv = [command, "--out", str(tmp_path / "x")]
         argv += ["--pulses", "10"] * (command == "simulate")
-        assert cli.main(argv) == 1
+        if command == "simulate" and field != "distance_start":
+            assert cli.main(argv) == 0
+            expected = capsys.readouterr()
+            assert cli.main([*argv, f"--distance={distance}"]) == 0
+            assert capsys.readouterr() == expected
+            return
+        assert cli.main([*argv, f"--distance={distance}"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("distance_step = 0", "invalid field distance_step: must be > 0"),
+        ("distance_stop = nan", "invalid field distance_stop: must be finite, got nan"),
+    ])
+    def test_simulate_ignores_the_sweep_distance_fields(self, tmp_path, capsys, line, message):
+        # the sweep refuses the file; simulate never reads these fields
+        config = tmp_path / "c.cfg"
+        config.write_text(line + "\n")
+        sweep = ["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv")]
+        assert cli.main(sweep) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert cli.main(["simulate", "--pulses", "100"]) == 0
+        expected = capsys.readouterr()
+        assert cli.main(["simulate", "--pulses", "100", "--config", str(config)]) == 0
+        assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize("line", ["seed = -3", "pulses = -5"])
     def test_config_seed_and_pulses_are_ignored(self, tmp_path, line):
@@ -1459,6 +1483,32 @@ YIELD_ROW = ["0z", "x", "0", "0.05", repr(1 / 6)]
 COUNTS_HEADER = ["label", "basis", "outcome", "count"]
 
 
+class TestReaderBounds:
+    """A value exactly on one of the reader's bounds passes the reader."""
+
+    def test_prior_sum_of_one_accepted(self, tmp_path):
+        path = tmp_path / "one_label.csv"
+        write_csv(path, YIELD_HEADER, [["0z", "x", s, "0.1", "1"] for s in "01"])
+        table, sources = cli._read_yield_csv(cli._read_csv(path))
+        assert table.basis_probs == {"x": 1.0}
+        assert sources.entries[0][2] == 1.0
+
+    def test_prior_sum_on_its_bound_reaches_the_table(self, tmp_path, capsys):
+        # the reader lets a sum of 1 + 1e-9 pass; the table then refuses it
+        path = tmp_path / "one_label.csv"
+        write_csv(path, YIELD_HEADER, [["0z", "x", s, "0.1", repr(1.0 + 1e-9)] for s in "01"])
+        assert cli.main(["estimate", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: basis probability for 'x' must be in (0, 1]\n")
+
+    def test_z_pair_gammas_1e12_apart_accepted(self, tmp_path):
+        # 9 * 1.1111111111111111e-13 is 1e-12 exactly, the largest gap allowed
+        path = tmp_path / "pairs.csv"
+        write_csv(path, PAIR_HEADER, [["0z", "0z", "0.1", "0"],
+                                      ["1z", "1z", "0.1", "1.1111111111111111e-13"]])
+        assert cli._read_pair_yield_csv(str(path))[1] == 1e-12
+
+
 class TestEveryInputRejection:
     """Each rejection of a config file or CSV table that its own row cannot show:
     exit 1 and the exact ``error:`` line."""
@@ -1474,13 +1524,16 @@ class TestEveryInputRejection:
         ("estimate", YIELD_HEADER,
          [[label, "x", "0", "0.1", "0.5"] for label in THREE_STATE_LABELS],
          "prior column sums to 1.5 per basis"),
+        ("estimate", YIELD_HEADER,
+         [[label, "x", "0", "0.1", "0"] for label in THREE_STATE_LABELS],
+         "prior column sums to 0.0 per basis"),
         ("mdi-estimate", PAIR_HEADER, [*TestMdiEstimateCommand.bell_rows()[:2],
                                        TestMdiEstimateCommand.bell_rows()[0]],
          "duplicate pair ('0z', '0z')"),
         ("mdi-estimate", PAIR_HEADER, [row for row in TestMdiEstimateCommand.bell_rows()
                                        if "0x" in row[:2]], "no Z-Z pair rows found"),
     ], ids=["duplicate-count", "no-counts", "duplicate-cell", "inconsistent-priors",
-            "no-yields", "prior-sum", "duplicate-pair", "no-z-pair"])
+            "no-yields", "prior-sum", "zero-prior-sum", "duplicate-pair", "no-z-pair"])
     def test_table_rejected(self, tmp_path, capsys, command, header, rows, message):
         path = tmp_path / "table.csv"
         write_csv(path, header, rows)
@@ -1632,6 +1685,17 @@ class TestMalformedCells:
         write_csv(path, header, rows)
         assert cli.main([command, str(path)]) == 0
         assert capsys.readouterr() == expected
+
+    def test_every_record_read_before_any_cell_converted(self, tmp_path, capsys):
+        # row 2's bad cell comes first, but the reader meets row 3's oversized
+        # field while it reads the file, before it converts a cell
+        command, header, rows = valid_inputs()["yield"]
+        rows = [list(r) for r in rows]
+        rows[0][3], rows[1][0] = "abc", "0" * 200_000
+        path = tmp_path / "big.csv"
+        write_csv(path, header, rows)
+        assert cli.main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: field larger than field limit (131072)\n")
 
     def test_spaced_count_column_read_as_counts(self, tmp_path, capsys):
         # a header naming " count " makes a counts file, whose columns must match exactly
